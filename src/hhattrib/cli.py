@@ -7,15 +7,15 @@ deterministic given identical inputs and seeds.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate, factorize, generative, logistic, temporal
 from .corpus import (
-    ConfigError, Dataset, ParseError, derive_binning, load_dataset,
-    parse_households, parse_ratings, parse_test_events, read_synth_config,
-    synth_generate, write_dataset,
+    ConfigError, ParseError, load_dataset, parse_households, parse_ratings,
+    parse_test_events, read_synth_config, synth_generate, write_dataset,
 )
 
 USAGE_ERRORS = (ConfigError, ParseError, FileNotFoundError, ValueError)
@@ -38,6 +38,17 @@ def _add_factor_flags(parser):
     parser.add_argument("--bins", type=int, default=12)
     parser.add_argument("--iterations", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_pipeline_flags(parser):
+    """Flags that `_pipeline_from_args` reads, plus a pre-fitted --model."""
+    parser.add_argument("--model", default=None)
+    parser.add_argument("--epsilon", type=float, default=0.5)
+    parser.add_argument("--sigma-scope", default="per_user", dest="sigma_scope",
+                        choices=generative.SCOPES)
+    parser.add_argument("--features", default="abcde")
+    parser.add_argument("--lambda1", type=float, default=0.01)
+    _add_factor_flags(parser)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -70,7 +81,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _pipeline_from_args(args) -> evaluate.PipelineConfig:
+def _pipeline_from_args(args, alpha: float = 1.0) -> evaluate.PipelineConfig:
     features = logistic.FeatureConfig.from_letters(args.features, args.lambda1)
     return evaluate.PipelineConfig(
         classifier=args.classifier,
@@ -78,7 +89,7 @@ def _pipeline_from_args(args) -> evaluate.PipelineConfig:
         features=features,
         sigma_scope=args.sigma_scope,
         epsilon=args.epsilon,
-        alpha=1.0,
+        alpha=alpha,
     )
 
 
@@ -99,124 +110,37 @@ def _write_posteriors(test_events, posteriors, path) -> None:
 
 
 def cmd_classify(args) -> int:
-    train = parse_ratings(args.train)
-    households = parse_households(args.households)
-    test = parse_test_events(args.test)
-    pipeline = _pipeline_from_args(args)
-    if pipeline.needs_factor_model and args.model is None:
-        raise ConfigError(f"classifier {args.classifier!r} needs --model")
-
+    dataset = load_dataset(args.train, args.households, args.test)
+    pipeline = _pipeline_from_args(args, alpha=args.alpha)
+    model = None
     if pipeline.needs_factor_model:
+        if args.model is None:
+            raise ConfigError(f"classifier {args.classifier!r} needs --model")
         model = factorize.load_model(args.model)
-        binning = model.binning
-    else:
-        model = None
-        binning = derive_binning(train, args.bins)
+    fitted = evaluate.fit_pipeline(dataset, pipeline, model=model)
+    test = dataset.test
 
     if args.classifier == "residual" and args.alpha_grid:
-        alphas = _parse_grid(args.alpha_grid)
         out = Path(args.out)
-        for idx, alpha in enumerate(alphas):
-            predictions = [
-                factorize.classify_by_residual(
-                    model, households[ev.household], ev, alpha)
-                for ev in test
-            ]
+        for idx, alpha in enumerate(_parse_grid(args.alpha_grid)):
+            predictions, _ = evaluate.classify_events(
+                replace(fitted, config=replace(pipeline, alpha=alpha)), test)
             path = out.with_name(f"{out.stem}.alpha{idx}{out.suffix}")
             _write_predictions(test, predictions, path)
             print(f"alpha={repr(alpha)} -> {path}")
         return 0
 
-    name = args.classifier
-    if name == "residual":
-        predictions = [
-            factorize.classify_by_residual(model, households[ev.household],
-                                           ev, args.alpha)
-            for ev in test
-        ]
-        posteriors = None
-    else:
-        dataset = Dataset(tuple(train), households, tuple(test),
-                          user_count=max(
-                              max((ev.user for ev in train), default=-1),
-                              max((m for hh in households.values()
-                                   for m in hh.members), default=-1)) + 1,
-                          movie_count=max(
-                              max((ev.movie for ev in train), default=-1),
-                              max((ev.movie for ev in test), default=-1)) + 1)
-        # reuse the pipeline dispatch but keep the already-loaded model
-        if model is not None:
-            predictions, posteriors = _classify_with_model(
-                dataset, pipeline, model, binning)
-        else:
-            predictions, posteriors = evaluate.fit_and_classify(dataset, pipeline)
-
+    predictions, posteriors = evaluate.classify_events(fitted, test)
     _write_predictions(test, predictions, args.out)
     if args.dump_posteriors:
         if posteriors is None:
             raise ConfigError("the residual classifier has no posteriors to dump")
         _write_posteriors(test, posteriors, args.dump_posteriors)
     if args.dump_logit:
-        if name != "unified":
+        if fitted.logit_models is None:
             raise ConfigError("--dump-logit only applies to the unified classifier")
-        models = {
-            hid: logistic.fit_household(train, hh, pipeline.features,
-                                        model=model, binning=binning)
-            for hid, hh in households.items()
-        }
-        logistic.save_logit_models(models, args.dump_logit)
+        logistic.save_logit_models(fitted.logit_models, args.dump_logit)
     return 0
-
-
-def _classify_with_model(dataset, pipeline, model, binning):
-    """Pipeline dispatch for a pre-fitted factor model (CLI classify path)."""
-    name = pipeline.classifier
-    train, households = dataset.train, dataset.households
-    priors = sigma_model = None
-    if name.startswith(("prior-", "gen-")):
-        priors = {
-            hid: temporal.fit_priors(train, hh, binning, pipeline.epsilon)
-            for hid, hh in households.items()
-        }
-    if name.startswith("gen-"):
-        sigma_model = generative.estimate_sigma(train, model, pipeline.sigma_scope)
-    logit_models = None
-    if name == "unified":
-        logit_models = {
-            hid: logistic.fit_household(train, hh, pipeline.features,
-                                        model=model, binning=binning)
-            for hid, hh in households.items()
-        }
-    predictions, posteriors = [], []
-    for ev in dataset.test:
-        hh = households[ev.household]
-        if name.startswith("prior-"):
-            mode = name.removeprefix("prior-")
-            predictions.append(temporal.classify_prior(priors[hh.id], mode, ev))
-            values = {
-                member: temporal.prior_value(priors[hh.id], member, mode, ev)
-                for member in hh.members
-            }
-            total = sum(values.values())
-            posteriors.append({m: v / total for m, v in values.items()}
-                              if total > 0 else
-                              {m: 1.0 / hh.size for m in hh.members})
-        elif name.startswith("gen-"):
-            mode = name.removeprefix("gen-")
-            predictions.append(generative.classify_generative(
-                hh, ev, model, priors[hh.id], mode, sigma_model))
-            posteriors.append(generative.posterior(
-                hh, ev, model, priors[hh.id], mode, sigma_model))
-        else:
-            probs = logistic.member_probabilities(
-                logit_models[hh.id], ev, model, binning)
-            predictions.append(temporal.argmax_member(
-                sorted(probs), lambda member: probs[member]))
-            total = sum(probs.values())
-            posteriors.append({m: p / total for m, p in probs.items()}
-                              if total > 0 else
-                              {m: 1.0 / hh.size for m in hh.members})
-    return predictions, posteriors
 
 
 def _read_predictions(path, test_events):
@@ -320,9 +244,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    households = parse_households(args.households)
-    test = parse_test_events(args.test)
     if args.classifier == "residual":
+        households = parse_households(args.households)
+        test = parse_test_events(args.test)
         if args.model is None:
             raise ConfigError("roc for the residual classifier needs --model")
         model = factorize.load_model(args.model)
@@ -334,17 +258,13 @@ def cmd_roc(args) -> int:
     else:
         if args.train is None:
             raise ConfigError("posterior roc sweeps need --train")
-        pipeline = _pipeline_from_args(args)
-        dataset = load_dataset(args.train, args.households)
-        dataset = Dataset(dataset.train, dataset.households, tuple(test),
-                          dataset.user_count,
-                          max(dataset.movie_count,
-                              max((ev.movie for ev in test), default=-1) + 1))
-        _, posteriors = evaluate.fit_and_classify(dataset, pipeline)
+        dataset = load_dataset(args.train, args.households, args.test)
+        _, posteriors = evaluate.fit_and_classify(dataset, _pipeline_from_args(args))
         if posteriors is None:
             raise ConfigError("classifier produces no posteriors to sweep")
         grid = list(np.linspace(0.0, 1.0, args.grid_size))
-        points = evaluate.roc_sweep_posterior(test, posteriors, households, grid)
+        points = evaluate.roc_sweep_posterior(dataset.test, posteriors,
+                                              dataset.households, grid)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("parameter\ttpr_first\ttpr_rest\n")
         for point in points:
@@ -386,17 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--classifier", required=True, choices=evaluate.CLASSIFIERS)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", default=None)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--alpha-grid", default=None, dest="alpha_grid")
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--sigma-scope", default="per_user", dest="sigma_scope",
-                   choices=generative.SCOPES)
-    p.add_argument("--features", default="abcde")
-    p.add_argument("--lambda1", type=float, default=0.01)
     p.add_argument("--dump-posteriors", default=None, dest="dump_posteriors")
     p.add_argument("--dump-logit", default=None, dest="dump_logit")
-    _add_factor_flags(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="score predictions or run cross-validation")
@@ -411,34 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default="prior-day", choices=evaluate.CLASSIFIERS)
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--fraction", type=float, default=0.04)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--sigma-scope", default="per_user", dest="sigma_scope",
-                   choices=generative.SCOPES)
-    p.add_argument("--features", default="abcde")
-    p.add_argument("--lambda1", type=float, default=0.01)
     p.add_argument("--export-histograms", action="store_true",
                    dest="export_histograms")
     p.add_argument("--out-dir", default="histograms", dest="out_dir")
-    p.add_argument("--model", default=None)
     p.add_argument("--annotate", action="append", default=None)
-    _add_factor_flags(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("roc", help="sweep a decision parameter into an ROC table")
     p.add_argument("--households", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--classifier", default="residual", choices=evaluate.CLASSIFIERS)
-    p.add_argument("--model", default=None)
     p.add_argument("--train", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--alpha-grid", default=None, dest="alpha_grid")
     p.add_argument("--grid-size", type=int, default=50, dest="grid_size")
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--sigma-scope", default="per_user", dest="sigma_scope",
-                   choices=generative.SCOPES)
-    p.add_argument("--features", default="abcde")
-    p.add_argument("--lambda1", type=float, default=0.01)
-    _add_factor_flags(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("baseline", help="expected error of random guessing")

@@ -6,8 +6,10 @@ number is the unweighted mean over households (overall and per household
 size). Per-member true positive rates with no test events are undefined
 and excluded from averages rather than counted as zero.
 
-`run_cv` repeats the whole fit-and-classify pipeline over several random
-splits and reports mean and sample standard deviation of every metric.
+`fit_pipeline` and `classify_events` are the one fit-and-classify
+pipeline for every classifier family; cross-validation and the CLI both
+call them. `run_cv` repeats the pipeline over several random splits and
+reports mean and sample standard deviation of every metric.
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import factorize, generative, logistic, temporal
-from .corpus import Dataset, Household, cv_split, derive_binning
+from .corpus import Binning, Dataset, Household, cv_split, derive_binning
 
 CLASSIFIERS = (
     "residual",
@@ -299,25 +301,36 @@ class PipelineConfig:
         return self.classifier == "unified" and self.features.movie_vector
 
 
-def fit_and_classify(dataset: Dataset, pipeline: PipelineConfig):
-    """Fit the pipeline on dataset.train and classify dataset.test.
+@dataclass(frozen=True, eq=False)
+class FittedPipeline:
+    """A pipeline's fitted parts; only those its family uses are set."""
 
-    Returns (predictions, posteriors): one predicted member per test
-    event, plus per-event member->probability maps for the probabilistic
-    families (None for the residual classifier).
+    config: PipelineConfig
+    households: dict[int, Household]
+    binning: Binning
+    model: factorize.TemporalFactorModel | None = None
+    priors: dict | None = None
+    sigma_model: generative.SigmaModel | None = None
+    logit_models: dict | None = None
+
+
+def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
+                 model: factorize.TemporalFactorModel | None = None) -> FittedPipeline:
+    """Fit the pipeline's family on dataset.train.
+
+    A pre-fitted factor model is used as given, binning included;
+    otherwise one is fitted when the family needs it.
     """
     train, households = dataset.train, dataset.households
-    binning = derive_binning(train, pipeline.factor_params.bin_count)
     name = pipeline.classifier
-
-    model = None
-    if pipeline.needs_factor_model:
+    binning = (model.binning if model is not None
+               else derive_binning(train, pipeline.factor_params.bin_count))
+    if model is None and pipeline.needs_factor_model:
         model = factorize.fit_lowrank_temporal(
             train, pipeline.factor_params,
             user_count=dataset.user_count, movie_count=dataset.movie_count,
             binning=binning,
         )
-
     priors = sigma_model = logit_models = None
     if name.startswith(("prior-", "gen-")):
         priors = {
@@ -332,45 +345,47 @@ def fit_and_classify(dataset: Dataset, pipeline: PipelineConfig):
                                         model=model, binning=binning)
             for hid, hh in households.items()
         }
+    return FittedPipeline(pipeline, households, binning, model, priors,
+                          sigma_model, logit_models)
 
+
+def classify_events(fitted: FittedPipeline, test_events):
+    """Attribute each test event to a household member.
+
+    Returns (predictions, posteriors): one predicted member per test
+    event, plus per-event member->probability maps (None for the residual
+    classifier). Every other family scores each event once into a member
+    -> score map; the prediction is its argmax, the posterior its
+    normalization.
+    """
+    name = fitted.config.classifier
+    mode = name.partition("-")[2]
     predictions, posteriors = [], []
-    for ev in dataset.test:
-        hh = households[ev.household]
+    for ev in test_events:
+        hh = fitted.households[ev.household]
         if name == "residual":
-            predictions.append(
-                factorize.classify_by_residual(model, hh, ev, pipeline.alpha))
-            posteriors.append(None)
-        elif name.startswith("prior-"):
-            mode = name.removeprefix("prior-")
-            predictions.append(temporal.classify_prior(priors[hh.id], mode, ev))
-            values = {
-                member: temporal.prior_value(priors[hh.id], member, mode, ev)
-                for member in hh.members
-            }
-            total = sum(values.values())
-            posteriors.append(
-                {m: v / total for m, v in values.items()} if total > 0
-                else {m: 1.0 / hh.size for m in hh.members}
-            )
+            predictions.append(factorize.classify_by_residual(
+                fitted.model, hh, ev, fitted.config.alpha))
+            continue
+        log_space = False
+        if name.startswith("prior-"):
+            scores = temporal.prior_scores(fitted.priors[hh.id], mode, ev)
         elif name.startswith("gen-"):
-            mode = name.removeprefix("gen-")
-            predictions.append(generative.classify_generative(
-                hh, ev, model, priors[hh.id], mode, sigma_model))
-            posteriors.append(generative.posterior(
-                hh, ev, model, priors[hh.id], mode, sigma_model))
+            scores = generative.member_scores(
+                hh.members, ev.rating, ev, fitted.model, fitted.priors[hh.id],
+                mode, fitted.sigma_model)
+            log_space = fitted.sigma_model.log_space
         else:
-            members = logit_models[hh.id]
-            predictions.append(
-                logistic.classify_logistic(members, ev, model, binning))
-            probs = logistic.member_probabilities(members, ev, model, binning)
-            total = sum(probs.values())
-            posteriors.append(
-                {m: p / total for m, p in probs.items()} if total > 0
-                else {m: 1.0 / hh.size for m in hh.members}
-            )
-    if name == "residual":
-        return predictions, None
-    return predictions, posteriors
+            scores = logistic.member_probabilities(
+                fitted.logit_models[hh.id], ev, fitted.model, fitted.binning)
+        predictions.append(temporal.argmax_member(scores))
+        posteriors.append(generative.normalize(scores, log_space))
+    return predictions, (None if name == "residual" else posteriors)
+
+
+def fit_and_classify(dataset: Dataset, pipeline: PipelineConfig):
+    """Fit the pipeline on dataset.train and classify dataset.test."""
+    return classify_events(fit_pipeline(dataset, pipeline), dataset.test)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 A member's joint score for an anonymized rating is a normal density
 centered on that member's predicted rating, scaled by the member's prior
-probability. Normalizing the scores across household members gives a
-posterior over who produced the rating; the classifier takes the argmax.
-With the residual scale set to infinity the density factor drops out and
-the decision coincides with the prior-only classifier of the same mode.
+probability. Scores are kept in log space, so a rating far from every
+member's prediction still goes to the closest member instead of
+underflowing to a tie. Normalizing the scores across household members
+gives a posterior over who produced the rating; the classifier takes the
+argmax. With the residual scale set to infinity the density factor drops
+out and the scores are the raw priors, so the decision coincides exactly
+with the prior-only classifier of the same mode. `normalize` turns the
+member scores of every classifier family into a posterior.
 """
 
 import logging
@@ -46,6 +50,11 @@ class SigmaModel:
             stored = [self.sigma_all, *self.sigma_by_user.values()]
             if any(s < self.floor for s in stored):
                 raise ValueError("every stored sigma must be >= floor")
+
+    @property
+    def log_space(self) -> bool:
+        """Whether member scores are log densities rather than raw priors."""
+        return self.scope != "infinite"
 
     def sigma_for(self, member: int) -> float:
         if self.scope == "infinite":
@@ -90,46 +99,71 @@ def estimate_sigma(train, model: TemporalFactorModel, scope: str,
     return SigmaModel(scope, sigma_all, by_user, floor)
 
 
+def member_scores(members, rating: float, event: TestEvent,
+                  model: TemporalFactorModel, priors: TemporalPriors,
+                  mode: str, sigma_model: SigmaModel) -> dict[int, float]:
+    """Each member's score for the rating at the event's time.
+
+    Log prior plus the Gaussian log density of the rating around the
+    member's prediction (-inf where the prior is 0); the raw prior when
+    the scale is infinite (see ``SigmaModel.log_space``).
+    """
+    scores = {}
+    for member in members:
+        q = prior_value(priors, member, mode, event)
+        if not sigma_model.log_space:
+            scores[member] = q
+        elif q == 0.0:
+            scores[member] = -math.inf
+        else:
+            sigma = sigma_model.sigma_for(member)
+            gap = rating - predict(model, member, event.movie, event.timestamp)
+            scores[member] = (math.log(q) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+                              - (gap * gap) / (2.0 * sigma * sigma))
+    return scores
+
+
 def joint_score(member: int, rating: float, event: TestEvent,
                 model: TemporalFactorModel, priors: TemporalPriors,
                 mode: str, sigma_model: SigmaModel) -> float:
     """Normal density of the rating around the member's prediction, times prior."""
-    q = prior_value(priors, member, mode, event)
-    if sigma_model.scope == "infinite":
-        return q
-    sigma = sigma_model.sigma_for(member)
-    gap = rating - predict(model, member, event.movie, event.timestamp)
-    norm = math.sqrt(2.0 * math.pi * sigma * sigma)
-    return math.exp(-(gap * gap) / (2.0 * sigma * sigma)) / norm * q
+    score = member_scores((member,), rating, event, model, priors, mode,
+                          sigma_model)[member]
+    return math.exp(score) if sigma_model.log_space else score
+
+
+def normalize(scores: dict[int, float], log_space: bool = False) -> dict[int, float]:
+    """Posterior over members from their scores.
+
+    Plain scores are divided by their sum; log scores are normalized with
+    log-sum-exp. Uniform, with a debug record, when the scores carry no
+    finite positive mass.
+    """
+    if log_space:
+        top = max(scores.values())
+        scores = {member: math.exp(value - top) for member, value in scores.items()}
+    total = sum(scores.values())
+    if not 0.0 < total < math.inf:
+        log.debug("members %s: degenerate scores, uniform posterior", sorted(scores))
+        return dict.fromkeys(scores, 1.0 / len(scores))
+    return {member: value / total for member, value in scores.items()}
 
 
 def posterior(household: Household, event: TestEvent,
               model: TemporalFactorModel, priors: TemporalPriors,
               mode: str, sigma_model: SigmaModel) -> dict[int, float]:
-    """Joint scores normalized over members; uniform if every score is zero."""
-    scores = {
-        member: joint_score(member, event.rating, event, model, priors,
-                            mode, sigma_model)
-        for member in household.members
-    }
-    total = sum(scores.values())
-    if total <= 0.0 or not math.isfinite(total):
-        log.debug("household %s: degenerate joint scores, uniform posterior",
-                  household.id)
-        share = 1.0 / len(household.members)
-        return {member: share for member in household.members}
-    return {member: value / total for member, value in scores.items()}
+    """Joint scores normalized over members; uniform if they are degenerate."""
+    scores = member_scores(household.members, event.rating, event, model,
+                           priors, mode, sigma_model)
+    return normalize(scores, sigma_model.log_space)
 
 
 def classify_generative(household: Household, event: TestEvent,
                         model: TemporalFactorModel, priors: TemporalPriors,
                         mode: str, sigma_model: SigmaModel) -> int:
     """Attribute the event to the member with the largest joint score."""
-    return argmax_member(
-        household.members,
-        lambda member: joint_score(member, event.rating, event, model,
-                                   priors, mode, sigma_model),
-    )
+    return argmax_member(member_scores(household.members, event.rating, event,
+                                       model, priors, mode, sigma_model))
 
 
 def residual_histogram(train, model: TemporalFactorModel, bins: int = 50,

@@ -393,30 +393,24 @@ def fit_household(train, household: Household, config: FeatureConfig,
     return fitted
 
 
-def classify_logistic(models: dict[int, LogitModel], event,
-                      model: TemporalFactorModel | None = None,
-                      binning: Binning | None = None) -> int:
-    """Attribute the event to the member with the highest logit probability."""
+def member_probabilities(models: dict[int, LogitModel], event,
+                         model: TemporalFactorModel | None = None,
+                         binning: Binning | None = None) -> dict[int, float]:
+    """Per-member logit probabilities for one event (not normalized)."""
     if not models:
         raise ValueError("no fitted member models")
     first = next(iter(models.values()))
     x = standardize_apply(
         first.standardization, build_features(event, first.config, model, binning)
     )
-    return argmax_member(
-        sorted(models), lambda member: logit_prob(models[member].theta, x)
-    )
-
-
-def member_probabilities(models: dict[int, LogitModel], event,
-                         model: TemporalFactorModel | None = None,
-                         binning: Binning | None = None) -> dict[int, float]:
-    """Per-member logit probabilities for one event (not normalized)."""
-    first = next(iter(models.values()))
-    x = standardize_apply(
-        first.standardization, build_features(event, first.config, model, binning)
-    )
     return {member: logit_prob(models[member].theta, x) for member in models}
+
+
+def classify_logistic(models: dict[int, LogitModel], event,
+                      model: TemporalFactorModel | None = None,
+                      binning: Binning | None = None) -> int:
+    """Attribute the event to the member with the highest logit probability."""
+    return argmax_member(member_probabilities(models, event, model, binning))
 
 
 # ---------------------------------------------------------------------------

@@ -177,16 +177,21 @@ def prior_value(priors: TemporalPriors, member: int, mode: str,
     return value
 
 
-def argmax_member(members, score_of) -> int:
+def argmax_member(scores: dict[int, float]) -> int:
     """Member with the highest score; exact ties go to the smaller user id."""
-    return min(members, key=lambda member: (-score_of(member), member))
+    return min(scores, key=lambda member: (-scores[member], member))
+
+
+def prior_scores(priors: TemporalPriors, mode: str,
+                 event: TestEvent) -> dict[int, float]:
+    """Each member's resolved prior probability for the event."""
+    return {member: prior_value(priors, member, mode, event)
+            for member in priors.members}
 
 
 def classify_prior(priors: TemporalPriors, mode: str, event: TestEvent) -> int:
     """Attribute an event to the member with the largest prior probability."""
-    return argmax_member(
-        priors.members, lambda member: prior_value(priors, member, mode, event)
-    )
+    return argmax_member(prior_scores(priors, mode, event))
 
 
 # ---------------------------------------------------------------------------

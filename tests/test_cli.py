@@ -1,8 +1,11 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hhattrib import evaluate, factorize, logistic
 from hhattrib.cli import main
+from hhattrib.corpus import load_dataset
 
 SYNTH_CFG = """\
 households_size2 = 5
@@ -252,3 +255,54 @@ def test_roc_posterior_requires_train(workspace):
                  "--classifier", "prior-day",
                  "--out", str(workspace / "r.tsv")])
     assert code == 2
+
+
+
+@pytest.mark.parametrize("classifier", ["prior-day", "gen-day", "unified"])
+def test_classify_matches_library_pipeline(workspace, monkeypatch, classifier):
+    """The CLI's output files equal the library pipeline's on the same files."""
+    data = workspace / "data"
+    out, post, logit = (workspace / name
+                        for name in ("preds.tsv", "post.tsv", "logit.txt"))
+    flags, model = ["--bins", "4"], None
+    if classifier == "gen-day":
+        model_path = fit_model(workspace)
+        flags += ["--model", str(model_path)]
+        model = factorize.load_model(model_path)
+    if classifier == "unified":
+        flags += ["--features", "ab", "--lambda1", "0.2", "--dump-logit", str(logit)]
+    fits = []
+    fit_household = logistic.fit_household
+
+    def counting_fit(train, household, *args, **kwargs):
+        fits.append(household.id)
+        return fit_household(train, household, *args, **kwargs)
+
+    monkeypatch.setattr(logistic, "fit_household", counting_fit)
+    assert main(["classify", *data_args(workspace), "--classifier", classifier,
+                 *flags, "--out", str(out), "--dump-posteriors", str(post)]) == 0
+    monkeypatch.undo()
+
+    dataset = load_dataset(data / "train.tsv", data / "households.tsv",
+                           data / "test.tsv")
+    pipeline = evaluate.PipelineConfig(
+        classifier, factor_params=factorize.FactorParams(bin_count=4),
+        features=logistic.FeatureConfig.from_letters("ab", 0.2))
+    fitted = evaluate.fit_pipeline(dataset, pipeline, model=model)
+    predictions, posteriors = evaluate.classify_events(fitted, dataset.test)
+
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert [int(row[3]) for row in rows] == predictions
+    expected = [(ev.household, member, value)
+                for ev, posterior in zip(dataset.test, posteriors)
+                for member, value in sorted(posterior.items())]
+    rows = [line.split("\t") for line in post.read_text().splitlines()[1:]]
+    assert [(int(r[0]), int(r[3]), float(r[4])) for r in rows] == expected
+    if classifier == "unified":
+        assert sorted(fits) == sorted(dataset.households)  # no refit for the dump
+        loaded = logistic.load_logit_models(logit)
+        assert loaded.keys() == fitted.logit_models.keys()
+        for hid, members in fitted.logit_models.items():
+            assert loaded[hid].keys() == members.keys()
+            for member, lm in members.items():
+                assert np.array_equal(loaded[hid][member].theta, lm.theta)

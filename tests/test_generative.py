@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hhattrib import evaluate
 from hhattrib.corpus import Binning, Household, SynthConfig, cv_split, synth_generate
 from hhattrib.factorize import FactorParams, TemporalFactorModel, fit_lowrank_temporal
 from hhattrib.generative import (
-    SigmaModel, classify_generative, estimate_sigma, joint_score, posterior,
-    residual_histogram, residuals,
+    SigmaModel, classify_generative, estimate_sigma, joint_score, normalize,
+    posterior, residual_histogram, residuals,
 )
 from hhattrib.temporal import classify_prior, fit_priors
 
@@ -148,6 +149,40 @@ def test_posterior_uniform_fallback_when_all_zero():
                      "uniform", sigma)
     assert post == {0: pytest.approx(1 / 3), 1: pytest.approx(1 / 3),
                     2: pytest.approx(1 / 3)}
+
+
+def test_far_rating_goes_to_closer_member(pair_household):
+    # Both linear densities underflow to 0 here; log-space scores keep the
+    # closer prediction (40) ahead of the farther one (10).
+    model = flat_model([10.0, 40.0])
+    priors = uniform_priors(pair_household)
+    sigma = SigmaModel("global", 1.0, {})
+    ev = anon_event(0, 0, rating=100.0)
+    post = posterior(pair_household, ev, model, priors, "uniform", sigma)
+    assert post == {0: 0.0, 1: 1.0}
+    assert classify_generative(pair_household, ev, model, priors, "uniform",
+                               sigma) == 1
+
+
+def test_normalize_plain_and_log_scores():
+    assert normalize({3: 1.0, 5: 3.0}) == {3: 0.25, 5: 0.75}
+    post = normalize({3: math.log(1.0) - 1000.0, 5: math.log(3.0) - 1000.0},
+                     log_space=True)
+    assert post == {3: pytest.approx(0.25), 5: pytest.approx(0.75)}
+    assert normalize({3: -math.inf, 5: 0.0}, log_space=True) == {3: 0.0, 5: 1.0}
+
+
+@pytest.mark.parametrize("scores, log_space", [
+    ({0: 0.0, 1: 0.0, 2: 0.0}, False),
+    ({0: -math.inf, 1: -math.inf}, True),
+    ({0: math.nan, 1: 0.5}, False),
+])
+def test_normalize_degenerate_is_uniform_and_logged(scores, log_space, caplog):
+    with caplog.at_level(logging.DEBUG, logger="hhattrib.generative"):
+        post = normalize(scores, log_space)
+    assert post == dict.fromkeys(scores, 1.0 / len(scores))
+    assert any(rec.name == "hhattrib.generative" and "degenerate" in rec.msg
+               for rec in caplog.records)
 
 
 # ---------------------------------------------------------------------------
