@@ -3,7 +3,7 @@
 Submodules:
 
 * corpus     -- data model, file formats, time helpers, synthetic data
-* factorize  -- low-rank rating models (time-independent and per-bin)
+* factorize  -- low-rank rating models: one batched ALS fit over time bins
 * temporal   -- weekday profiles, household separation, prior classifiers
 * generative -- Gaussian residual scoring combined with priors
 * logistic   -- per-member L1-logistic classification on context features

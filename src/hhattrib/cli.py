@@ -109,14 +109,23 @@ def _write_posteriors(test_events, posteriors, path) -> None:
                          f"{member}\t{repr(post[member])}\n")
 
 
+def _load_factor_model(args, pipeline, required: bool = True):
+    """The family's --model, if it uses one; a usage error if required and absent."""
+    if not pipeline.needs_factor_model or (args.model is None and not required):
+        return None
+    if args.model is None:
+        raise ConfigError(f"classifier {args.classifier!r} needs --model")
+    return factorize.load_model(args.model)
+
+
 def cmd_classify(args) -> int:
-    dataset = load_dataset(args.train, args.households, args.test)
+    if args.dump_logit and args.classifier != "unified":
+        raise ConfigError("--dump-logit only applies to the unified classifier")
+    if args.dump_posteriors and args.classifier == "residual":
+        raise ConfigError("the residual classifier has no posteriors to dump")
     pipeline = _pipeline_from_args(args, alpha=args.alpha)
-    model = None
-    if pipeline.needs_factor_model:
-        if args.model is None:
-            raise ConfigError(f"classifier {args.classifier!r} needs --model")
-        model = factorize.load_model(args.model)
+    model = _load_factor_model(args, pipeline)
+    dataset = load_dataset(args.train, args.households, args.test)
     fitted = evaluate.fit_pipeline(dataset, pipeline, model=model)
     test = dataset.test
 
@@ -133,12 +142,8 @@ def cmd_classify(args) -> int:
     predictions, posteriors = evaluate.classify_events(fitted, test)
     _write_predictions(test, predictions, args.out)
     if args.dump_posteriors:
-        if posteriors is None:
-            raise ConfigError("the residual classifier has no posteriors to dump")
         _write_posteriors(test, posteriors, args.dump_posteriors)
     if args.dump_logit:
-        if fitted.logit_models is None:
-            raise ConfigError("--dump-logit only applies to the unified classifier")
         logistic.save_logit_models(fitted.logit_models, args.dump_logit)
     return 0
 
@@ -244,12 +249,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_roc(args) -> int:
+    pipeline = _pipeline_from_args(args)
     if args.classifier == "residual":
+        model = _load_factor_model(args, pipeline)
         households = parse_households(args.households)
         test = parse_test_events(args.test)
-        if args.model is None:
-            raise ConfigError("roc for the residual classifier needs --model")
-        model = factorize.load_model(args.model)
         if args.alpha_grid:
             grid = _parse_grid(args.alpha_grid)
         else:
@@ -258,10 +262,10 @@ def cmd_roc(args) -> int:
     else:
         if args.train is None:
             raise ConfigError("posterior roc sweeps need --train")
+        model = _load_factor_model(args, pipeline, required=False)
         dataset = load_dataset(args.train, args.households, args.test)
-        _, posteriors = evaluate.fit_and_classify(dataset, _pipeline_from_args(args))
-        if posteriors is None:
-            raise ConfigError("classifier produces no posteriors to sweep")
+        fitted = evaluate.fit_pipeline(dataset, pipeline, model=model)
+        _, posteriors = evaluate.classify_events(fitted, dataset.test)
         grid = list(np.linspace(0.0, 1.0, args.grid_size))
         points = evaluate.roc_sweep_posterior(dataset.test, posteriors,
                                               dataset.households, grid)

@@ -1,10 +1,12 @@
 """Low-rank rating models fit by alternating ridge block updates.
 
-Two fitting routines are provided: a time-independent factorization and a
-time-dependent one in which user factors, movie factors, and user biases
-all vary across time bins, with a quadratic penalty tying adjacent bins
-together. Every block update is an exact minimizer of the full objective
-over that block, so the training cost is non-increasing after each one.
+One fitting routine serves every model: user factors, movie factors, and
+user biases vary across time bins, with a quadratic penalty tying adjacent
+bins together; with one bin it is the time-independent factorization.
+Every block update is an exact minimizer of the full objective over that
+block, so the training cost is non-increasing after each one. The rows of
+a block do not depend on each other, so each block is solved as one stack
+of small ridge systems built from segment sums over the bin's events.
 
 The classifier at the bottom attributes an anonymized household rating to
 the member whose predicted rating is closest, with a scaling knob that
@@ -13,11 +15,11 @@ trace ROC curves).
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .corpus import Binning, Household, TestEvent, bin_of, derive_binning
 
@@ -140,23 +142,43 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
         return np.linalg.pinv(system) @ rhs
 
 
+def _stacked_spd_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
+    """_spd_solve over a (k, r, r) stack: one Cholesky, one solve.
+
+    Systems whose pivots fail _spd_solve's singularity test go through
+    _spd_solve one by one, and so does the whole stack if the stacked
+    factorization raises (in practice only with alpha == 0).
+    """
+    systems = grams + alpha * np.eye(grams.shape[-1])
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(systems), axis1=1, axis2=2) ** 2
+    except np.linalg.LinAlgError:
+        weak = np.ones(len(systems), dtype=bool)
+    else:
+        scale = np.maximum(np.max(np.diagonal(systems, axis1=1, axis2=2), axis=1), 1e-300)
+        weak = np.min(pivots, axis=1) <= 1e-12 * scale
+    out = np.empty_like(rhs)
+    strong = ~weak
+    out[strong] = np.linalg.solve(systems[strong], rhs[strong, :, None])[..., 0]
+    for k in np.flatnonzero(weak):
+        out[k] = _spd_solve(grams[k], rhs[k], alpha)
+    return out
+
+
 def ridge_solve(A: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
     """Minimizer of 0.5||A^T w - x||^2 + (alpha/2)||w||^2.
 
     A has one row per latent coordinate and one column per observation,
     so the solution is (A A^T + alpha I)^-1 A x.
     """
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rhs = A @ x
-    gram = A @ A.T
-    return _spd_solve(gram, rhs, alpha)
+    return smoothed_ridge_solve(A, x, None, alpha, 0.0)
 
 
 def smoothed_ridge_solve(A, x, y, alpha: float, beta: float) -> np.ndarray:
     """(A A^T + alpha I)^-1 (A x + beta y): a ridge solve pulled toward y.
 
-    With beta == 0 this is bit-identical to ridge_solve(A, x, alpha).
+    With beta == 0, y is ignored and this is ridge_solve(A, x, alpha).
+    This is the one-row reference for the stacked block updates.
     """
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -182,73 +204,54 @@ def _init_factors(m, n, rank, bins, seed):
     return user_factors, movie_factors, user_bias
 
 
-def _group_events(train, binning):
-    """Per bin: observations keyed by user and by movie, in train order."""
-    by_user = [defaultdict(lambda: ([], [])) for _ in range(binning.bin_count)]
-    by_movie = [defaultdict(lambda: ([], [])) for _ in range(binning.bin_count)]
-    for ev in train:
-        b = bin_of(ev.timestamp, binning, clamp=True) - 1
-        slot = by_user[b][ev.user]
-        slot[0].append(ev.movie)
-        slot[1].append(ev.rating)
-        slot = by_movie[b][ev.movie]
-        slot[0].append(ev.user)
-        slot[1].append(ev.rating)
-
-    def freeze(groups):
-        return [
-            {key: (np.array(ids, dtype=np.intp), np.array(vals, dtype=float))
-             for key, (ids, vals) in g.items()}
-            for g in groups
-        ]
-
-    return freeze(by_user), freeze(by_movie)
+def _event_columns(events, binning: Binning):
+    """User, movie, rating and zero-based (clamped) bin arrays, in event order."""
+    users = np.array([ev.user for ev in events], dtype=np.intp)
+    movies = np.array([ev.movie for ev in events], dtype=np.intp)
+    ratings = np.array([ev.rating for ev in events], dtype=float)
+    bins = np.array([bin_of(ev.timestamp, binning, clamp=True) - 1 for ev in events],
+                    dtype=np.intp)
+    return users, movies, ratings, bins
 
 
-def _dims(train, user_count, movie_count):
-    m = user_count if user_count is not None else max(ev.user for ev in train) + 1
-    n = movie_count if movie_count is not None else max(ev.movie for ev in train) + 1
-    return m, n
+def _segment_sums(keys, count):
+    """(count, k) 0/1 matrix whose row i sums the k events keyed i, in order."""
+    return scipy.sparse.csr_array((np.ones(len(keys)), (keys, np.arange(len(keys)))),
+                                  shape=(count, len(keys)))
+
+
+def _update_block(tensor, b, segments, features, targets, base_shift, xi):
+    """Refresh bin b of a factor or bias tensor in one stacked ridge solve.
+
+    features (k, r) and targets (k,) hold one row per event of the bin,
+    and segments (from _segment_sums) maps events to tensor rows. Each
+    row with events solves its ridge problem over them, with the diagonal
+    shift base_shift plus xi per neighbor bin and xi times the neighbors'
+    sum added to the right-hand side. Rows without events are refreshed
+    only when that pull exists (xi != 0 and a neighbor bin).
+    """
+    current = tensor[b].reshape(tensor.shape[1], -1)  # a view; (m, 1) for biases
+    count, rank = current.shape
+    outer = (features[:, :, None] * features[:, None, :]).reshape(-1, rank * rank)
+    grams = (segments @ outer).reshape(count, rank, rank)
+    rhs = segments @ (features * targets[:, None])
+    rows = np.flatnonzero(np.diff(segments.indptr))
+    neighbors = [tensor[c].reshape(count, rank) for c in (b - 1, b + 1)
+                 if 0 <= c < tensor.shape[0]]
+    shift = base_shift + len(neighbors) * xi
+    if neighbors and xi != 0.0:
+        pull = neighbors[0] if len(neighbors) == 1 else neighbors[0] + neighbors[1]
+        rows, rhs = slice(None), rhs + xi * pull
+    current[rows] = _stacked_spd_solve(grams[rows], rhs[rows], shift)
 
 
 def fit_lowrank(train, params: FactorParams, user_count=None, movie_count=None,
                 block_hook=None, progress=None) -> TemporalFactorModel:
-    """Time-independent alternating minimization (bin_count must be 1).
-
-    Each iteration updates all user factors, then all movie factors, then
-    all user biases, each by its closed-form ridge solution. Factors start
-    from seeded uniforms scaled by 1/sqrt(m) and 1/sqrt(n); biases start
-    at 50. Users or movies with no ratings keep their current values.
-    """
+    """The time-independent fit: fit_lowrank_temporal with bin_count == 1."""
     if params.bin_count != 1:
         raise ValueError("fit_lowrank requires bin_count == 1")
-    train = tuple(train)
-    if not train:
-        raise ValueError("empty training set")
-    m, n = _dims(train, user_count, movie_count)
-    binning = derive_binning(train, 1)
-    U, V, Z = _init_factors(m, n, params.rank, 1, params.seed)
-    by_user, by_movie = _group_events(train, binning)
-    model = TemporalFactorModel(U, V, Z, binning, params)
-    lam = params.reg_lambda
-
-    for k in range(params.iterations):
-        for i, (movies, ratings) in by_user[0].items():
-            U[0, i] = ridge_solve(V[0, movies].T, ratings - Z[0, i], lam)
-        if block_hook:
-            block_hook("u", 1, model)
-        for j, (users, ratings) in by_movie[0].items():
-            V[0, j] = ridge_solve(U[0, users].T, ratings - Z[0, users], lam)
-        if block_hook:
-            block_hook("v", 1, model)
-        for i, (movies, ratings) in by_user[0].items():
-            resid = ratings - V[0, movies] @ U[0, i]
-            Z[0, i] = ridge_solve(np.ones((1, len(resid))), resid, 0.0)[0]
-        if block_hook:
-            block_hook("z", 1, model)
-        if progress:
-            progress(k + 1, model)
-    return model
+    return fit_lowrank_temporal(train, params, user_count, movie_count,
+                                block_hook=block_hook, progress=progress)
 
 
 def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
@@ -258,81 +261,48 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
 
     Bins are swept in order inside each iteration; within a bin all user
     factors, then all movie factors, then all user biases are refreshed.
+    A row's update depends on no other row of its block, so each block is
+    one stacked solve and the sweep is still row-by-row Gauss-Seidel.
     Each update solves its ridge subproblem with the diagonal shift raised
     by xi per existing neighbor bin and the right-hand side pulled toward
     the sum of the neighboring bins' current vectors (the bin below has
     already been refreshed this iteration, the bin above has not). Bias
     updates carry no lambda shrinkage, only the smoothing term.
 
-    A user or movie with no ratings in a bin is still pulled toward its
-    neighbors whenever a smoothing term exists; with bin_count == 1 the
-    updates (and the RNG stream) coincide exactly with fit_lowrank.
+    Factors start from seeded uniforms scaled by 1/sqrt(m) and 1/sqrt(n);
+    biases start at 50. A user or movie with no ratings in a bin keeps its
+    values unless a smoothing term pulls it toward its neighbors.
     """
     train = tuple(train)
     if not train:
         raise ValueError("empty training set")
-    m, n = _dims(train, user_count, movie_count)
     T = params.bin_count
     if binning is None:
         binning = derive_binning(train, T)
     if binning.bin_count != T:
         raise ValueError("binning bin_count disagrees with params")
+    users, movies, ratings, bins = _event_columns(train, binning)
+    m = user_count if user_count is not None else int(users.max()) + 1
+    n = movie_count if movie_count is not None else int(movies.max()) + 1
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
-    by_user, by_movie = _group_events(train, binning)
     model = TemporalFactorModel(U, V, Z, binning, params)
     lam = params.reg_lambda
-    empty = (np.zeros((params.rank, 0)), np.zeros(0))
-    empty_bias = (np.ones((1, 0)), np.zeros(0))
-
-    def update(tensor, row, data, base_shift, xi, b, is_bias=False):
-        neighbors = []
-        if b > 0:
-            neighbors.append(tensor[b - 1, row])
-        if b + 1 < T:
-            neighbors.append(tensor[b + 1, row])
-        if data is None and (not neighbors or xi == 0.0):
-            return None
-        if data is None:
-            A, x = empty_bias if is_bias else empty
-        else:
-            A, x = data
-        shift = base_shift + len(neighbors) * xi
-        if not neighbors:
-            return ridge_solve(A, x, shift)
-        pull = neighbors[0] if len(neighbors) == 1 else neighbors[0] + neighbors[1]
-        return smoothed_ridge_solve(A, x, pull, shift, xi)
+    per_bin = []
+    for b in range(T):
+        in_bin = np.flatnonzero(bins == b)
+        u, v = users[in_bin], movies[in_bin]
+        per_bin.append((u, v, ratings[in_bin], _segment_sums(u, m), _segment_sums(v, n)))
 
     for k in range(params.iterations):
-        for b in range(T):
-            for i in range(m):
-                data = by_user[b].get(i)
-                if data is not None:
-                    movies, ratings = data
-                    data = (V[b, movies].T, ratings - Z[b, i])
-                new = update(U, i, data, lam, params.xi_u, b)
-                if new is not None:
-                    U[b, i] = new
+        for b, (u, v, x, by_user, by_movie) in enumerate(per_bin):
+            _update_block(U, b, by_user, V[b, v], x - Z[b, u], lam, params.xi_u)
             if block_hook:
                 block_hook("u", b + 1, model)
-            for j in range(n):
-                data = by_movie[b].get(j)
-                if data is not None:
-                    users, ratings = data
-                    data = (U[b, users].T, ratings - Z[b, users])
-                new = update(V, j, data, lam, params.xi_v, b)
-                if new is not None:
-                    V[b, j] = new
+            _update_block(V, b, by_movie, U[b, u], x - Z[b, u], lam, params.xi_v)
             if block_hook:
                 block_hook("v", b + 1, model)
-            for i in range(m):
-                data = by_user[b].get(i)
-                if data is not None:
-                    movies, ratings = data
-                    resid = ratings - V[b, movies] @ U[b, i]
-                    data = (np.ones((1, len(resid))), resid)
-                new = update(Z, i, data, 0.0, params.xi_z, b, is_bias=True)
-                if new is not None:
-                    Z[b, i] = new[0]
+            resid = x - np.einsum("er,er->e", V[b, v], U[b, u])
+            _update_block(Z, b, by_user, np.ones((len(u), 1)), resid, 0.0, params.xi_z)
             if block_hook:
                 block_hook("z", b + 1, model)
         if progress:
@@ -340,21 +310,25 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
     return model
 
 
+def residuals(train, model: TemporalFactorModel) -> np.ndarray:
+    """Observed minus predicted rating for every event, in order.
+
+    Raises ValueError, as predict does, for a user or movie outside the
+    model.
+    """
+    users, movies, ratings, bins = _event_columns(train, model.binning)
+    for name, ids, count in (("user", users, model.user_count),
+                             ("movie", movies, model.movie_count)):
+        outside = ids[(ids < 0) | (ids >= count)]
+        if len(outside):
+            raise ValueError(f"{name} {outside[0]} outside [0, {count})")
+    return ratings - (model.user_bias[bins, users] + np.einsum(
+        "er,er->e", model.user_factors[bins, users], model.movie_factors[bins, movies]))
+
+
 def cost(model: TemporalFactorModel, train) -> float:
-    """Regularized squared-error objective the fitting routines minimize."""
-    total = 0.0
-    if train:
-        users = np.array([ev.user for ev in train], dtype=np.intp)
-        movies = np.array([ev.movie for ev in train], dtype=np.intp)
-        ratings = np.array([ev.rating for ev in train], dtype=float)
-        bins = np.array(
-            [bin_of(ev.timestamp, model.binning, clamp=True) - 1 for ev in train],
-            dtype=np.intp,
-        )
-        predicted = model.user_bias[bins, users] + np.einsum(
-            "er,er->e", model.user_factors[bins, users], model.movie_factors[bins, movies]
-        )
-        total += 0.5 * float(np.sum((ratings - predicted) ** 2))
+    """Regularized squared-error objective the fitting routine minimizes."""
+    total = 0.5 * float(np.sum(residuals(train, model) ** 2))
     p = model.params
     for tensor, lam, xi in (
         (model.user_factors, p.reg_lambda, p.xi_u),
@@ -436,6 +410,11 @@ def save_model(model: TemporalFactorModel, path) -> None:
 
 
 def load_model(path) -> TemporalFactorModel:
+    """Read a model written by save_model.
+
+    Raises ValueError naming the file and the field when the magic line
+    or a field is missing, malformed, or of the wrong length for dims.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MODEL_MAGIC:
@@ -444,19 +423,37 @@ def load_model(path) -> TemporalFactorModel:
     for line in lines[1:]:
         name, _, rest = line.partition(" ")
         fields[name] = rest.split()
-    m, n, r, T = (int(v) for v in fields["dims"])
-    pv = fields["params"]
-    params = FactorParams(
+
+    def field(name, length, convert):
+        values = fields.get(name)
+        if values is None:
+            raise ValueError(f"{path}: missing field {name!r}")
+        if len(values) != length:
+            raise ValueError(f"{path}: field {name!r} has {len(values)} values, "
+                             f"expected {length}")
+        try:
+            return convert(values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: field {name!r}: {exc}") from None
+
+    m, n, r, T = dims = field("dims", 4, lambda dv: [int(v) for v in dv])
+    if min(dims) < 1:
+        raise ValueError(f"{path}: field 'dims' has a size below 1")
+    params = field("params", 8, lambda pv: FactorParams(
         rank=int(pv[0]), reg_lambda=float(pv[1]), xi_u=float(pv[2]),
         xi_v=float(pv[3]), xi_z=float(pv[4]), bin_count=int(pv[5]),
         iterations=int(pv[6]), seed=int(pv[7]),
-    )
-    bv = fields["binning"]
-    binning = Binning(int(bv[1]), int(bv[2]), int(bv[3]), kind=bv[0])
-    U = np.array(fields["U"], dtype=float).reshape(m, r, T).transpose(2, 0, 1)
-    V = np.array(fields["V"], dtype=float).reshape(n, r, T).transpose(2, 0, 1)
-    Z = np.array(fields["Z"], dtype=float).reshape(m, T).transpose(1, 0)
-    return TemporalFactorModel(
-        np.ascontiguousarray(U), np.ascontiguousarray(V),
-        np.ascontiguousarray(Z), binning, params,
-    )
+    ))
+    binning = field("binning", 4, lambda bv: Binning(
+        int(bv[1]), int(bv[2]), int(bv[3]), kind=bv[0]))
+    U = field("U", m * r * T, lambda v: np.array(v, dtype=float))
+    V = field("V", n * r * T, lambda v: np.array(v, dtype=float))
+    Z = field("Z", m * T, lambda v: np.array(v, dtype=float))
+    try:
+        return TemporalFactorModel(
+            np.ascontiguousarray(U.reshape(m, r, T).transpose(2, 0, 1)),
+            np.ascontiguousarray(V.reshape(n, r, T).transpose(2, 0, 1)),
+            np.ascontiguousarray(Z.reshape(m, T).transpose(1, 0)), binning, params,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

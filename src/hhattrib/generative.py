@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Household, TestEvent
-from .factorize import TemporalFactorModel, predict
+from .factorize import TemporalFactorModel, predict, residuals
 from .temporal import TemporalPriors, argmax_member, prior_value
 
 log = logging.getLogger(__name__)
@@ -62,13 +62,6 @@ class SigmaModel:
         if self.scope == "global":
             return self.sigma_all
         return self.sigma_by_user.get(member, self.sigma_all)
-
-
-def residuals(train, model: TemporalFactorModel) -> np.ndarray:
-    """Observed minus predicted rating for every training event."""
-    return np.array(
-        [ev.rating - predict(model, ev.user, ev.movie, ev.timestamp) for ev in train]
-    )
 
 
 def estimate_sigma(train, model: TemporalFactorModel, scope: str,

@@ -306,3 +306,46 @@ def test_classify_matches_library_pipeline(workspace, monkeypatch, classifier):
             assert loaded[hid].keys() == members.keys()
             for member, lm in members.items():
                 assert np.array_equal(loaded[hid][member].theta, lm.theta)
+
+
+def test_roc_posterior_family_uses_given_model(workspace, monkeypatch):
+    data = workspace / "data"
+    model = fit_model(workspace)
+    fits = []
+    fit = factorize.fit_lowrank_temporal
+
+    def counting_fit(*args, **kwargs):
+        fits.append(kwargs.get("binning"))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(factorize, "fit_lowrank_temporal", counting_fit)
+    argv = ["roc", "--households", str(data / "households.tsv"),
+            "--test", str(data / "test.tsv"), "--train", str(data / "train.tsv"),
+            "--classifier", "gen-day", "--bins", "4", "--rank", "2",
+            "--iterations", "4", "--grid-size", "6"]
+    assert main([*argv, "--model", str(model), "--out", str(workspace / "a.tsv")]) == 0
+    assert fits == []
+    assert main([*argv, "--out", str(workspace / "b.tsv")]) == 0
+    assert len(fits) == 1   # without --model the pipeline fits its own
+    assert len((workspace / "a.tsv").read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("classifier, flag", [("prior-day", "--dump-logit"),
+                                              ("residual", "--dump-posteriors")])
+def test_classify_rejects_dump_flag_before_writing(workspace, classifier, flag):
+    out, dump = workspace / "y.tsv", workspace / "y.dump"
+    code = main(["classify", *data_args(workspace), "--classifier", classifier,
+                 "--model", str(fit_model(workspace)), "--bins", "4",
+                 "--out", str(out), flag, str(dump)])
+    assert code == 2
+    assert not out.exists() and not dump.exists()
+
+
+def test_classify_truncated_model_is_usage_error(workspace, capsys):
+    model = fit_model(workspace)
+    lines = model.read_text().splitlines()
+    model.write_text("\n".join(lines[:4]) + "\n")   # cut after the binning line
+    code = main(["classify", *data_args(workspace), "--classifier", "gen-day",
+                 "--model", str(model), "--out", str(workspace / "p.tsv")])
+    assert code == 2
+    assert f"{model}: missing field 'U'" in capsys.readouterr().err

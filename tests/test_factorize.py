@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhattrib.corpus import Binning, Household, RatingEvent, make_dataset
+from hhattrib.corpus import (
+    Binning, Household, RatingEvent, bin_of, derive_binning, make_dataset,
+)
 from hhattrib.factorize import (
-    FactorParams, TemporalFactorModel, Xorshift64Star, classify_by_residual,
-    cost, fit_lowrank, fit_lowrank_temporal, load_model, predict,
-    residual_gaps, ridge_solve, save_model, smoothed_ridge_solve,
+    FactorParams, TemporalFactorModel, Xorshift64Star, _init_factors,
+    classify_by_residual, cost, fit_lowrank, fit_lowrank_temporal, load_model,
+    predict, residual_gaps, residuals, ridge_solve, save_model,
+    smoothed_ridge_solve,
 )
 
 from conftest import DAY0, event, anon_event
@@ -37,6 +42,46 @@ def naive_cost(model, train):
             for value in diff.ravel():
                 total += 0.5 * xi * value * value
     return total
+
+
+def reference_fit(events, params, m, n):
+    """Row-by-row Gauss-Seidel sweep built from smoothed_ridge_solve.
+
+    The oracle for the stacked block updates: every user, movie and bias
+    row is solved on its own, in the order the fitting routine documents.
+    """
+    T, lam = params.bin_count, params.reg_lambda
+    binning = derive_binning(events, T)
+    U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
+    bins = [bin_of(ev.timestamp, binning, clamp=True) - 1 for ev in events]
+
+    def update(tensor, b, row, A, x, base_shift, xi):
+        neighbors = [tensor[c, row] for c in (b - 1, b + 1) if 0 <= c < T]
+        if A.shape[1] == 0 and not (neighbors and xi != 0.0):
+            return
+        pull = sum(neighbors) if neighbors else None
+        new = smoothed_ridge_solve(A, x, pull, base_shift + len(neighbors) * xi,
+                                   xi if neighbors else 0.0)
+        tensor[b, row] = new if tensor.ndim == 3 else new[0]
+
+    for _ in range(params.iterations):
+        for b in range(T):
+            mine = [ev for ev, eb in zip(events, bins) if eb == b]
+            for i in range(m):
+                evs = [ev for ev in mine if ev.user == i]
+                x = np.array([ev.rating for ev in evs]) - Z[b, i]
+                update(U, b, i, V[b, [ev.movie for ev in evs]].T, x, lam, params.xi_u)
+            for j in range(n):
+                evs = [ev for ev in mine if ev.movie == j]
+                users = [ev.user for ev in evs]
+                x = np.array([ev.rating for ev in evs]) - Z[b, users]
+                update(V, b, j, U[b, users].T, x, lam, params.xi_v)
+            for i in range(m):
+                evs = [ev for ev in mine if ev.user == i]
+                x = np.array([ev.rating for ev in evs])
+                resid = x - V[b, [ev.movie for ev in evs]] @ U[b, i]
+                update(Z, b, i, np.ones((1, len(evs))), resid, 0.0, params.xi_z)
+    return U, V, Z
 
 
 def random_instance(rng, max_users=12, max_movies=10, bins=3):
@@ -207,6 +252,33 @@ def test_t1_temporal_equals_lowrank_exactly():
         assert np.array_equal(a.user_bias, b.user_bias)
 
 
+@given(
+    ratings=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                               st.floats(1.0, 100.0), st.integers(0, 40)),
+                     min_size=1, max_size=30),
+    bins=st.integers(1, 4),
+    rank=st.integers(1, 3),
+    reg_lambda=st.sampled_from([0.0, 1.0]),
+    xi=st.sampled_from([0.0, 3.0]),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambda,
+                                                  xi, seed):
+    # users 0..6 and movies 0..5: some never rate, others skip some bins;
+    # with reg_lambda 0 a user with fewer ratings than the rank takes the
+    # pseudo-inverse branch
+    events = [event(u, v, rating=x, day=t % 7, week=t // 7) for u, v, x, t in ratings]
+    params = FactorParams(rank=rank, reg_lambda=reg_lambda, xi_u=xi, xi_v=2 * xi,
+                          xi_z=xi, bin_count=bins, iterations=2, seed=seed)
+    model = fit_lowrank_temporal(events, params, 7, 6)
+    expected = reference_fit(events, params, 7, 6)
+    for got, want in zip((model.user_factors, model.movie_factors, model.user_bias),
+                         expected):
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
+
+
 def test_large_xi_flattens_bins():
     rng = np.random.default_rng(11)
     m, n, events = random_instance(rng, max_users=16, max_movies=12)
@@ -327,6 +399,20 @@ def test_predict_depends_only_on_bin():
         predict(model, 5, 0, 0)
 
 
+def test_residuals_gather_matches_predict():
+    rng = np.random.default_rng(19)
+    m, n, events = random_instance(rng)
+    params = FactorParams(rank=2, bin_count=3, iterations=2, seed=4)
+    model = fit_lowrank_temporal(events, params, m, n)
+    expected = [ev.rating - predict(model, ev.user, ev.movie, ev.timestamp)
+                for ev in events]
+    np.testing.assert_allclose(residuals(events, model), expected, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="movie"):
+        residuals([event(0, n)], model)
+    with pytest.raises(ValueError, match="user"):
+        residuals([event(-1, 0)], model)
+
+
 # ---------------------------------------------------------------------------
 # Residual classifier
 # ---------------------------------------------------------------------------
@@ -405,4 +491,34 @@ def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a model\n")
     with pytest.raises(ValueError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("keep, field", [(4, "U"), (2, "params"), (1, "dims")])
+def test_load_model_names_missing_field(tmp_path, keep, field):
+    rng = np.random.default_rng(17)
+    m, n, events = random_instance(rng)
+    path = tmp_path / "model.txt"
+    save_model(fit_lowrank_temporal(events, FactorParams(rank=2, bin_count=2,
+                                                         iterations=1), m, n), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:keep]) + "\n")  # cut after line `keep`
+    with pytest.raises(ValueError, match=f"{path}: missing field '{field}'"):
+        load_model(path)
+
+
+def test_load_model_checks_lengths_and_values(tmp_path):
+    rng = np.random.default_rng(18)
+    m, n, events = random_instance(rng)
+    path = tmp_path / "model.txt"
+    save_model(fit_lowrank_temporal(events, FactorParams(rank=2, bin_count=2,
+                                                         iterations=1), m, n), path)
+    lines = path.read_text().splitlines()
+    short = lines[:6] + [lines[6].rsplit(" ", 1)[0]]   # one Z value missing
+    path.write_text("\n".join(short) + "\n")
+    with pytest.raises(ValueError, match="field 'Z' has"):
+        load_model(path)
+    bad = lines[:4] + ["U " + " ".join(["x"] * (len(lines[4].split()) - 1))] + lines[5:]
+    path.write_text("\n".join(bad) + "\n")
+    with pytest.raises(ValueError, match="field 'U'"):
         load_model(path)
