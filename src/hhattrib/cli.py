@@ -72,11 +72,8 @@ def cmd_fit(args) -> int:
         raise ConfigError("--iterations must be >= 1")
     train = parse_ratings(args.train)
     params = _factor_params(args)
-
-    def progress(iteration, model):
-        print(f"iteration {iteration} cost {repr(factorize.cost(model, train))}")
-
-    model = factorize.fit_lowrank_temporal(train, params, progress=progress)
+    model = factorize.fit_lowrank_temporal(
+        train, params, progress=lambda k, _, cost: print(f"iteration {k} cost {cost!r}"))
     factorize.save_model(model, args.out)
     return 0
 

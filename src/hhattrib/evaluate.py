@@ -130,13 +130,18 @@ def auc_from_scores(scores, positives) -> float | None:
     return 1.0 - inversions / (len(pos) * len(neg))
 
 
+def _by_household(test_events):
+    """(household id, indices of its test events), in household id order."""
+    grouped: dict[int, list[int]] = {}
+    for idx, ev in enumerate(test_events):
+        grouped.setdefault(ev.household, []).append(idx)
+    return sorted(grouped.items())
+
+
 def auc_report(test_events, posteriors, households):
     """Mean AUC over (member, household) pairs with both event classes."""
     per: dict[tuple[int, int], float] = {}
-    by_household: dict[int, list[int]] = {}
-    for idx, ev in enumerate(test_events):
-        by_household.setdefault(ev.household, []).append(idx)
-    for hid, indices in sorted(by_household.items()):
+    for hid, indices in _by_household(test_events):
         for member in households[hid].members:
             scores = [posteriors[i][member] for i in indices]
             truth = [test_events[i].true_user == member for i in indices]
@@ -158,11 +163,8 @@ def build_report(test_events, predictions, households, posteriors=None,
         if ev.true_user is None:
             raise ValueError("evaluation requires events with ground truth")
 
-    indices: dict[int, list[int]] = {}
-    for idx, ev in enumerate(test_events):
-        indices.setdefault(ev.household, []).append(idx)
     scores = {}
-    for hid, idxs in sorted(indices.items()):
+    for hid, idxs in _by_household(test_events):
         hh = households[hid]
         correct = sum(predictions[i] == test_events[i].true_user for i in idxs)
         member_tpr = {}
@@ -205,15 +207,9 @@ class RocPoint:
 
 def _household_arrays(test_events, households):
     """Per household: indices, first-member truth mask."""
-    grouped: dict[int, list[int]] = {}
-    for idx, ev in enumerate(test_events):
-        grouped.setdefault(ev.household, []).append(idx)
-    out = []
-    for hid, idxs in sorted(grouped.items()):
-        first = households[hid].members[0]
-        truth_first = np.array([test_events[i].true_user == first for i in idxs])
-        out.append((hid, idxs, truth_first))
-    return out
+    return [(hid, idxs, np.array([test_events[i].true_user == households[hid].members[0]
+                                  for i in idxs]))
+            for hid, idxs in _by_household(test_events)]
 
 
 def _roc_points(parameters, decide_first, grouped):
@@ -333,10 +329,7 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
         )
     priors = sigma_model = logit_models = None
     if name.startswith(("prior-", "gen-")):
-        priors = {
-            hid: temporal.fit_priors(train, hh, binning, pipeline.epsilon)
-            for hid, hh in households.items()
-        }
+        priors = temporal.fit_priors(train, households, binning, pipeline.epsilon)
     if name.startswith("gen-"):
         sigma_model = generative.estimate_sigma(train, model, pipeline.sigma_scope)
     if name == "unified":

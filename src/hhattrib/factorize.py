@@ -127,7 +127,8 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
     The pseudo-inverse branch returns the minimum-norm solution; it is only
     reachable when alpha == 0 leaves the Gram matrix (numerically)
     singular, which the factor's pivots detect even when the LAPACK
-    routine itself does not raise.
+    routine itself does not raise. Its cutoff is the pivot test's 1e-12:
+    smaller eigenvalues are rounding noise, and inverting them raises the cost.
     """
     system = gram.copy()
     system[np.diag_indices_from(system)] += alpha
@@ -139,7 +140,7 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
             raise scipy.linalg.LinAlgError("numerically singular system")
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     except scipy.linalg.LinAlgError:
-        return np.linalg.pinv(system) @ rhs
+        return np.linalg.pinv(system, rcond=1e-12, hermitian=True) @ rhs
 
 
 def _stacked_spd_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
@@ -272,6 +273,8 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
     Factors start from seeded uniforms scaled by 1/sqrt(m) and 1/sqrt(n);
     biases start at 50. A user or movie with no ratings in a bin keeps its
     values unless a smoothing term pulls it toward its neighbors.
+    After each iteration, progress (if given) receives the iteration
+    number, the model and its training cost.
     """
     train = tuple(train)
     if not train:
@@ -281,7 +284,7 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
         binning = derive_binning(train, T)
     if binning.bin_count != T:
         raise ValueError("binning bin_count disagrees with params")
-    users, movies, ratings, bins = _event_columns(train, binning)
+    columns = users, movies, ratings, bins = _event_columns(train, binning)
     m = user_count if user_count is not None else int(users.max()) + 1
     n = movie_count if movie_count is not None else int(movies.max()) + 1
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
@@ -306,7 +309,7 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
             if block_hook:
                 block_hook("z", b + 1, model)
         if progress:
-            progress(k + 1, model)
+            progress(k + 1, model, _cost(model, columns))
     return model
 
 
@@ -316,7 +319,11 @@ def residuals(train, model: TemporalFactorModel) -> np.ndarray:
     Raises ValueError, as predict does, for a user or movie outside the
     model.
     """
-    users, movies, ratings, bins = _event_columns(train, model.binning)
+    return _residuals(model, _event_columns(train, model.binning))
+
+
+def _residuals(model, columns):
+    users, movies, ratings, bins = columns
     for name, ids, count in (("user", users, model.user_count),
                              ("movie", movies, model.movie_count)):
         outside = ids[(ids < 0) | (ids >= count)]
@@ -328,7 +335,11 @@ def residuals(train, model: TemporalFactorModel) -> np.ndarray:
 
 def cost(model: TemporalFactorModel, train) -> float:
     """Regularized squared-error objective the fitting routine minimizes."""
-    total = 0.5 * float(np.sum(residuals(train, model) ** 2))
+    return _cost(model, _event_columns(train, model.binning))
+
+
+def _cost(model, columns):
+    total = 0.5 * float(np.sum(_residuals(model, columns) ** 2))
     p = model.params
     for tensor, lam, xi in (
         (model.user_factors, p.reg_lambda, p.xi_u),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Binning, Household, TestEvent, bin_of, weekday_of
+from .corpus import Binning, DuplicateError, Household, TestEvent, bin_of, weekday_of
 
 log = logging.getLogger(__name__)
 
@@ -96,61 +96,58 @@ def household_tv(train, household: Household) -> float:
     return total / (size * (size - 1))
 
 
-def fit_priors(train, household: Household, binning: Binning,
-               epsilon: float = 0.5) -> TemporalPriors:
-    """Estimate member probabilities with additive smoothing epsilon.
+def fit_priors(train, households: dict[int, Household], binning: Binning,
+               epsilon: float = 0.5) -> dict[int, TemporalPriors]:
+    """Every household's member probabilities, smoothed by epsilon.
 
-    Each probability is (member's matching count + epsilon) divided by
-    (household's matching count + epsilon * household size); epsilon = 0
-    reproduces raw frequency ratios, with never-observed conditionals
-    flagged as NaN.
+    One pass over train counts each member's events per (time bin,
+    weekday) cell into one table per household. Each probability is
+    (member's matching count + epsilon) divided by (household's matching
+    count + epsilon * household size); epsilon = 0 reproduces raw
+    frequency ratios, with never-observed conditionals flagged as NaN.
+    Events of users outside every household are ignored.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon {epsilon} must be >= 0")
-    members = household.members
-    size = len(members)
-    index = {member: k for k, member in enumerate(members)}
-    totals = np.zeros(size)
-    per_bin = np.zeros((binning.bin_count, size))
-    per_day = np.zeros((7, size))
+    T = binning.bin_count
+    width = max((hh.size for hh in households.values()), default=0)
+    slot = {member: (h, k) for h, hh in enumerate(households.values())
+            for k, member in enumerate(hh.members)}
+    if len(slot) != sum(hh.size for hh in households.values()):
+        raise DuplicateError("a user belongs to two households")
+    cells = []
     for ev in train:
-        k = index.get(ev.user)
-        if k is None:
-            continue
-        totals[k] += 1
-        per_bin[bin_of(ev.timestamp, binning, clamp=True) - 1, k] += 1
-        per_day[weekday_of(ev.timestamp), k] += 1
-
-    def ratios(counts):
-        denom = counts.sum() + epsilon * size
-        if denom == 0:
-            return np.full(size, math.nan)
-        return (counts + epsilon) / denom
-
-    prior = ratios(totals)
-    if np.isnan(prior).any():
-        raise UndefinedProfileError(
-            f"household {household.id} has no training events and epsilon = 0"
+        place = slot.get(ev.user)
+        if place is not None:
+            h, k = place
+            cell = (h * T + bin_of(ev.timestamp, binning, clamp=True) - 1) * 7
+            cells.append((cell + weekday_of(ev.timestamp)) * width + k)
+    counts = np.bincount(np.array(cells, dtype=np.intp),
+                         minlength=len(households) * T * 7 * width)
+    counts = counts.reshape(len(households), T, 7, width)
+    # rows: 0 is the unconditional count, 1..T the bins, T+1..T+7 the weekdays
+    table = np.concatenate([counts.sum(axis=(1, 2))[:, None], counts.sum(axis=2),
+                            counts.sum(axis=1)], axis=1)
+    sizes = np.array([hh.size for hh in households.values()], dtype=float)
+    with np.errstate(invalid="ignore"):
+        shares = (table + epsilon) / (table.sum(axis=2, keepdims=True)
+                                      + epsilon * sizes[:, None, None])
+    out = {}
+    for h, (hid, hh) in enumerate(households.items()):
+        rows = shares[h, :, :hh.size].tolist()
+        if math.isnan(rows[0][0]):
+            raise UndefinedProfileError(f"household {hid} has no training events "
+                                        "and epsilon = 0")
+        out[hid] = TemporalPriors(
+            household=hid, members=hh.members,
+            prior=dict(zip(hh.members, rows[0])),
+            by_bin={(member, b): value for b, row in enumerate(rows[1:T + 1], 1)
+                    for member, value in zip(hh.members, row)},
+            by_day={(member, d): value for d, row in enumerate(rows[T + 1:])
+                    for member, value in zip(hh.members, row)},
+            binning=binning, epsilon=epsilon,
         )
-    by_bin = {}
-    for b in range(binning.bin_count):
-        row = ratios(per_bin[b])
-        for k, member in enumerate(members):
-            by_bin[(member, b + 1)] = float(row[k])
-    by_day = {}
-    for d in range(7):
-        row = ratios(per_day[d])
-        for k, member in enumerate(members):
-            by_day[(member, d)] = float(row[k])
-    return TemporalPriors(
-        household=household.id,
-        members=members,
-        prior={member: float(prior[k]) for k, member in enumerate(members)},
-        by_bin=by_bin,
-        by_day=by_day,
-        binning=binning,
-        epsilon=epsilon,
-    )
+    return out
 
 
 def prior_value(priors: TemporalPriors, member: int, mode: str,

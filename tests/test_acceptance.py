@@ -127,9 +127,8 @@ def test_criterion_05_infinite_sigma_reduction():
     sigma = generative.SigmaModel("infinite", math.inf, {})
     checked = 0
     for epsilon in (0.0, 0.5):
-        priors = {hid: temporal.fit_priors(dataset.train, hh, model.binning,
-                                           epsilon)
-                  for hid, hh in dataset.households.items()}
+        priors = temporal.fit_priors(dataset.train, dataset.households,
+                                     model.binning, epsilon)
         for mode in ("uniform", "bin", "day"):
             for ev in dataset.test:
                 hh = dataset.households[ev.household]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
@@ -44,18 +44,16 @@ def naive_cost(model, train):
     return total
 
 
-def reference_fit(events, params, m, n):
-    """Row-by-row Gauss-Seidel sweep built from smoothed_ridge_solve.
+def reference_block(U, V, Z, kind, b, events, bins, params):
+    """Refresh bin b of U, V or Z (kind "u", "v" or "z") row by row, in place.
 
-    The oracle for the stacked block updates: every user, movie and bias
-    row is solved on its own, in the order the fitting routine documents.
+    Every row is solved on its own with smoothed_ridge_solve; bins holds
+    each event's zero-based bin.
     """
-    T, lam = params.bin_count, params.reg_lambda
-    binning = derive_binning(events, T)
-    U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
-    bins = [bin_of(ev.timestamp, binning, clamp=True) - 1 for ev in events]
+    T, m, n = U.shape[0], U.shape[1], V.shape[1]
+    mine = [ev for ev, eb in zip(events, bins) if eb == b]
 
-    def update(tensor, b, row, A, x, base_shift, xi):
+    def update(tensor, row, A, x, base_shift, xi):
         neighbors = [tensor[c, row] for c in (b - 1, b + 1) if 0 <= c < T]
         if A.shape[1] == 0 and not (neighbors and xi != 0.0):
             return
@@ -64,23 +62,40 @@ def reference_fit(events, params, m, n):
                                    xi if neighbors else 0.0)
         tensor[b, row] = new if tensor.ndim == 3 else new[0]
 
+    lam = params.reg_lambda
+    if kind == "u":
+        for i in range(m):
+            evs = [ev for ev in mine if ev.user == i]
+            x = np.array([ev.rating for ev in evs]) - Z[b, i]
+            update(U, i, V[b, [ev.movie for ev in evs]].T, x, lam, params.xi_u)
+    elif kind == "v":
+        for j in range(n):
+            evs = [ev for ev in mine if ev.movie == j]
+            users = [ev.user for ev in evs]
+            x = np.array([ev.rating for ev in evs]) - Z[b, users]
+            update(V, j, U[b, users].T, x, lam, params.xi_v)
+    else:
+        for i in range(m):
+            evs = [ev for ev in mine if ev.user == i]
+            x = np.array([ev.rating for ev in evs])
+            resid = x - V[b, [ev.movie for ev in evs]] @ U[b, i]
+            update(Z, i, np.ones((1, len(evs))), resid, 0.0, params.xi_z)
+
+
+def reference_fit(events, params, m, n):
+    """Row-by-row Gauss-Seidel sweep built from reference_block.
+
+    The oracle for the stacked block updates, in the order the fitting
+    routine documents.
+    """
+    T = params.bin_count
+    binning = derive_binning(events, T)
+    U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
+    bins = [bin_of(ev.timestamp, binning, clamp=True) - 1 for ev in events]
     for _ in range(params.iterations):
         for b in range(T):
-            mine = [ev for ev, eb in zip(events, bins) if eb == b]
-            for i in range(m):
-                evs = [ev for ev in mine if ev.user == i]
-                x = np.array([ev.rating for ev in evs]) - Z[b, i]
-                update(U, b, i, V[b, [ev.movie for ev in evs]].T, x, lam, params.xi_u)
-            for j in range(n):
-                evs = [ev for ev in mine if ev.movie == j]
-                users = [ev.user for ev in evs]
-                x = np.array([ev.rating for ev in evs]) - Z[b, users]
-                update(V, b, j, U[b, users].T, x, lam, params.xi_v)
-            for i in range(m):
-                evs = [ev for ev in mine if ev.user == i]
-                x = np.array([ev.rating for ev in evs])
-                resid = x - V[b, [ev.movie for ev in evs]] @ U[b, i]
-                update(Z, b, i, np.ones((1, len(evs))), resid, 0.0, params.xi_z)
+            for kind in "uvz":
+                reference_block(U, V, Z, kind, b, events, bins, params)
     return U, V, Z
 
 
@@ -240,6 +255,28 @@ def test_cost_non_increasing_every_block_temporal():
         assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(seen[:-1])))
 
 
+# (user, movie, rating, t) with t = 7 * week + day; with reg_lambda 0 several
+# users take the pseudo-inverse branch, whose cutoff must drop the rounding
+# noise of their summed Gram matrices
+PINV_RATINGS = [
+    (5, 2, 54.783, 4), (3, 0, 1.0, 28), (0, 2, 17.668, 34), (2, 0, 48.465, 21),
+    (0, 4, 9.657, 35), (0, 2, 71.959, 28), (1, 1, 71.547, 18), (1, 1, 22.001, 40),
+    (4, 3, 8.751, 27), (1, 1, 57.51, 39), (0, 4, 25.018, 37), (3, 1, 1.0, 8),
+    (0, 2, 66.772, 37), (2, 4, 1.0, 23), (2, 1, 78.266, 30), (5, 2, 1.0, 16),
+]
+
+
+def test_cost_non_increasing_every_block_with_pseudo_inverse():
+    events = [event(u, v, rating=x, day=t % 7, week=t // 7) for u, v, x, t in PINV_RATINGS]
+    params = FactorParams(rank=3, reg_lambda=0.0, xi_u=3.0, xi_v=6.0, xi_z=3.0,
+                          bin_count=1, iterations=2, seed=2)
+    seen = []
+    fit_lowrank_temporal(events, params, 7, 6,
+                         block_hook=lambda tag, b, mod: seen.append(cost(mod, events)))
+    diffs = np.diff(seen)
+    assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(seen[:-1])))
+
+
 def test_t1_temporal_equals_lowrank_exactly():
     rng = np.random.default_rng(10)
     m, n, events = random_instance(rng)
@@ -263,6 +300,12 @@ def test_t1_temporal_equals_lowrank_exactly():
     seed=st.integers(0, 3),
 )
 @settings(max_examples=60, deadline=None)
+@example(ratings=[(0, 2, 1.0, 0), (0, 4, 1.0, 0), (1, 2, 1.0, 0)], bins=1, rank=3,
+         reg_lambda=0.0, xi=0.0, seed=1)
+@example(ratings=[(0, 2, 49.25, 0), (0, 4, 1.0, 0), (1, 1, 16.0, 0), (1, 2, 46.5, 0),
+                  (1, 4, 77.0, 0), (2, 2, 1.0, 0)],
+         bins=1, rank=2, reg_lambda=0.0, xi=0.0, seed=2)
+@example(ratings=PINV_RATINGS, bins=1, rank=3, reg_lambda=0.0, xi=3.0, seed=2)
 def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambda,
                                                   xi, seed):
     # users 0..6 and movies 0..5: some never rate, others skip some bins;
@@ -271,12 +314,31 @@ def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambd
     events = [event(u, v, rating=x, day=t % 7, week=t // 7) for u, v, x, t in ratings]
     params = FactorParams(rank=rank, reg_lambda=reg_lambda, xi_u=xi, xi_v=2 * xi,
                           xi_z=xi, bin_count=bins, iterations=2, seed=seed)
-    model = fit_lowrank_temporal(events, params, 7, 6)
-    expected = reference_fit(events, params, 7, 6)
-    for got, want in zip((model.user_factors, model.movie_factors, model.user_bias),
-                         expected):
-        np.testing.assert_allclose(got, want, rtol=1e-9,
-                                   atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
+    if reg_lambda > 0.0:
+        model = fit_lowrank_temporal(events, params, 7, 6)
+        expected = reference_fit(events, params, 7, 6)
+        for got, want in zip((model.user_factors, model.movie_factors,
+                              model.user_bias), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-9,
+                                       atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
+        return
+    # Without lambda a block's minimizer need not be unique and can be
+    # ill-conditioned, so the two paths' factors may part while their costs
+    # agree. Compare each block's cost with one reference block applied to
+    # the stacked fit's state before it.
+    after = []
+    model = fit_lowrank_temporal(
+        events, params, 7, 6, block_hook=lambda kind, b, mod: after.append((kind, b, (
+            mod.user_factors.copy(), mod.movie_factors.copy(), mod.user_bias.copy()))))
+    event_bins = [bin_of(ev.timestamp, model.binning, clamp=True) - 1 for ev in events]
+    state = _init_factors(7, 6, rank, bins, seed)
+    for kind, b, tensors in after:
+        U, V, Z = (t.copy() for t in state)
+        reference_block(U, V, Z, kind, b - 1, events, event_bins, params)
+        got = cost(TemporalFactorModel(*tensors, model.binning, params), events)
+        want = cost(TemporalFactorModel(U, V, Z, model.binning, params), events)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (kind, b)
+        state = tensors
 
 
 def test_large_xi_flattens_bins():

@@ -31,7 +31,8 @@ def flat_model(user_biases, n_movies=4, rank=2):
 
 def uniform_priors(household, binning=BINNING):
     train = [event(member, idx) for idx, member in enumerate(household.members)]
-    return fit_priors(train, household, binning, epsilon=1.0)
+    priors = fit_priors(train, {household.id: household}, binning, epsilon=1.0)
+    return priors[household.id]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def test_joint_score_infinite_sigma_is_prior(pair_household):
 def test_joint_score_standard_normal_peak(pair_household):
     model = flat_model([60.0, 60.0])
     train = [event(0, m) for m in range(3)]  # q(0) = 1 with epsilon 0
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
     sigma = SigmaModel("global", 1.0, {})
     ev = anon_event(0, 0, rating=60.0)
     score = joint_score(0, ev.rating, ev, model, priors, "uniform", sigma)
@@ -110,7 +111,7 @@ def test_joint_score_standard_normal_peak(pair_household):
 def test_joint_score_zero_prior_zeroes_score(pair_household):
     model = flat_model([60.0, 60.0])
     train = [event(0, m) for m in range(3)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
     sigma = SigmaModel("global", 5.0, {})
     ev = anon_event(0, 0, rating=60.0)
     assert joint_score(1, ev.rating, ev, model, priors, "uniform", sigma) == 0.0
@@ -130,7 +131,7 @@ def test_posterior_ratio():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)[0]
     sigma = SigmaModel("global", 10.0, {})
     post = posterior(household, anon_event(0, 0, rating=50.0), model, priors,
                      "uniform", sigma)
@@ -202,7 +203,7 @@ def test_generative_prior_decides_under_equal_residuals():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(9)] + [event(1, 20)]
-    priors = fit_priors(train, household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)[0]
     sigma = SigmaModel("global", 10.0, {})
     ev = anon_event(0, 0, rating=58.0)
     assert classify_generative(household, ev, model, priors, "uniform",
@@ -246,10 +247,7 @@ def test_infinite_sigma_reduces_to_prior_classifier(planted_dataset):
                                  dataset.user_count, dataset.movie_count)
     sigma = SigmaModel("infinite", math.inf, {})
     for epsilon in (0.0, 0.5):
-        priors = {
-            hid: fit_priors(dataset.train, hh, model.binning, epsilon)
-            for hid, hh in dataset.households.items()
-        }
+        priors = fit_priors(dataset.train, dataset.households, model.binning, epsilon)
         for mode in ("uniform", "bin", "day"):
             for ev in dataset.test:
                 hh = dataset.households[ev.household]
@@ -272,13 +270,13 @@ def test_generative_day_beats_prior_day_on_planted_data():
         model = fit_lowrank_temporal(split.train, params,
                                      dataset.user_count, dataset.movie_count)
         sigma = estimate_sigma(split.train, model, "per_user")
+        priors = fit_priors(split.train, dataset.households, model.binning, 0.5)
         errors = {"gen": 0, "prior": 0}
         for ev in split.test:
             hh = dataset.households[ev.household]
-            priors = fit_priors(split.train, hh, model.binning, 0.5)
             errors["gen"] += classify_generative(
-                hh, ev, model, priors, "day", sigma) != ev.true_user
-            errors["prior"] += classify_prior(priors, "day", ev) != ev.true_user
+                hh, ev, model, priors[hh.id], "day", sigma) != ev.true_user
+            errors["prior"] += classify_prior(priors[hh.id], "day", ev) != ev.true_user
         gen_wins.append((errors["gen"], errors["prior"], len(split.test)))
     gen_mean = np.mean([g / n for g, _, n in gen_wins])
     prior_mean = np.mean([p / n for _, p, n in gen_wins])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhattrib.corpus import Binning, Household, RatingEvent, derive_binning
+from hhattrib.corpus import (
+    Binning, DuplicateError, Household, RatingEvent, derive_binning,
+)
 from hhattrib.temporal import (
     UndefinedProfileError, classify_prior, day_profile, fit_priors,
     household_tv, prior_value, tv_distance, tv_histogram, weekday_histogram,
@@ -103,67 +105,89 @@ def test_tv_distance_equals_half_l1_form():
 
 def test_prior_counts(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
     assert priors.prior[0] == pytest.approx(0.75)
     assert priors.prior[1] == pytest.approx(0.25)
 
 
 def test_prior_day_conditional(pair_household):
     train = [event(0, m, day=0) for m in range(4)] + [event(1, 9, day=2)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
     assert priors.by_day[(0, 0)] == 1.0
     assert priors.by_day[(1, 0)] == 0.0
 
 
 def test_prior_smoothing_on_empty_conditional(pair_household):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=1.0)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=1.0)[0]
     assert priors.by_day[(0, 1)] == pytest.approx(0.5)  # no Monday events
     assert priors.by_day[(1, 1)] == pytest.approx(0.5)
 
 
 def test_prior_epsilon_zero_flags_undefined(pair_household):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
     assert math.isnan(priors.by_day[(0, 1)])
     # classification falls back to the unconditional prior
     probe = anon_event(0, 5, day=1)
     assert prior_value(priors, 0, "day", probe) == priors.prior[0]
 
 
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 6),
+def test_prior_epsilon_zero_rejects_household_without_events():
+    households = {0: Household(0, (0, 1)), 5: Household(5, (2, 3))}
+    train = [event(0, 0), event(1, 1)]
+    with pytest.raises(UndefinedProfileError, match="household 5 has no training"):
+        fit_priors(train, households, BINNING, epsilon=0.0)
+    assert set(fit_priors(train, households, BINNING, epsilon=0.5)) == {0, 5}
+
+
+def test_priors_reject_user_in_two_households():
+    households = {0: Household(0, (0, 1)), 1: Household(1, (1, 2))}
+    with pytest.raises(DuplicateError, match="two households"):
+        fit_priors([event(0, 0), event(1, 1), event(2, 2)], households, BINNING)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6),
                           st.integers(0, 3)),
-                min_size=2, max_size=20))
+                min_size=2, max_size=30))
 @settings(max_examples=80)
 def test_priors_match_brute_force_counting(assignments):
-    if not {user for user, _, _ in assignments} == {0, 1}:
-        assignments += [(0, 0, 0), (1, 1, 1)]
+    # two households, members listed out of id order; user 5 is in neither
+    households = {0: Household(0, (0, 1)), 7: Household(7, (4, 2, 3))}
+    for hh in households.values():
+        if not {user for user, _, _ in assignments} & set(hh.members):
+            assignments += [(hh.members[0], 0, 0)]
     events = [event(user, idx, day=day, week=week * 2)
               for idx, (user, day, week) in enumerate(assignments)]
     binning = derive_binning(events, 3)
-    priors = fit_priors(events, Household(0, (0, 1)), binning, epsilon=0.0)
+    fitted = fit_priors(events, households, binning, epsilon=0.0)
+    assert set(fitted) == set(households)
     from hhattrib.corpus import bin_of, weekday_of
-    for member in (0, 1):
-        mine = sum(e.user == member for e in events)
-        assert priors.prior[member] == pytest.approx(mine / len(events))
-        for d in range(7):
-            denom = sum(weekday_of(e.timestamp) == d for e in events)
-            numer = sum(e.user == member and weekday_of(e.timestamp) == d
-                        for e in events)
-            got = priors.by_day[(member, d)]
-            if denom == 0:
-                assert math.isnan(got)
-            else:
-                assert got == pytest.approx(numer / denom)
-        for b in range(1, 4):
-            denom = sum(bin_of(e.timestamp, binning) == b for e in events)
-            numer = sum(e.user == member and bin_of(e.timestamp, binning) == b
-                        for e in events)
-            got = priors.by_bin[(member, b)]
-            if denom == 0:
-                assert math.isnan(got)
-            else:
-                assert got == pytest.approx(numer / denom)
+    for hid, hh in households.items():
+        priors = fitted[hid]
+        assert priors.household == hid and priors.members == hh.members
+        ours = [e for e in events if e.user in hh.members]
+        for member in hh.members:
+            mine = sum(e.user == member for e in ours)
+            assert priors.prior[member] == pytest.approx(mine / len(ours))
+            for d in range(7):
+                denom = sum(weekday_of(e.timestamp) == d for e in ours)
+                numer = sum(e.user == member and weekday_of(e.timestamp) == d
+                            for e in ours)
+                got = priors.by_day[(member, d)]
+                if denom == 0:
+                    assert math.isnan(got)
+                else:
+                    assert got == pytest.approx(numer / denom)
+            for b in range(1, 4):
+                denom = sum(bin_of(e.timestamp, binning) == b for e in ours)
+                numer = sum(e.user == member and bin_of(e.timestamp, binning) == b
+                            for e in ours)
+                got = priors.by_bin[(member, b)]
+                if denom == 0:
+                    assert math.isnan(got)
+                else:
+                    assert got == pytest.approx(numer / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +196,14 @@ def test_priors_match_brute_force_counting(assignments):
 
 def test_classify_prior_uniform(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.0)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
     assert classify_prior(priors, "uniform", anon_event(0, 50)) == 0
 
 
 def test_classify_prior_day(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + \
             [event(1, m + 10, day=4) for m in range(5)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.5)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
     assert classify_prior(priors, "day", anon_event(0, 50, day=0)) == 0
     assert classify_prior(priors, "day", anon_event(0, 50, day=4)) == 1
 
@@ -187,14 +211,14 @@ def test_classify_prior_day(pair_household):
 def test_classify_prior_tie_breaks_to_smaller_id():
     household = Household(0, (7, 3))
     train = [event(7, 0), event(3, 1)]
-    priors = fit_priors(train, household, BINNING, epsilon=0.5)
+    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.5)[0]
     assert priors.prior[7] == priors.prior[3]
     assert classify_prior(priors, "uniform", anon_event(0, 50)) == 3
 
 
 def test_classify_prior_ignores_rating(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + [event(1, 9, day=4)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.5)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
     low = anon_event(0, 50, rating=1.0, day=0)
     high = anon_event(0, 50, rating=99.0, day=0)
     assert classify_prior(priors, "day", low) == classify_prior(priors, "day", high)
@@ -203,7 +227,7 @@ def test_classify_prior_ignores_rating(pair_household):
 def test_classify_prior_weekly_shift_invariance(pair_household):
     train = [event(0, m, day=m % 3) for m in range(5)] + \
             [event(1, m + 10, day=3 + m % 3) for m in range(7)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.5)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
     for day in range(7):
         probe = anon_event(0, 50, day=day)
         shifted = anon_event(0, 50, day=day, week=21)  # +147 days = 21 weeks
@@ -213,7 +237,7 @@ def test_classify_prior_weekly_shift_invariance(pair_household):
 
 def test_classify_prior_bad_mode(pair_household):
     train = [event(0, 0), event(1, 1)]
-    priors = fit_priors(train, pair_household, BINNING, epsilon=0.5)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
     with pytest.raises(ValueError):
         classify_prior(priors, "hourly", anon_event(0, 5))
 
