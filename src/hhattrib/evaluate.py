@@ -333,8 +333,12 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
     if name.startswith("gen-"):
         sigma_model = generative.estimate_sigma(train, model, pipeline.sigma_scope)
     if name == "unified":
+        events_of = {hid: [] for hid in households}
+        for ev in train:
+            if ev.user in dataset.member_of:
+                events_of[dataset.member_of[ev.user]].append(ev)
         logit_models = {
-            hid: logistic.fit_household(train, hh, pipeline.features,
+            hid: logistic.fit_household(events_of[hid], hh, pipeline.features,
                                         model=model, binning=binning)
             for hid, hh in households.items()
         }

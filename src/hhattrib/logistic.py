@@ -15,8 +15,16 @@ only. An anonymized event is attributed to the member whose model assigns
 it the highest probability.
 
 The solver is accelerated proximal gradient descent with backtracking and
-restart-on-increase, run until the L1 subgradient (KKT) residual is tiny
-or the objective stalls.
+restart-on-increase, handing over to a sign-fixed Newton polish, run until
+the L1 subgradient (KKT) residual is tiny or the budget is spent; a fit
+that stops above the tolerance says so in a DEBUG record.
+
+A two-member household needs one solve, not two. The model has no
+intercept, so the loss of theta on the labels 1 - y equals the loss of
+-theta on y, and the L1 term is symmetric: the second member's problem is
+the first one's mirror image, and its minimizer is exactly -theta*. The
+second member therefore gets the negated theta of the first; households of
+three or more members fit every member.
 """
 
 import logging
@@ -84,46 +92,52 @@ class LogitModel:
     config: FeatureConfig
 
 
-def _one_hot(length: int, index: int) -> np.ndarray:
-    out = np.zeros(length)
-    out[index] = 1.0
-    return out
-
-
-def build_features(event, config: FeatureConfig,
+def feature_matrix(events, config: FeatureConfig,
                    model: TemporalFactorModel | None = None,
                    binning: Binning | None = None) -> np.ndarray:
-    """Concatenated feature vector for one rating event.
+    """Concatenated feature rows, one per rating event, in event order.
 
-    ``event`` only needs movie / rating / timestamp fields, so both train
-    and test events work. The movie-vector block needs a fitted model; the
-    bin block needs a binning (taken from the model when not given).
-    A movie the model has never seen yields a zero movie-vector block.
+    Events only need movie / rating / timestamp fields, so both train and
+    test events work. The movie-vector block needs a fitted model; the bin
+    block needs a binning (taken from the model when not given). A movie
+    the model has never seen yields a zero movie-vector block.
     """
-    parts = []
+    stamps = [ev.timestamp for ev in events]
+    blocks = []
     if config.day:
-        parts.append(_one_hot(7, weekday_of(event.timestamp)))
+        blocks.append(np.eye(7)[[weekday_of(t) for t in stamps]])
     if config.hour:
-        parts.append(_one_hot(24, hour_of(event.timestamp)))
+        blocks.append(np.eye(24)[[hour_of(t) for t in stamps]])
     if config.movie_vector:
         if model is None:
             raise ValueError("movie-vector feature needs a fitted factor model")
-        b = bin_of(event.timestamp, model.binning, clamp=True) - 1
-        if 0 <= event.movie < model.movie_count:
-            parts.append(np.array(model.movie_factors[b, event.movie], dtype=float))
-        else:
-            log.debug("movie %s unknown to the factor model, zero block", event.movie)
-            parts.append(np.zeros(model.rank))
+        movies = np.array([ev.movie for ev in events], dtype=np.intp)
+        bins = np.array([bin_of(t, model.binning, clamp=True) - 1 for t in stamps],
+                        dtype=np.intp)
+        known = (movies >= 0) & (movies < model.movie_count)
+        for movie in movies[~known]:
+            log.debug("movie %s unknown to the factor model, zero block", movie)
+        block = np.zeros((len(stamps), model.rank))
+        block[known] = model.movie_factors[bins[known], movies[known]]
+        blocks.append(block)
     if config.bin:
         if binning is None:
             binning = model.binning if model is not None else None
         if binning is None:
             raise ValueError("bin feature needs a binning")
-        parts.append(_one_hot(binning.bin_count,
-                              bin_of(event.timestamp, binning, clamp=True) - 1))
+        blocks.append(np.eye(binning.bin_count)[
+            [bin_of(t, binning, clamp=True) - 1 for t in stamps]])
     if config.rating:
-        parts.append(np.array([1.0 + 4.0 * event.rating / 100.0]))
-    return np.concatenate(parts)
+        ratings = np.array([ev.rating for ev in events], dtype=float)
+        blocks.append((1.0 + 4.0 * ratings / 100.0)[:, None])
+    return np.concatenate(blocks, axis=1)
+
+
+def build_features(event, config: FeatureConfig,
+                   model: TemporalFactorModel | None = None,
+                   binning: Binning | None = None) -> np.ndarray:
+    """Feature vector of one rating event: feature_matrix's one-row case."""
+    return feature_matrix([event], config, model, binning)[0]
 
 
 def standardize_fit(rows: np.ndarray) -> Standardization:
@@ -146,25 +160,22 @@ def standardize_apply(stats: Standardization, rows: np.ndarray) -> np.ndarray:
 # L1-regularized logistic regression
 # ---------------------------------------------------------------------------
 
-def _log1pexp(u: np.ndarray) -> np.ndarray:
-    # log(1 + e^u), stable on both tails
-    return np.logaddexp(0.0, u)
-
-
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    # e^-|u| is e^-u on the right tail and e^u on the left: one exp serves both
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _nll(u: np.ndarray, labels: np.ndarray) -> float:
+    """Negative log-likelihood at the linear scores u."""
+    # log(1 + e^u) as logaddexp(0, u): stable on both tails
+    return float((np.logaddexp(0.0, u) - labels * u).sum())
 
 
 def logistic_objective(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
                        lambda1: float) -> float:
     """Negative log-likelihood plus lambda1 * ||theta||_1."""
-    u = rows @ theta
-    return float(np.sum(_log1pexp(u) - labels * u) + lambda1 * np.abs(theta).sum())
+    return _nll(rows @ theta, labels) + lambda1 * float(np.abs(theta).sum())
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -202,26 +213,23 @@ def _prox_descend(rows, labels, lambda1, theta, *, max_iter, obj_rtol, kkt_tol,
         probe = nxt / norm
     step_l = max(float(probe @ (rows.T @ (rows @ probe))) / 4.0, 1e-12)
 
-    def smooth(t):
-        u = rows @ t
-        return float(np.sum(_log1pexp(u) - labels * u))
-
-    obj = smooth(theta) + lambda1 * float(np.abs(theta).sum())
+    obj = logistic_objective(theta, rows, labels, lambda1)
     momentum = theta
     t_k = 1.0
     stall_streak = 0
     for it in range(max_iter):
         u = rows @ momentum
         grad = rows.T @ (_sigmoid(u) - labels)
-        smooth_at_w = float(np.sum(_log1pexp(u) - labels * u))
+        smooth_at_w = _nll(u, labels)
         while True:
             candidate = _soft_threshold(momentum - grad / step_l, lambda1 / step_l)
             delta = candidate - momentum
             bound = smooth_at_w + float(grad @ delta) + 0.5 * step_l * float(delta @ delta)
-            if smooth(candidate) <= bound + 1e-12 * abs(bound):
+            smooth_at_candidate = _nll(rows @ candidate, labels)
+            if smooth_at_candidate <= bound + 1e-12 * abs(bound):
                 break
             step_l *= 2.0
-        new_obj = smooth(candidate) + lambda1 * float(np.abs(candidate).sum())
+        new_obj = smooth_at_candidate + lambda1 * float(np.abs(candidate).sum())
         at_rest = bool(np.array_equal(momentum, theta))
         if new_obj > obj:
             # momentum overshot: restart from the last accepted point
@@ -257,11 +265,6 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
     condition are pulled into the support between rounds.
     """
     theta = theta.copy()
-
-    def objective(t):
-        u = rows @ t
-        return float(np.sum(_log1pexp(u) - labels * u) + lambda1 * np.abs(t).sum())
-
     for _ in range(rounds):
         grad = rows.T @ (_sigmoid(rows @ theta) - labels)
         active = (theta != 0.0) | (np.abs(grad) > lambda1)
@@ -284,7 +287,7 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
                 step = np.linalg.solve(hess, g_active)
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(hess, g_active, rcond=None)[0]
-            base = objective(theta)
+            base = logistic_objective(theta, rows, labels, lambda1)
             scale = 1.0
             improved = False
             for _ in range(60):
@@ -293,7 +296,7 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
                 trial_active[crossed] = 0.0
                 trial = theta.copy()
                 trial[active] = trial_active
-                trial_obj = objective(trial)
+                trial_obj = logistic_objective(trial, rows, labels, lambda1)
                 if trial_obj < base:
                     theta = trial
                     improved = True
@@ -348,8 +351,12 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
         if kkt_residual(theta, rows, labels, lambda1) <= kkt_tol:
             return theta
         theta = _polish_active_set(rows, labels, lambda1, theta, kkt_tol)
-        if kkt_residual(theta, rows, labels, lambda1) <= kkt_tol or budget <= 0:
-            return theta
+        residual = kkt_residual(theta, rows, labels, lambda1)
+        if residual <= kkt_tol or budget <= 0:
+            break
+    if residual > kkt_tol:
+        log.debug("L1-logistic fit stopped short: KKT residual %.3g > tolerance %.3g",
+                  residual, kkt_tol)
     return theta
 
 
@@ -373,22 +380,27 @@ def fit_household(train, household: Household, config: FeatureConfig,
 
     Labels are complementary across members: each training event counts as
     a positive example for exactly its rater. Members whose labels are all
-    zero or all one are still fit (the L1 term keeps theta bounded).
+    zero or all one are still fit (the L1 term keeps theta bounded). In a
+    two-member household the second member's theta is the first's negated.
     """
     member_set = set(household.members)
     events = [ev for ev in train if ev.user in member_set]
     if len(events) < 2:
         raise ValueError(f"household {household.id} needs >= 2 training events")
-    rows = np.stack([build_features(ev, config, model, binning) for ev in events])
+    rows = feature_matrix(events, config, model, binning)
     stats = standardize_fit(rows)
     scaled = standardize_apply(stats, rows)
+    raters = np.array([ev.user for ev in events])
     fitted = {}
     for member in household.members:
-        labels = np.array([1.0 if ev.user == member else 0.0 for ev in events])
+        labels = (raters == member).astype(float)
         if labels.min() == labels.max():
             log.debug("household %s member %s: one-sided labels",
                       household.id, member)
-        theta = fit_logistic(scaled, labels, config.lambda1)
+        if household.size == 2 and fitted:
+            theta = -fitted[household.members[0]].theta
+        else:
+            theta = fit_logistic(scaled, labels, config.lambda1)
         fitted[member] = LogitModel(member, household.id, theta, stats, config)
     return fitted
 
@@ -434,23 +446,49 @@ def save_logit_models(by_household: dict[int, dict[int, LogitModel]], path) -> N
 
 
 def load_logit_models(path) -> dict[int, dict[int, LogitModel]]:
+    """Read a save_logit_models dump.
+
+    A wrong magic line, a malformed `model` line, a missing or misnamed
+    theta/mean/scale line, arrays of unequal length or a non-finite value
+    raise ValueError naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _LOGIT_MAGIC:
-        raise ValueError(f"{path}: not a logit model file")
+        raise ValueError(f"{path}: line 1: not a logit model file")
     out: dict[int, dict[int, LogitModel]] = {}
-    i = 1
-    while i < len(lines):
-        tag, hid, member, letters, lam = lines[i].split()
-        if tag != "model":
-            raise ValueError(f"{path}: malformed at line {i + 1}")
-        arrays = {}
-        for offset in range(1, 4):
-            name, _, rest = lines[i + offset].partition(" ")
-            arrays[name] = np.array([float(v) for v in rest.split()])
-        config = FeatureConfig.from_letters(letters, float(lam))
-        stats = Standardization(arrays["mean"], arrays["scale"])
-        lm = LogitModel(int(member), int(hid), arrays["theta"], stats, config)
-        out.setdefault(int(hid), {})[int(member)] = lm
-        i += 4
+    for i in range(1, len(lines), 4):
+        def malformed(offset, what):
+            return ValueError(f"{path}: line {i + offset + 1}: {what}")
+
+        head = lines[i].split()
+        try:
+            if len(head) != 5 or head[0] != "model":
+                raise ValueError("expected 'model <household> <member> <letters> "
+                                 "<lambda1>'")
+            hid, member = int(head[1]), int(head[2])
+            config = FeatureConfig.from_letters(head[3], float(head[4]))
+        except ValueError as exc:
+            raise malformed(0, exc) from None
+        arrays = []
+        for offset, name in enumerate(("theta", "mean", "scale"), 1):
+            if i + offset >= len(lines):
+                raise malformed(offset, f"expected a {name!r} line, found the end "
+                                        "of the file")
+            tag, _, rest = lines[i + offset].partition(" ")
+            if tag != name:
+                raise malformed(offset, f"expected a {name!r} line, found {tag!r}")
+            try:
+                values = np.array([float(v) for v in rest.split()])
+            except ValueError as exc:
+                raise malformed(offset, exc) from None
+            if not np.all(np.isfinite(values)):
+                raise malformed(offset, f"non-finite {name} value")
+            if arrays and len(values) != len(arrays[0]):
+                raise malformed(offset, f"{name} has {len(values)} values, "
+                                        f"theta has {len(arrays[0])}")
+            arrays.append(values)
+        theta, mean, scale = arrays
+        lm = LogitModel(member, hid, theta, Standardization(mean, scale), config)
+        out.setdefault(hid, {})[member] = lm
     return out

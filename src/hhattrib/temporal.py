@@ -64,10 +64,15 @@ def day_profile(train, user: int) -> DayProfile:
     for ev in train:
         if ev.user == user:
             counts[weekday_of(ev.timestamp)] += 1
+    return DayProfile(user, _weights(user, counts))
+
+
+def _weights(user: int, counts: np.ndarray) -> np.ndarray:
+    """Weekday counts as fractions of their total."""
     total = counts.sum()
     if total == 0:
         raise UndefinedProfileError(f"user {user} has no training events")
-    return DayProfile(user, counts / total)
+    return counts / total
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -86,7 +91,11 @@ def household_tv(train, household: Household) -> float:
     symmetry). 1 means no two members ever rated on the same weekday; 0
     means identical weekday habits.
     """
-    profiles = [day_profile(train, member).weights for member in household.members]
+    return _average_tv([day_profile(train, member).weights
+                        for member in household.members])
+
+
+def _average_tv(profiles) -> float:
     size = len(profiles)
     total = 0.0
     for a in range(size):
@@ -213,5 +222,12 @@ def weekday_histogram(train, households: dict[int, Household]):
 
 
 def tv_histogram(train, households: dict[int, Household]):
-    """Rows (household, average total variation) across all households."""
-    return [(hid, household_tv(train, hh)) for hid, hh in households.items()]
+    """Rows (household, average total variation) across all households.
+
+    Every member's weekday profile comes from weekday_histogram's one
+    counting pass; the values equal household_tv's.
+    """
+    counts = {member: np.array(row, dtype=float)
+              for _, member, *row in weekday_histogram(train, households)}
+    return [(hid, _average_tv([_weights(m, counts[m]) for m in hh.members]))
+            for hid, hh in households.items()]

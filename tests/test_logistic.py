@@ -1,3 +1,5 @@
+import itertools
+import logging
 import math
 
 import numpy as np
@@ -6,16 +8,19 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhattrib.corpus import Binning, Household, SynthConfig, synth_generate
+from hhattrib import logistic
+from hhattrib.corpus import (
+    Binning, Household, SynthConfig, bin_of, hour_of, synth_generate, weekday_of,
+)
 from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.logistic import (
-    FeatureConfig, build_features, classify_logistic, fit_household,
-    fit_logistic, kkt_residual, load_logit_models, logistic_objective,
-    logit_prob, member_probabilities, save_logit_models, standardize_apply,
-    standardize_fit,
+    FEATURE_ORDER, FeatureConfig, build_features, classify_logistic,
+    feature_matrix, fit_household, fit_logistic, kkt_residual, load_logit_models,
+    logistic_objective, logit_prob, member_probabilities, save_logit_models,
+    standardize_apply, standardize_fit,
 )
 
-from conftest import anon_event, event
+from conftest import DAY, DAY0, anon_event, event
 
 
 def only(letters, lambda1=0.01):
@@ -65,6 +70,80 @@ def test_feature_movie_vector_and_unknown_movie():
     np.testing.assert_array_equal(known, [1.5, -2.0])
     unknown = build_features(anon_event(0, 7), only("c"), model=model)
     np.testing.assert_array_equal(unknown, [0.0, 0.0])
+
+
+def _reference_features(event, config, model=None, binning=None):
+    """Per-event feature vector built block by block from one-hot vectors."""
+    def one_hot(length, index):
+        out = np.zeros(length)
+        out[index] = 1.0
+        return out
+
+    parts = []
+    if config.day:
+        parts.append(one_hot(7, weekday_of(event.timestamp)))
+    if config.hour:
+        parts.append(one_hot(24, hour_of(event.timestamp)))
+    if config.movie_vector:
+        b = bin_of(event.timestamp, model.binning, clamp=True) - 1
+        if event.movie < model.movie_count:
+            parts.append(np.array(model.movie_factors[b, event.movie]))
+        else:
+            parts.append(np.zeros(model.rank))
+    if config.bin:
+        binning = binning or model.binning
+        parts.append(one_hot(binning.bin_count,
+                             bin_of(event.timestamp, binning, clamp=True) - 1))
+    if config.rating:
+        parts.append(np.array([1.0 + 4.0 * event.rating / 100.0]))
+    return np.concatenate(parts)
+
+
+def _feature_model(binning):
+    rng = np.random.default_rng(8)
+    T = binning.bin_count
+    params = FactorParams(rank=3, bin_count=T, iterations=1)
+    return TemporalFactorModel(rng.normal(size=(T, 2, 3)), rng.normal(size=(T, 5, 3)),
+                               rng.normal(size=(T, 2)), binning, params)
+
+
+@pytest.mark.parametrize("binning", [
+    Binning(3, DAY0 + DAY, 14 * DAY),       # events before and after the span
+    Binning(7, 0, 7 * DAY, kind="weekday"),
+], ids=["span", "weekday"])
+def test_feature_matrix_rows_match_per_event_features(binning, caplog):
+    model = _feature_model(binning)
+    events = [anon_event(0, movie=k % 7, rating=10.0 * k, day=k % 7, hour=(5 * k) % 24,
+                         week=k % 4 - 1)
+              for k in range(11)]
+    unknown = sum(ev.movie >= model.movie_count for ev in events)
+    stamps = [ev.timestamp for ev in events]
+    assert unknown
+    if binning.kind == "span":  # both clamps are exercised
+        assert min(stamps) < binning.origin < binning.origin + binning.span < max(stamps)
+    for size in range(1, len(FEATURE_ORDER) + 1):
+        for letters in itertools.combinations(FEATURE_ORDER, size):
+            config = only("".join(letters))
+            expected = np.array([_reference_features(ev, config, model)
+                                 for ev in events])
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="hhattrib.logistic"):
+                matrix = feature_matrix(events, config, model)
+            np.testing.assert_array_equal(matrix, expected)
+            records = [r for r in caplog.records
+                       if "unknown to the factor model" in r.getMessage()]
+            assert len(records) == (unknown if config.movie_vector else 0)
+            for ev, row in zip(events, expected):
+                np.testing.assert_array_equal(build_features(ev, config, model), row)
+
+
+def test_feature_matrix_bin_block_uses_given_binning():
+    model = _feature_model(Binning(3, DAY0, 14 * DAY))
+    other = Binning(5, DAY0 - DAY, 30 * DAY)
+    events = [anon_event(0, movie=1, day=k, week=k - 2) for k in range(6)]
+    expected = [_reference_features(ev, only("cd"), model, other) for ev in events]
+    np.testing.assert_array_equal(feature_matrix(events, only("cd"), model, other),
+                                  expected)
 
 
 def test_feature_config_letters_round_trip():
@@ -200,6 +279,42 @@ def test_fit_logistic_input_validation():
         fit_logistic(np.ones((3, 2)), [0.0, 1.0, 1.0], -0.5)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_complementary_labels_give_negated_theta(seed):
+    # No intercept: the loss of theta on 1 - y is the loss of -theta on y.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 120))
+    p = int(rng.integers(1, 6))
+    rows = rng.normal(size=(n, p))
+    labels = (rng.random(n) < 1 / (1 + np.exp(-rows @ rng.normal(size=p)))).astype(float)
+    lam = float(rng.uniform(0.05, 1.0))
+    theta = fit_logistic(rows, labels, lam)
+    mirrored = fit_logistic(rows, 1.0 - labels, lam)
+    np.testing.assert_allclose(mirrored, -theta, rtol=0, atol=1e-7)
+
+
+def _non_convergence_records(caplog):
+    return [r for r in caplog.records
+            if r.name == "hhattrib.logistic" and "KKT residual" in r.getMessage()]
+
+
+def test_budget_spent_above_tolerance_is_logged(caplog):
+    rows, labels = np.ones((10, 1)), np.ones(10)  # separable, no penalty
+    with caplog.at_level(logging.DEBUG, logger="hhattrib.logistic"):
+        theta = fit_logistic(rows, labels, 0.0, max_iter=3_000, kkt_tol=1e-12)
+    residual = kkt_residual(theta, rows, labels, 0.0)
+    assert residual > 1e-12
+    (record,) = _non_convergence_records(caplog)
+    assert f"{residual:.3g}" in record.getMessage()
+    assert "one-sided" not in record.getMessage()
+    assert "unknown to the factor model" not in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hhattrib.logistic"):
+        fit_logistic(rows, labels, 0.0, max_iter=3_000)  # reaches the default 1e-8
+    assert not _non_convergence_records(caplog)
+
+
 # ---------------------------------------------------------------------------
 # logit_prob
 # ---------------------------------------------------------------------------
@@ -295,6 +410,53 @@ def test_feature_set_monotonicity_day_plus_hour_helps():
     assert np.mean(errors_ab) <= np.mean(errors_a)
 
 
+def _counting_fits(monkeypatch):
+    calls = []
+
+    def counting(rows, labels, lambda1, **kwargs):
+        calls.append(labels)
+        return fit_logistic(rows, labels, lambda1, **kwargs)
+
+    monkeypatch.setattr(logistic, "fit_logistic", counting)
+    return calls
+
+
+def test_two_member_household_is_one_solve(monkeypatch):
+    household, train = _separable_household()
+    train.append(event(1, 500, day=0, hour=9))  # not separable by weekday alone
+    calls = _counting_fits(monkeypatch)
+    models = fit_household(train, household, only("ab", 0.05))
+    assert len(calls) == 1
+    assert np.array_equal(models[1].theta, -models[0].theta)
+    assert np.any(models[0].theta != 0.0)
+    direct = fit_logistic(standardize_apply(models[0].standardization,
+                                            feature_matrix(train, only("ab"))),
+                          1.0 - calls[0], 0.05)
+    np.testing.assert_allclose(models[1].theta, direct, rtol=0, atol=1e-7)
+
+
+def test_three_member_household_fits_every_member(monkeypatch):
+    household = Household(0, (5, 2, 9))
+    train = [event(user, 10 * user + k, day=(user + k) % 7, hour=k)
+             for user in household.members for k in range(8)]
+    calls = _counting_fits(monkeypatch)
+    models = fit_household(train, household, only("ab", 0.05))
+    assert len(calls) == 3
+    for member, labels in zip(household.members, calls):
+        assert labels.sum() == 8 and models[member].member == member
+
+
+@pytest.mark.parametrize("members, expected", [((0, 1), 2), ((0, 1, 2), 1)])
+def test_one_sided_labels_logged_per_member(members, expected, caplog):
+    household = Household(0, members)
+    train = [event(0, m, day=m % 7) for m in range(10)]
+    train += [event(2, 20 + m, day=3) for m in range(5) if 2 in members]
+    with caplog.at_level(logging.DEBUG, logger="hhattrib.logistic"):
+        fit_household(train, household, only("a", 0.1))
+    records = [r for r in caplog.records if "one-sided" in r.getMessage()]
+    assert len(records) == expected
+
+
 def test_fit_household_needs_events():
     with pytest.raises(ValueError):
         fit_household([], Household(0, (0, 1)), only("a"))
@@ -325,3 +487,29 @@ def test_logit_model_dump_round_trip(tmp_path):
             models[0][member].standardization.mean,
             again[0][member].standardization.mean)
         assert again[0][member].config == models[0][member].config
+
+
+def _dump_lines(tmp_path):
+    household, train = _separable_household(10)
+    path = tmp_path / "logit.txt"
+    save_logit_models({0: fit_household(train, household, only("ae", 0.2))}, path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda lines: lines[:6], 7, "'theta' line, found the end of the file"),
+    (lambda lines: lines[:4] + lines[5:], 5, "'scale' line, found 'model'"),
+    (lambda lines: lines[:2] + [lines[2] + " 0.5"] + lines[3:], 4, "mean has"),
+    (lambda lines: lines[:7] + [lines[7].replace(lines[7].split()[1], "nan", 1)]
+     + lines[8:], 8, "non-finite mean"),
+    (lambda lines: lines[:5] + ["model 0 1 ae"] + lines[6:], 6, "expected 'model"),
+    (lambda lines: lines[:5] + ["model 0 x ae 0.2"] + lines[6:], 6, "invalid literal"),
+    (lambda lines: ["logit-models 2"] + lines[1:], 1, "not a logit model file"),
+], ids=["cut-after-model", "no-scale", "length-mismatch", "nan", "short-model-line",
+        "bad-member", "magic"])
+def test_load_logit_models_rejects_malformed_dump(tmp_path, edit, line, message):
+    path, lines = _dump_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=f"line {line}: .*{message}") as info:
+        load_logit_models(path)
+    assert str(path) in str(info.value)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    Binning, DuplicateError, Household, RatingEvent, derive_binning,
+    Binning, DuplicateError, Household, RatingEvent, SynthConfig, derive_binning,
+    synth_generate,
 )
 from hhattrib.temporal import (
     UndefinedProfileError, classify_prior, day_profile, fit_priors,
@@ -259,3 +260,19 @@ def test_tv_histogram(small_dataset):
     assert {hid for hid, _ in rows} == {0, 1}
     assert all(0.0 <= value <= 1.0 for _, value in rows)
     assert all(value == 1.0 for _, value in rows)  # planted disjoint days
+
+
+def test_tv_histogram_matches_household_tv_on_many_households():
+    dataset = synth_generate(SynthConfig(
+        households_size2=6, households_size3=3, households_size4=2,
+        events_per_user=40, overlap=0.4, rank=2, noise_sigma=8.0, seed=5))
+    rows = tv_histogram(dataset.train, dataset.households)
+    assert [hid for hid, _ in rows] == list(dataset.households)
+    for hid, value in rows:
+        assert value == household_tv(dataset.train, dataset.households[hid])
+
+
+def test_tv_histogram_member_without_events(small_dataset):
+    households = {**small_dataset.households, 2: Household(2, (7, 8))}
+    with pytest.raises(UndefinedProfileError, match="user 7 has no training events"):
+        tv_histogram(small_dataset.train, households)
