@@ -247,6 +247,16 @@ def bin_of(timestamp: int, binning: Binning, clamp: bool = False) -> int:
     return min(max(idx, 1), binning.bin_count)
 
 
+def bin_column(stamps, binning: Binning) -> np.ndarray:
+    """``bin_of(t, binning, clamp=True) - 1`` for each t of an int64 array."""
+    t = np.asarray(stamps, dtype=np.int64)
+    if binning.kind == "weekday":
+        return (t // SECONDS_PER_DAY + 4) % 7
+    lo, T = binning.origin, binning.bin_count
+    t = np.minimum(np.maximum(t, lo), lo + binning.span)
+    return np.minimum((T * (t - lo)) // binning.span, T - 1)
+
+
 # ---------------------------------------------------------------------------
 # File ingestion
 # ---------------------------------------------------------------------------

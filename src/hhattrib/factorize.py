@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .corpus import Binning, Household, TestEvent, bin_of, derive_binning
+from .corpus import Binning, Household, TestEvent, bin_column, bin_of, derive_binning
 
 _MASK64 = (1 << 64) - 1
 
@@ -210,8 +210,7 @@ def _event_columns(events, binning: Binning):
     users = np.array([ev.user for ev in events], dtype=np.intp)
     movies = np.array([ev.movie for ev in events], dtype=np.intp)
     ratings = np.array([ev.rating for ev in events], dtype=float)
-    bins = np.array([bin_of(ev.timestamp, binning, clamp=True) - 1 for ev in events],
-                    dtype=np.intp)
+    bins = bin_column([ev.timestamp for ev in events], binning)
     return users, movies, ratings, bins
 
 

@@ -14,10 +14,11 @@ Rows are standardized per coordinate on the household's training rows
 only. An anonymized event is attributed to the member whose model assigns
 it the highest probability.
 
-The solver is accelerated proximal gradient descent with backtracking and
-restart-on-increase, handing over to a sign-fixed Newton polish, run until
-the L1 subgradient (KKT) residual is tiny or the budget is spent; a fit
-that stops above the tolerance says so in a DEBUG record.
+The solver runs numpy-only projected L-BFGS on the smooth split form
+theta = w+ - w-, w >= 0 (Schmidt, Fung and Rosales 2007), then a
+sign-fixed Newton polish on the support found there until the L1
+subgradient (KKT) residual is tiny or the budget is spent; a fit that
+stops above the tolerance says so in a DEBUG record.
 
 A two-member household needs one solve, not two. The model has no
 intercept, so the loss of theta on the labels 1 - y equals the loss of
@@ -33,11 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Binning, Household, bin_of, hour_of, weekday_of
+from .corpus import SECONDS_PER_DAY, Binning, Household, bin_column
 from .factorize import TemporalFactorModel
 from .temporal import argmax_member
 
 log = logging.getLogger(__name__)
+
+# L-BFGS pairs kept, and the projected gradient that hands over to the polish
+_MEMORY = 20
+_HANDOVER_PG = 1e-3
+_UPPER = np.triu(np.ones((_MEMORY, _MEMORY), dtype=bool))
 
 FEATURE_ORDER = "abcde"
 
@@ -102,18 +108,18 @@ def feature_matrix(events, config: FeatureConfig,
     block needs a binning (taken from the model when not given). A movie
     the model has never seen yields a zero movie-vector block.
     """
-    stamps = [ev.timestamp for ev in events]
+    stamps = np.array([ev.timestamp for ev in events], dtype=np.int64)
     blocks = []
     if config.day:
-        blocks.append(np.eye(7)[[weekday_of(t) for t in stamps]])
+        # weekday_of and hour_of, elementwise
+        blocks.append(np.eye(7)[(stamps // SECONDS_PER_DAY + 4) % 7])
     if config.hour:
-        blocks.append(np.eye(24)[[hour_of(t) for t in stamps]])
+        blocks.append(np.eye(24)[(stamps % SECONDS_PER_DAY) // 3_600])
     if config.movie_vector:
         if model is None:
             raise ValueError("movie-vector feature needs a fitted factor model")
         movies = np.array([ev.movie for ev in events], dtype=np.intp)
-        bins = np.array([bin_of(t, model.binning, clamp=True) - 1 for t in stamps],
-                        dtype=np.intp)
+        bins = bin_column(stamps, model.binning)
         known = (movies >= 0) & (movies < model.movie_count)
         for movie in movies[~known]:
             log.debug("movie %s unknown to the factor model, zero block", movie)
@@ -125,8 +131,7 @@ def feature_matrix(events, config: FeatureConfig,
             binning = model.binning if model is not None else None
         if binning is None:
             raise ValueError("bin feature needs a binning")
-        blocks.append(np.eye(binning.bin_count)[
-            [bin_of(t, binning, clamp=True) - 1 for t in stamps]])
+        blocks.append(np.eye(binning.bin_count)[bin_column(stamps, binning)])
     if config.rating:
         ratings = np.array([ev.rating for ev in events], dtype=float)
         blocks.append((1.0 + 4.0 * ratings / 100.0)[:, None])
@@ -178,10 +183,6 @@ def logistic_objective(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
     return _nll(rows @ theta, labels) + lambda1 * float(np.abs(theta).sum())
 
 
-def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
 def kkt_residual(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
                  lambda1: float) -> float:
     """Largest violation of the L1 optimality conditions at theta."""
@@ -194,66 +195,56 @@ def kkt_residual(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
     return float(viol.max())
 
 
-def _prox_descend(rows, labels, lambda1, theta, *, max_iter, obj_rtol, kkt_tol,
-                  stall_cap=60):
-    """Accelerated proximal gradient phase; returns the improved iterate.
+def _split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol):
+    """Projected L-BFGS on the split form theta = w+ - w-, w >= 0.
 
-    Momentum restarts whenever the objective would rise, so the accepted
-    objective sequence is non-increasing. Stops on the KKT residual, on an
-    exact prox fixed point, or after a run of relative-objective stalls.
+    Minimizes nll(X (w+ - w-)) + lambda1 * sum(w) to a projected gradient
+    of pg_tol, stepping along the compact inverse-Hessian product (Byrd,
+    Nocedal and Schnabel) over the last _MEMORY (s, y) pairs on the free
+    coordinates and backtracking along the projection arc to Armijo.
     """
+    def gradient(u):
+        g = rows.T @ (_sigmoid(u) - labels)
+        return np.concatenate((g + lambda1, lambda1 - g))
+
     p = rows.shape[1]
-    # Lipschitz estimate for the smooth part: lambda_max(X^T X) / 4.
-    probe = np.ones(p) / math.sqrt(p)
-    for _ in range(20):
-        nxt = rows.T @ (rows @ probe)
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
+    w = np.concatenate((np.maximum(theta, 0.0), np.maximum(-theta, 0.0)))
+    u = rows @ theta
+    f, grad = _nll(u, labels) + lambda1 * float(w.sum()), gradient(u)
+    s_all = y_all = np.empty((0, 2 * p))
+    for _ in range(max_iter):
+        free = (w > 0.0) | (grad < 0.0)
+        gf = grad[free]
+        if not (np.abs(gf) > pg_tol).any():
             break
-        probe = nxt / norm
-    step_l = max(float(probe @ (rows.T @ (rows @ probe))) / 4.0, 1e-12)
-
-    obj = logistic_objective(theta, rows, labels, lambda1)
-    momentum = theta
-    t_k = 1.0
-    stall_streak = 0
-    for it in range(max_iter):
-        u = rows @ momentum
-        grad = rows.T @ (_sigmoid(u) - labels)
-        smooth_at_w = _nll(u, labels)
-        while True:
-            candidate = _soft_threshold(momentum - grad / step_l, lambda1 / step_l)
-            delta = candidate - momentum
-            bound = smooth_at_w + float(grad @ delta) + 0.5 * step_l * float(delta @ delta)
-            smooth_at_candidate = _nll(rows @ candidate, labels)
-            if smooth_at_candidate <= bound + 1e-12 * abs(bound):
+        S, Y = s_all[:, free], y_all[:, free]
+        sy = S @ Y.T
+        keep = sy.diagonal() > 1e-12   # pairs with curvature on the free set
+        S, Y, sy = S[keep], Y[keep], sy[keep][:, keep]
+        direction = np.where(free, -grad, 0.0)
+        step = min(1.0, 1.0 / float(np.abs(gf).sum()))
+        if len(sy):
+            gamma = sy[-1, -1] / float(Y[-1] @ Y[-1])
+            r_inv = np.linalg.inv(np.where(_UPPER[:len(sy), :len(sy)], sy, 0.0))
+            p2 = -r_inv @ (S @ gf)
+            p1 = r_inv.T @ (sy.diagonal() * -p2 - gamma * (Y @ (Y.T @ p2 + gf)))
+            quasi = -(gamma * gf + S.T @ p1 + gamma * (Y.T @ p2))
+            if float(gf @ quasi) < 0.0:
+                direction[free], step = quasi, 1.0
+        for _ in range(60):
+            trial = np.maximum(w + step * direction, 0.0)
+            u = rows @ (trial[:p] - trial[p:])
+            f_trial = _nll(u, labels) + lambda1 * float(trial.sum())
+            if f_trial <= f + 1e-4 * float(grad @ (trial - w)):
                 break
-            step_l *= 2.0
-        new_obj = smooth_at_candidate + lambda1 * float(np.abs(candidate).sum())
-        at_rest = bool(np.array_equal(momentum, theta))
-        if new_obj > obj:
-            # momentum overshot: restart from the last accepted point
-            momentum = theta
-            t_k = 1.0
-            continue
-        if at_rest and np.array_equal(candidate, theta):
-            break  # exact prox fixed point: nothing better is representable
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-        momentum = candidate + ((t_k - 1.0) / t_next) * (candidate - theta)
-        improvement = obj - new_obj
-        theta, obj, t_k = candidate, new_obj, t_next
-        step_l *= 0.95
-
-        if improvement <= obj_rtol * max(1.0, abs(obj)):
-            stall_streak += 1
+            step *= 0.5
         else:
-            stall_streak = 0
-        if stall_streak == 1 or it % 25 == 24:
-            if kkt_residual(theta, rows, labels, lambda1) <= kkt_tol:
-                break
-        if stall_streak >= stall_cap:
-            break
-    return theta
+            break   # no decrease representable along this direction
+        new_grad = gradient(u)
+        s_all = np.concatenate((s_all[1 - _MEMORY:], [trial - w]))
+        y_all = np.concatenate((y_all[1 - _MEMORY:], [new_grad - grad]))
+        w, f, grad = trial, f_trial, new_grad
+    return w[:p] - w[p:]
 
 
 def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
@@ -318,15 +309,14 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
 
 
 def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
-                 max_iter: int = 50_000, obj_rtol: float = 1e-10,
-                 kkt_tol: float = 1e-8) -> np.ndarray:
+                 max_iter: int = 50_000, kkt_tol: float = 1e-8) -> np.ndarray:
     """Minimize the L1-regularized logistic loss from a zero start.
 
-    Two phases, both deterministic: accelerated proximal gradient descent
-    with backtracking to find the support, then sign-fixed Newton polish
-    on that support to drive the KKT residual to ``kkt_tol``. Alternates
-    if the support was not yet settled. The proximal phase alone is a
-    complete solver; the polish only sharpens the answer it returns.
+    Two phases, both deterministic: projected L-BFGS on the split form
+    until its projected gradient is at most 1e-3, which settles the
+    support, then sign-fixed Newton polish on that support to drive the
+    KKT residual to ``kkt_tol``. Alternates, at most eight rounds and
+    ``max_iter`` L-BFGS iterations, if the support was not yet settled.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -339,14 +329,13 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
 
     theta = np.zeros(rows.shape[1])
     budget = max_iter
-    # The proximal phase only needs to get close and settle the support;
+    # The L-BFGS phase only needs to get close and settle the support;
     # the Newton polish does the final descent, so hand over early.
-    handover_tol = max(kkt_tol, 1e-4)
+    handover_tol = max(kkt_tol, _HANDOVER_PG)
     for _ in range(8):
         phase = min(budget, 600)
-        theta = _prox_descend(rows, labels, lambda1, theta, max_iter=phase,
-                              obj_rtol=obj_rtol, kkt_tol=handover_tol,
-                              stall_cap=10)
+        theta = _split_descend(rows, labels, lambda1, theta, max_iter=phase,
+                               pg_tol=handover_tol)
         budget -= phase
         if kkt_residual(theta, rows, labels, lambda1) <= kkt_tol:
             return theta

@@ -2,14 +2,14 @@ import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhattrib import temporal
 from hhattrib.corpus import (
     Binning, ConfigError, Dataset, DuplicateError, Household, ParseError,
-    RangeError, RatingEvent, StructureError, SynthConfig, TestEvent, bin_of,
-    cv_split, derive_binning, load_dataset, make_dataset, parse_households,
+    RangeError, RatingEvent, StructureError, SynthConfig, TestEvent, bin_column,
+    bin_of, cv_split, derive_binning, load_dataset, make_dataset, parse_households,
     parse_ratings, parse_test_events, read_synth_config, synth_generate,
     weekday_of, write_dataset, write_households, write_ratings,
     write_test_events,
@@ -185,6 +185,24 @@ def test_bin_of_surjective_when_covered():
     binning = Binning(7, 0, 700)
     hit = {bin_of(t, binning) for t in range(0, 701)}
     assert hit == set(range(1, 8))
+
+
+@given(st.sampled_from(["span", "weekday"]), st.integers(1, 20),
+       st.integers(0, 10 ** 9), st.integers(1, 10 ** 8),
+       st.lists(st.integers(-2 * 10 ** 8, 2 * 10 ** 8), max_size=40))
+@example("span", 1, 100, 50, [25])
+@example("weekday", 1, DAY0, 1, [86_399, 86_400, -1])
+@settings(max_examples=100)
+def test_bin_column_matches_bin_of(kind, bins, origin, span, offsets):
+    if kind == "weekday":
+        binning = Binning(7, 0, 7 * 86_400, kind="weekday")
+    else:
+        binning = Binning(bins, origin, span)
+    # the left and right edges, one second outside each, then arbitrary stamps
+    stamps = [origin, origin + span, origin - 1, origin + span + 1,
+              *(origin + d for d in offsets)]
+    expected = [bin_of(t, binning, clamp=True) - 1 for t in stamps]
+    assert bin_column(np.array(stamps, dtype=np.int64), binning).tolist() == expected
 
 
 def test_weekday_binning():

@@ -1,6 +1,11 @@
 import itertools
 import logging
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,8 @@ from hypothesis import strategies as st
 
 from hhattrib import logistic
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, bin_of, hour_of, synth_generate, weekday_of,
+    Binning, Household, SynthConfig, bin_of, derive_binning, hour_of, synth_generate,
+    weekday_of,
 )
 from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.logistic import (
@@ -292,6 +298,66 @@ def test_complementary_labels_give_negated_theta(seed):
     theta = fit_logistic(rows, labels, lam)
     mirrored = fit_logistic(rows, 1.0 - labels, lam)
     np.testing.assert_allclose(mirrored, -theta, rtol=0, atol=1e-7)
+
+
+def _split_objective(w, rows, labels, lam):
+    """nll(X (w+ - w-)) + lam * sum(w) and its gradient, for an outside solver."""
+    p = rows.shape[1]
+    theta = w[:p] - w[p:]
+    grad = rows.T @ (1.0 / (1.0 + np.exp(-(rows @ theta))) - labels)
+    return (logistic_objective(theta, rows, labels, 0.0) + lam * w.sum(),
+            np.concatenate((grad + lam, lam - grad)))
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+def test_rank_deficient_household_design(planted_dataset, lam):
+    # Standardized day, hour and bin one-hot blocks without an intercept, as
+    # fit_household builds them: each block's columns are linearly dependent,
+    # so theta is not unique and only objectives and KKT are compared.
+    household = planted_dataset.households[0]
+    events = [ev for ev in planted_dataset.train if ev.user in household.members]
+    raw = feature_matrix(events, only("abd"), binning=derive_binning(events, 4))
+    rows = standardize_apply(standardize_fit(raw), raw)
+    labels = np.array([ev.user == household.members[0] for ev in events], dtype=float)
+    assert np.linalg.matrix_rank(rows) < rows.shape[1]
+
+    theta = fit_logistic(rows, labels, lam)
+    assert kkt_residual(theta, rows, labels, lam) <= 1e-8
+    ours = logistic_objective(theta, rows, labels, lam)
+    p = rows.shape[1]
+    tight = scipy.optimize.minimize(
+        _split_objective, np.zeros(2 * p), args=(rows, labels, lam), jac=True,
+        method="L-BFGS-B", bounds=[(0.0, None)] * (2 * p),
+        options={"maxcor": 30, "ftol": 0.0, "gtol": 1e-12, "maxiter": 20_000,
+                 "maxfun": 40_000})
+    assert abs(ours - tight.fun) <= 1e-10
+    mirrored = fit_logistic(rows, 1.0 - labels, lam)
+    assert abs(logistic_objective(mirrored, rows, 1.0 - labels, lam) - ours) <= 1e-10
+
+
+def test_unified_fit_never_imports_scipy_optimize():
+    """Importing scipy.optimize alone raises resident memory by about 18 MB
+    (59 to 77 MB), which the benchmark's peak-RSS bound would count, so the
+    library's L1-logistic solver is written with numpy alone."""
+    code = textwrap.dedent("""
+        import sys
+        import hhattrib.cli
+        from hhattrib import factorize, logistic
+        from hhattrib.corpus import SynthConfig, synth_generate
+        data = synth_generate(SynthConfig(households_size2=1, households_size3=0,
+                                          households_size4=0, events_per_user=30))
+        model = factorize.fit_lowrank(data.train, factorize.FactorParams(
+            rank=2, bin_count=1, iterations=2))
+        logistic.fit_household(data.train, data.households[0],
+                               logistic.FeatureConfig(lambda1=0.1), model)
+        sys.exit(1 if "scipy.optimize" in sys.modules else 0)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr or "scipy.optimize was imported"
 
 
 def _non_convergence_records(caplog):
