@@ -9,11 +9,17 @@ On-disk layout (tab, comma, or space separated; one record per line):
 Ratings are scores in [0, 100]; timestamps are UTC epoch seconds. All
 values in this module are immutable after construction and safe to share
 across threads.
+
+Behind the file edge, array code reads an event list as `EventColumns`:
+user, movie, rating and stamp arrays in event order, extracted per use.
+Functions that read train events take the events or their columns.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +114,32 @@ class TestEvent:
             raise RangeError(f"bad timestamp {self.timestamp}")
 
 
+def event_column(events, name: str, dtype) -> np.ndarray:
+    """Field ``name`` of every event as one array, in event order."""
+    return np.fromiter(map(attrgetter(name), events), dtype, len(events))
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """The fields of an event list as arrays, one entry per event, in order."""
+
+    user: np.ndarray    # intp
+    movie: np.ndarray   # intp
+    rating: np.ndarray  # float64
+    stamp: np.ndarray   # int64
+
+    @classmethod
+    def of(cls, events) -> "EventColumns":
+        """Columns of an iterable of rating events; columns are returned as given."""
+        if isinstance(events, cls):
+            return events
+        events = tuple(events)
+        return cls(event_column(events, "user", np.intp),
+                   event_column(events, "movie", np.intp),
+                   event_column(events, "rating", np.float64),
+                   event_column(events, "timestamp", np.int64))
+
+
 @dataclass(frozen=True)
 class Household:
     """A declared group of 2-4 users; ``members`` keeps file order."""
@@ -142,14 +174,18 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "train", tuple(self.train))
         object.__setattr__(self, "test", tuple(self.test))
-        seen = set()
-        for ev in self.train:
-            key = (ev.user, ev.movie)
-            if key in seen:
-                raise DuplicateError(f"duplicate train pair {key}")
-            seen.add(key)
-            if ev.user >= self.user_count or ev.movie >= self.movie_count:
-                raise ValueError(f"event {ev!r} exceeds declared dimensions")
+        users, movies = (event_column(self.train, f, np.intp) for f in ("user", "movie"))
+        # keys span the largest movie: one beyond movie_count is not a repeat
+        key = users * max(self.movie_count, int(movies.max(initial=-1)) + 1) + movies
+        repeat = np.ones(len(key), dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False   # first occurrences
+        bad = repeat | (users >= self.user_count) | (movies >= self.movie_count)
+        if bad.any():
+            first = bad.argmax()
+            ev = self.train[first]
+            if repeat[first]:
+                raise DuplicateError(f"duplicate train pair {(ev.user, ev.movie)}")
+            raise ValueError(f"event {ev!r} exceeds declared dimensions")
         owner = {}
         for hid, hh in self.households.items():
             if hid != hh.id:
@@ -208,6 +244,11 @@ def weekday_of(timestamp: int) -> int:
     return (int(timestamp) // SECONDS_PER_DAY + 4) % 7
 
 
+def weekday_column(stamps) -> np.ndarray:
+    """``weekday_of`` of each stamp of an int64 array."""
+    return (np.asarray(stamps, dtype=np.int64) // SECONDS_PER_DAY + 4) % 7
+
+
 def hour_of(timestamp: int) -> int:
     """UTC hour of day in 0..23."""
     return (int(timestamp) % SECONDS_PER_DAY) // 3_600
@@ -217,11 +258,11 @@ def derive_binning(events, bin_count: int, kind: str = "span") -> Binning:
     """Binning covering the min..max timestamp range of ``events``."""
     if kind == "weekday":
         return Binning(bin_count, 0, SECONDS_PER_WEEK, kind="weekday")
-    if not events:
+    stamps = EventColumns.of(events).stamp
+    if not stamps.size:
         raise ValueError("cannot derive a binning from zero events")
-    stamps = [ev.timestamp for ev in events]
-    origin = min(stamps)
-    span = max(max(stamps) - origin, 1)
+    origin = int(stamps.min())
+    span = max(int(stamps.max()) - origin, 1)
     return Binning(bin_count, origin, span)
 
 
@@ -251,7 +292,7 @@ def bin_column(stamps, binning: Binning) -> np.ndarray:
     """``bin_of(t, binning, clamp=True) - 1`` for each t of an int64 array."""
     t = np.asarray(stamps, dtype=np.int64)
     if binning.kind == "weekday":
-        return (t // SECONDS_PER_DAY + 4) % 7
+        return weekday_column(t)
     lo, T = binning.origin, binning.bin_count
     t = np.minimum(np.maximum(t, lo), lo + binning.span)
     return np.minimum((T * (t - lo)) // binning.span, T - 1)
@@ -422,6 +463,10 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     test side with probability ``fraction``; moved events keep their true
     user. Events of users outside any household always stay in train.
     Deterministic for a given seed.
+
+    The k member events take one ``rng.random(k)`` draw in train order and
+    other events none: one ``rng.random()`` per member event, as the
+    per-event loop drew. Kept events are the dataset's own objects.
     """
     if not dataset.households:
         raise ValueError("cv_split needs a dataset with households")
@@ -429,14 +474,15 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
         raise ValueError(f"fraction {fraction} outside (0, 1)")
     rng = np.random.default_rng(seed)
     member_of = dataset.member_of
-    keep: list[RatingEvent] = []
-    hidden: list[TestEvent] = []
-    for ev in dataset.train:
-        hid = member_of.get(ev.user)
-        if hid is not None and rng.random() < fraction:
-            hidden.append(TestEvent(hid, ev.movie, ev.rating, ev.timestamp, ev.user))
-        else:
-            keep.append(ev)
+    household_of = np.full(max(dataset.user_count, max(member_of) + 1), -1)
+    household_of[list(member_of)] = list(member_of.values())
+    household = household_of[event_column(dataset.train, "user", np.intp)]
+    hide = household >= 0   # member events, then the hidden ones among them
+    hide[hide] = rng.random(int(hide.sum())) < fraction
+    keep = itertools.compress(dataset.train, (~hide).tolist())
+    hidden = [TestEvent(hid, ev.movie, ev.rating, ev.timestamp, ev.user)
+              for ev, hid in zip(itertools.compress(dataset.train, hide.tolist()),
+                                 household[hide].tolist())]
     return replace(dataset, train=tuple(keep), test=tuple(hidden))
 
 

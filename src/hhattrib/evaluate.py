@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import factorize, generative, logistic, temporal
-from .corpus import Binning, Dataset, Household, cv_split, derive_binning
+from .corpus import Binning, Dataset, EventColumns, Household, cv_split, derive_binning
 
 CLASSIFIERS = (
     "residual",
@@ -318,20 +318,21 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
     otherwise one is fitted when the family needs it.
     """
     train, households = dataset.train, dataset.households
+    columns = EventColumns.of(train)
     name = pipeline.classifier
     binning = (model.binning if model is not None
-               else derive_binning(train, pipeline.factor_params.bin_count))
+               else derive_binning(columns, pipeline.factor_params.bin_count))
     if model is None and pipeline.needs_factor_model:
         model = factorize.fit_lowrank_temporal(
-            train, pipeline.factor_params,
+            columns, pipeline.factor_params,
             user_count=dataset.user_count, movie_count=dataset.movie_count,
             binning=binning,
         )
     priors = sigma_model = logit_models = None
     if name.startswith(("prior-", "gen-")):
-        priors = temporal.fit_priors(train, households, binning, pipeline.epsilon)
+        priors = temporal.fit_priors(columns, households, binning, pipeline.epsilon)
     if name.startswith("gen-"):
-        sigma_model = generative.estimate_sigma(train, model, pipeline.sigma_scope)
+        sigma_model = generative.estimate_sigma(columns, model, pipeline.sigma_scope)
     if name == "unified":
         events_of = {hid: [] for hid in households}
         for ev in train:
@@ -353,12 +354,19 @@ def classify_events(fitted: FittedPipeline, test_events):
     event, plus per-event member->probability maps (None for the residual
     classifier). Every other family scores each event once into a member
     -> score map; the prediction is its argmax, the posterior its
-    normalization.
+    normalization; unified builds one feature matrix per household.
     """
     name = fitted.config.classifier
     mode = name.partition("-")[2]
+    test_events = tuple(test_events)
+    logit_scores = {}
+    if name == "unified":
+        for hid, idxs in _by_household(test_events):
+            logit_scores.update(zip(idxs, logistic.member_probabilities(
+                fitted.logit_models[hid], [test_events[i] for i in idxs],
+                fitted.model, fitted.binning)))
     predictions, posteriors = [], []
-    for ev in test_events:
+    for i, ev in enumerate(test_events):
         hh = fitted.households[ev.household]
         if name == "residual":
             predictions.append(factorize.classify_by_residual(
@@ -373,8 +381,7 @@ def classify_events(fitted: FittedPipeline, test_events):
                 mode, fitted.sigma_model)
             log_space = fitted.sigma_model.log_space
         else:
-            scores = logistic.member_probabilities(
-                fitted.logit_models[hh.id], ev, fitted.model, fitted.binning)
+            scores = logit_scores[i]
         predictions.append(temporal.argmax_member(scores))
         posteriors.append(generative.normalize(scores, log_space))
     return predictions, (None if name == "residual" else posteriors)

@@ -21,7 +21,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .corpus import Binning, Household, TestEvent, bin_column, bin_of, derive_binning
+from .corpus import (
+    Binning, EventColumns, Household, TestEvent, bin_column, bin_of, derive_binning,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -205,15 +207,6 @@ def _init_factors(m, n, rank, bins, seed):
     return user_factors, movie_factors, user_bias
 
 
-def _event_columns(events, binning: Binning):
-    """User, movie, rating and zero-based (clamped) bin arrays, in event order."""
-    users = np.array([ev.user for ev in events], dtype=np.intp)
-    movies = np.array([ev.movie for ev in events], dtype=np.intp)
-    ratings = np.array([ev.rating for ev in events], dtype=float)
-    bins = bin_column([ev.timestamp for ev in events], binning)
-    return users, movies, ratings, bins
-
-
 def _segment_sums(keys, count):
     """(count, k) 0/1 matrix whose row i sums the k events keyed i, in order."""
     return scipy.sparse.csr_array((np.ones(len(keys)), (keys, np.arange(len(keys)))),
@@ -275,15 +268,16 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
     After each iteration, progress (if given) receives the iteration
     number, the model and its training cost.
     """
-    train = tuple(train)
-    if not train:
+    columns = EventColumns.of(train)
+    if not columns.user.size:
         raise ValueError("empty training set")
     T = params.bin_count
     if binning is None:
-        binning = derive_binning(train, T)
+        binning = derive_binning(columns, T)
     if binning.bin_count != T:
         raise ValueError("binning bin_count disagrees with params")
-    columns = users, movies, ratings, bins = _event_columns(train, binning)
+    users, movies, ratings = columns.user, columns.movie, columns.rating
+    bins = bin_column(columns.stamp, binning)
     m = user_count if user_count is not None else int(users.max()) + 1
     n = movie_count if movie_count is not None else int(movies.max()) + 1
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
@@ -308,7 +302,7 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
             if block_hook:
                 block_hook("z", b + 1, model)
         if progress:
-            progress(k + 1, model, _cost(model, columns))
+            progress(k + 1, model, cost(model, columns))
     return model
 
 
@@ -318,27 +312,21 @@ def residuals(train, model: TemporalFactorModel) -> np.ndarray:
     Raises ValueError, as predict does, for a user or movie outside the
     model.
     """
-    return _residuals(model, _event_columns(train, model.binning))
-
-
-def _residuals(model, columns):
-    users, movies, ratings, bins = columns
+    columns = EventColumns.of(train)
+    users, movies = columns.user, columns.movie
+    bins = bin_column(columns.stamp, model.binning)
     for name, ids, count in (("user", users, model.user_count),
                              ("movie", movies, model.movie_count)):
         outside = ids[(ids < 0) | (ids >= count)]
         if len(outside):
             raise ValueError(f"{name} {outside[0]} outside [0, {count})")
-    return ratings - (model.user_bias[bins, users] + np.einsum(
+    return columns.rating - (model.user_bias[bins, users] + np.einsum(
         "er,er->e", model.user_factors[bins, users], model.movie_factors[bins, movies]))
 
 
 def cost(model: TemporalFactorModel, train) -> float:
     """Regularized squared-error objective the fitting routine minimizes."""
-    return _cost(model, _event_columns(train, model.binning))
-
-
-def _cost(model, columns):
-    total = 0.5 * float(np.sum(_residuals(model, columns) ** 2))
+    total = 0.5 * float(np.sum(residuals(train, model) ** 2))
     p = model.params
     for tensor, lam, xi in (
         (model.user_factors, p.reg_lambda, p.xi_u),

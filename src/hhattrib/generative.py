@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Household, TestEvent
+from .corpus import EventColumns, Household, TestEvent
 from .factorize import TemporalFactorModel, predict, residuals
 from .temporal import TemporalPriors, argmax_member, prior_value
 
@@ -73,22 +73,23 @@ def estimate_sigma(train, model: TemporalFactorModel, scope: str,
     """
     if scope not in SCOPES:
         raise ValueError(f"scope {scope!r} not in {SCOPES}")
-    train = tuple(train)
-    if not train:
+    columns = EventColumns.of(train)
+    if not columns.user.size:
         raise ValueError("cannot estimate sigma from an empty training set")
     if scope == "infinite":
         return SigmaModel("infinite", math.inf, {}, floor)
-    errors = residuals(train, model)
+    errors = residuals(columns, model)
     sigma_all = max(floor, float(np.std(errors)))
     by_user: dict[int, float] = {}
     if scope == "per_user":
-        users = np.array([ev.user for ev in train])
-        for user in np.unique(users):
-            mine = errors[users == user]
+        # a stable sort keeps each user's residuals in event order
+        order = np.argsort(columns.user, kind="stable")
+        users, starts = np.unique(columns.user[order], return_index=True)
+        for user, mine in zip(users.tolist(), np.split(errors[order], starts[1:])):
             if len(mine) < min_residuals:
-                by_user[int(user)] = sigma_all
+                by_user[user] = sigma_all
             else:
-                by_user[int(user)] = max(floor, float(np.std(mine)))
+                by_user[user] = max(floor, float(np.std(mine)))
     return SigmaModel(scope, sigma_all, by_user, floor)
 
 
@@ -162,9 +163,9 @@ def classify_generative(household: Household, event: TestEvent,
 def residual_histogram(train, model: TemporalFactorModel, bins: int = 50,
                        user: int | None = None):
     """Histogram (edges, counts) of training residuals, overall or per user."""
-    errors = residuals(train, model)
+    columns = EventColumns.of(train)
+    errors = residuals(columns, model)
     if user is not None:
-        users = np.array([ev.user for ev in train])
-        errors = errors[users == user]
+        errors = errors[columns.user == user]
     counts, edges = np.histogram(errors, bins=bins)
     return edges, counts

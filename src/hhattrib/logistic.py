@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SECONDS_PER_DAY, Binning, Household, bin_column
+from .corpus import (
+    SECONDS_PER_DAY, Binning, Household, bin_column, event_column, weekday_column,
+)
 from .factorize import TemporalFactorModel
 from .temporal import argmax_member
 
@@ -108,17 +110,16 @@ def feature_matrix(events, config: FeatureConfig,
     block needs a binning (taken from the model when not given). A movie
     the model has never seen yields a zero movie-vector block.
     """
-    stamps = np.array([ev.timestamp for ev in events], dtype=np.int64)
+    stamps = event_column(events, "timestamp", np.int64)
     blocks = []
     if config.day:
-        # weekday_of and hour_of, elementwise
-        blocks.append(np.eye(7)[(stamps // SECONDS_PER_DAY + 4) % 7])
+        blocks.append(np.eye(7)[weekday_column(stamps)])
     if config.hour:
         blocks.append(np.eye(24)[(stamps % SECONDS_PER_DAY) // 3_600])
     if config.movie_vector:
         if model is None:
             raise ValueError("movie-vector feature needs a fitted factor model")
-        movies = np.array([ev.movie for ev in events], dtype=np.intp)
+        movies = event_column(events, "movie", np.intp)
         bins = bin_column(stamps, model.binning)
         known = (movies >= 0) & (movies < model.movie_count)
         for movie in movies[~known]:
@@ -133,7 +134,7 @@ def feature_matrix(events, config: FeatureConfig,
             raise ValueError("bin feature needs a binning")
         blocks.append(np.eye(binning.bin_count)[bin_column(stamps, binning)])
     if config.rating:
-        ratings = np.array([ev.rating for ev in events], dtype=float)
+        ratings = event_column(events, "rating", np.float64)
         blocks.append((1.0 + 4.0 * ratings / 100.0)[:, None])
     return np.concatenate(blocks, axis=1)
 
@@ -379,7 +380,7 @@ def fit_household(train, household: Household, config: FeatureConfig,
     rows = feature_matrix(events, config, model, binning)
     stats = standardize_fit(rows)
     scaled = standardize_apply(stats, rows)
-    raters = np.array([ev.user for ev in events])
+    raters = event_column(events, "user", np.intp)
     fitted = {}
     for member in household.members:
         labels = (raters == member).astype(float)
@@ -394,24 +395,25 @@ def fit_household(train, household: Household, config: FeatureConfig,
     return fitted
 
 
-def member_probabilities(models: dict[int, LogitModel], event,
+def member_probabilities(models: dict[int, LogitModel], events,
                          model: TemporalFactorModel | None = None,
-                         binning: Binning | None = None) -> dict[int, float]:
-    """Per-member logit probabilities for one event (not normalized)."""
+                         binning: Binning | None = None) -> list[dict[int, float]]:
+    """Per-member logit probabilities (not normalized) of each event, row by row."""
     if not models:
         raise ValueError("no fitted member models")
     first = next(iter(models.values()))
-    x = standardize_apply(
-        first.standardization, build_features(event, first.config, model, binning)
+    rows = standardize_apply(
+        first.standardization, feature_matrix(events, first.config, model, binning)
     )
-    return {member: logit_prob(models[member].theta, x) for member in models}
+    return [{member: logit_prob(models[member].theta, x) for member in models}
+            for x in rows]
 
 
 def classify_logistic(models: dict[int, LogitModel], event,
                       model: TemporalFactorModel | None = None,
                       binning: Binning | None = None) -> int:
     """Attribute the event to the member with the highest logit probability."""
-    return argmax_member(member_probabilities(models, event, model, binning))
+    return argmax_member(member_probabilities(models, [event], model, binning)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Binning, DuplicateError, Household, TestEvent, bin_of, weekday_of
+from .corpus import (
+    Binning, DuplicateError, EventColumns, Household, TestEvent, bin_column, bin_of,
+    weekday_column, weekday_of,
+)
 
 log = logging.getLogger(__name__)
 
@@ -60,10 +63,8 @@ class TemporalPriors:
 
 def day_profile(train, user: int) -> DayProfile:
     """Fraction of the user's rating events falling on each weekday."""
-    counts = np.zeros(7)
-    for ev in train:
-        if ev.user == user:
-            counts[weekday_of(ev.timestamp)] += 1
+    columns = EventColumns.of(train)
+    counts = np.bincount(weekday_column(columns.stamp[columns.user == user]), minlength=7)
     return DayProfile(user, _weights(user, counts))
 
 
@@ -114,26 +115,27 @@ def fit_priors(train, households: dict[int, Household], binning: Binning,
     (member's matching count + epsilon) divided by (household's matching
     count + epsilon * household size); epsilon = 0 reproduces raw
     frequency ratios, with never-observed conditionals flagged as NaN.
-    Events of users outside every household are ignored.
+    Events of users outside every household are ignored. Cells use
+    ``bin_column`` and ``weekday_column``, so every count equals a
+    per-event ``bin_of``/``weekday_of`` loop's.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon {epsilon} must be >= 0")
+    columns = EventColumns.of(train)
     T = binning.bin_count
     width = max((hh.size for hh in households.values()), default=0)
-    slot = {member: (h, k) for h, hh in enumerate(households.values())
-            for k, member in enumerate(hh.members)}
-    if len(slot) != sum(hh.size for hh in households.values()):
+    places = {member: h * width + k for h, hh in enumerate(households.values())
+              for k, member in enumerate(hh.members)}
+    if len(places) != sum(hh.size for hh in households.values()):
         raise DuplicateError("a user belongs to two households")
-    cells = []
-    for ev in train:
-        place = slot.get(ev.user)
-        if place is not None:
-            h, k = place
-            cell = (h * T + bin_of(ev.timestamp, binning, clamp=True) - 1) * 7
-            cells.append((cell + weekday_of(ev.timestamp)) * width + k)
-    counts = np.bincount(np.array(cells, dtype=np.intp),
-                         minlength=len(households) * T * 7 * width)
-    counts = counts.reshape(len(households), T, 7, width)
+    place_of = np.full(max([*places, int(columns.user.max(initial=-1))]) + 1, -1)
+    place_of[list(places)] = list(places.values())
+    place = place_of[columns.user]
+    stamps = columns.stamp[place >= 0]
+    cells = ((place[place >= 0] * T + bin_column(stamps, binning)) * 7
+             + weekday_column(stamps))
+    counts = np.bincount(cells, minlength=len(households) * width * T * 7)
+    counts = counts.reshape(len(households), width, T, 7).transpose(0, 2, 3, 1)
     # rows: 0 is the unconditional count, 1..T the bins, T+1..T+7 the weekdays
     table = np.concatenate([counts.sum(axis=(1, 2))[:, None], counts.sum(axis=2),
                             counts.sum(axis=1)], axis=1)
@@ -206,19 +208,13 @@ def classify_prior(priors: TemporalPriors, mode: str, event: TestEvent) -> int:
 
 def weekday_histogram(train, households: dict[int, Household]):
     """Rows (household, member, count_sun, ..., count_sat) for every member."""
-    counts = {}
-    for hid, hh in households.items():
-        for member in hh.members:
-            counts[(hid, member)] = np.zeros(7, dtype=int)
-    member_of = {m: hid for hid, hh in households.items() for m in hh.members}
-    for ev in train:
-        hid = member_of.get(ev.user)
-        if hid is not None:
-            counts[(hid, ev.user)][weekday_of(ev.timestamp)] += 1
-    return [
-        (hid, member, *counts[(hid, member)].tolist())
-        for (hid, member) in counts
-    ]
+    columns = EventColumns.of(train)
+    members = [member for hh in households.values() for member in hh.members]
+    size = max(members + [int(columns.user.max(initial=-1))]) + 1
+    counts = np.bincount(columns.user * 7 + weekday_column(columns.stamp),
+                         minlength=7 * size).reshape(size, 7)
+    return [(hid, member, *counts[member].tolist())
+            for hid, hh in households.items() for member in hh.members]
 
 
 def tv_histogram(train, households: dict[int, Household]):

@@ -106,6 +106,28 @@ def test_dataset_invariants():
                      [TestEvent(0, 0, 50.0, DAY0, true_user=9)])
 
 
+@pytest.mark.parametrize("train, error, message", [
+    # a repeated pair before an event beyond movie_count 5, and after it
+    ([event(0, 0), event(0, 0, day=1), event(1, 7)], DuplicateError,
+     r"duplicate train pair \(0, 0\)"),
+    ([event(1, 7), event(0, 0), event(0, 0, day=1)], ValueError,
+     r"event RatingEvent\(user=1, movie=7, .*\) exceeds declared dimensions"),
+    # the repeat comes after the over-dimension event, its first copy before
+    ([event(0, 0), event(1, 7), event(0, 0, day=1)], ValueError,
+     r"event RatingEvent\(user=1, movie=7, .*\) exceeds"),
+    # movie 5 of user 0 would share the key 0 * 5 + 5 of movie 0 of user 1
+    ([event(1, 0), event(0, 5)], ValueError,
+     r"event RatingEvent\(user=0, movie=5, .*\) exceeds"),
+    # user 2 is beyond user_count 2 on its first event already
+    ([event(0, 1), event(2, 3), event(2, 3, day=1)], ValueError,
+     r"event RatingEvent\(user=2, movie=3, .*\) exceeds"),
+])
+def test_dataset_names_first_offending_event(train, error, message):
+    with pytest.raises(error, match=message) as raised:
+        Dataset(train, {0: Household(0, (0, 1))}, (), user_count=2, movie_count=5)
+    assert isinstance(raised.value, DuplicateError) == (error is DuplicateError)
+
+
 # ---------------------------------------------------------------------------
 # Round trip
 # ---------------------------------------------------------------------------
@@ -267,6 +289,37 @@ def test_cv_split_expected_size():
     dataset = make_dataset(events, {0: Household(0, (0, 1))})
     sizes = [len(cv_split(dataset, 0.04, seed=s).test) for s in range(50)]
     assert 20 <= np.mean(sizes) <= 60
+
+
+def _reference_cv_split(dataset, fraction, seed):
+    """One rng.random() per household member's event, in train order."""
+    rng = np.random.default_rng(seed)
+    keep, hidden = [], []
+    for ev in dataset.train:
+        hid = dataset.member_of.get(ev.user)
+        if hid is not None and rng.random() < fraction:
+            hidden.append(TestEvent(hid, ev.movie, ev.rating, ev.timestamp, ev.user))
+        else:
+            keep.append(ev)
+    return keep, hidden
+
+
+@pytest.mark.parametrize("seed", [0, 5, 101, 2 ** 40])
+@pytest.mark.parametrize("fraction", [0.04, 0.3, 0.9])
+def test_cv_split_matches_per_event_draws(seed, fraction):
+    # users 9 and 4 belong to no household; member 3 has no events at all
+    events = [event(user, movie, rating=float(movie % 90), day=movie % 7,
+                    week=movie % 8, hour=user)
+              for movie in range(60) for user in (9, 0, 2, 4, 1)]
+    dataset = make_dataset(events, {0: Household(0, (0, 1)),
+                                    1: Household(1, (2, 3))})
+    split = cv_split(dataset, fraction, seed)
+    keep, hidden = _reference_cv_split(dataset, fraction, seed)
+    assert len(split.train) == len(keep)
+    assert all(ours is theirs for ours, theirs in zip(split.train, keep))
+    assert split.test == tuple(hidden)
+    assert (split.user_count, split.movie_count) == (dataset.user_count,
+                                                     dataset.movie_count)
 
 
 def test_cv_split_ignores_outsiders():

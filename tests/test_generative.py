@@ -64,6 +64,26 @@ def test_sigma_per_user_fallback():
     assert sigma.sigma_for(99) == sigma.sigma_all
 
 
+def test_sigma_per_user_equals_masked_reference(planted_dataset):
+    params = FactorParams(rank=2, bin_count=1, iterations=3, seed=2)
+    model = fit_lowrank_temporal(planted_dataset.train, params,
+                                 planted_dataset.user_count,
+                                 planted_dataset.movie_count)
+    # users interleave in time order; 26 or 27 residuals each
+    train = sorted(planted_dataset.train[::3], key=lambda ev: ev.timestamp)
+    sigma = estimate_sigma(train, model, "per_user", min_residuals=27)
+    errors = residuals(train, model)
+    users = np.array([ev.user for ev in train])
+    want = {}
+    for user in np.unique(users):
+        mine = errors[users == user]
+        want[int(user)] = (sigma.sigma_all if len(mine) < 27
+                           else max(0.5, float(np.std(mine))))
+    assert sigma.sigma_by_user == want
+    fallbacks = sum(value == sigma.sigma_all for value in want.values())
+    assert 0 < fallbacks < len(want)
+
+
 def test_sigma_planted_noise_recovered():
     config = SynthConfig(households_size2=20, households_size3=0,
                          households_size4=0, events_per_user=100,

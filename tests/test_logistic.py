@@ -440,16 +440,32 @@ def test_classify_tie_breaks_to_smaller_id():
             [event(2, 10 + m, day=0) for m in range(5)]
     models = fit_household(train, household, only("a", 1e6))
     probe = anon_event(0, 50, day=0)
-    probs = member_probabilities(models, probe)
+    probs = member_probabilities(models, [probe])[0]
     assert probs[2] == probs[4] == 0.5  # both thetas are exactly zero
     assert classify_logistic(models, probe) == 2
+
+
+def test_member_probabilities_equal_one_event_scoring(planted_dataset):
+    household = planted_dataset.households[12]   # four members
+    binning = derive_binning(planted_dataset.train, 5)
+    models = fit_household(planted_dataset.train, household, only("abde", 0.1),
+                           binning=binning)
+    stats = models[household.members[0]].standardization
+    events = [ev for ev in planted_dataset.test if ev.household == household.id]
+    want = []
+    for ev in events:
+        x = standardize_apply(stats, build_features(ev, only("abde", 0.1),
+                                                    binning=binning))
+        want.append({m: logit_prob(models[m].theta, x) for m in household.members})
+    assert len(events) > 1
+    assert member_probabilities(models, events, binning=binning) == want
 
 
 def test_classifier_depends_only_on_probability_order():
     household, train = _separable_household()
     models = fit_household(train, household, only("ab", 0.1))
     probe = anon_event(0, 50, day=0, hour=20)
-    probs = member_probabilities(models, probe)
+    probs = member_probabilities(models, [probe])[0]
     assert classify_logistic(models, probe) == max(
         sorted(probs), key=lambda member: (probs[member], -member))
 

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    Binning, DuplicateError, Household, RatingEvent, SynthConfig, derive_binning,
-    synth_generate,
+    SECONDS_PER_WEEK, Binning, DuplicateError, Household, RatingEvent, SynthConfig,
+    bin_of, derive_binning, synth_generate, weekday_of,
 )
 from hhattrib.temporal import (
     UndefinedProfileError, classify_prior, day_profile, fit_priors,
     household_tv, prior_value, tv_distance, tv_histogram, weekday_histogram,
 )
 
-from conftest import DAY, anon_event, event
+from conftest import DAY, DAY0, anon_event, event, rng_for
 
 
 BINNING = Binning(4, 0, 10 ** 10)
@@ -191,6 +191,54 @@ def test_priors_match_brute_force_counting(assignments):
                     assert got == pytest.approx(numer / denom)
 
 
+def _reference_priors(train, household, binning, epsilon):
+    """One household's (prior, by_bin, by_day) from per-event bin_of/weekday_of."""
+    T = binning.bin_count
+    counts = np.zeros((1 + T + 7, household.size))
+    for ev in train:
+        if ev.user in household.members:
+            k = household.members.index(ev.user)
+            counts[0, k] += 1
+            counts[bin_of(ev.timestamp, binning, clamp=True), k] += 1
+            counts[T + 1 + weekday_of(ev.timestamp), k] += 1
+    with np.errstate(invalid="ignore"):
+        shares = (counts + epsilon) / (counts.sum(axis=1, keepdims=True)
+                                       + epsilon * household.size)
+    members = household.members
+    return (dict(zip(members, shares[0])),
+            {(m, b): shares[b, k] for b in range(1, T + 1) for k, m in enumerate(members)},
+            {(m, d): shares[T + 1 + d, k] for d in range(7) for k, m in enumerate(members)})
+
+
+@pytest.mark.parametrize("binning", [
+    Binning(5, DAY0 + 14 * DAY, 21 * DAY),   # narrower than the events: clamps
+    Binning(12, DAY0, 8 * 7 * DAY),
+    Binning(7, 0, SECONDS_PER_WEEK, kind="weekday"),
+])
+@pytest.mark.parametrize("count", [15, 400])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_priors_equal_per_event_reference(binning, count, epsilon):
+    rng = rng_for(count)
+    # users 5 and 6 belong to no household; members listed out of id order
+    households = {0: Household(0, (1, 0)), 7: Household(7, (4, 2, 3))}
+    events = [event(int(user), idx, day=int(day), week=int(week), hour=int(hour))
+              for idx, (user, day, week, hour) in enumerate(zip(
+                  rng.integers(0, 7, count), rng.integers(0, 7, count),
+                  rng.integers(0, 8, count), rng.integers(0, 24, count)))]
+    events += [event(0, count), event(4, count)]   # every household has events
+    fitted = fit_priors(events, households, binning, epsilon)
+    for hid, hh in households.items():
+        want = _reference_priors(events, hh, binning, epsilon)
+        got = (fitted[hid].prior, fitted[hid].by_bin, fitted[hid].by_day)
+        for ours, theirs in zip(got, want):
+            assert list(ours) == list(theirs)
+            assert all(ours[key] == theirs[key]
+                       or (math.isnan(ours[key]) and math.isnan(theirs[key]))
+                       for key in theirs)
+    if count == 15 and epsilon == 0.0:
+        assert any(math.isnan(value) for value in fitted[7].by_bin.values())
+
+
 # ---------------------------------------------------------------------------
 # Prior classifier
 # ---------------------------------------------------------------------------
@@ -253,6 +301,18 @@ def test_weekday_histogram_counts(small_dataset):
     by_member = {(hid, member): counts for hid, member, *counts in rows}
     assert sum(by_member[(0, 0)]) == 12
     assert by_member[(0, 0)][0] == 12  # user 0 rates only on Sunday
+
+
+def test_weekday_histogram_equals_per_event_counts(planted_dataset):
+    # members 900 and 901 lie beyond every planted user; 900 has no events
+    households = {**planted_dataset.households, 99: Household(99, (900, 901))}
+    train = planted_dataset.train[::2] + (event(901, 0, day=3),)
+    want = {(hid, m): [0] * 7 for hid, hh in households.items() for m in hh.members}
+    member_of = {m: hid for hid, hh in households.items() for m in hh.members}
+    for ev in train:
+        want[(member_of[ev.user], ev.user)][weekday_of(ev.timestamp)] += 1
+    assert weekday_histogram(train, households) == [
+        (hid, m, *counts) for (hid, m), counts in want.items()]
 
 
 def test_tv_histogram(small_dataset):
