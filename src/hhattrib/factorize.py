@@ -6,7 +6,8 @@ bins together; with one bin it is the time-independent factorization.
 Every block update is an exact minimizer of the full objective over that
 block, so the training cost is non-increasing after each one. The rows of
 a block do not depend on each other, so each block is solved as one stack
-of small ridge systems built from segment sums over the bin's events.
+of small ridge systems, whose Gram matrices and right-hand sides are products
+of each bin's sparse event-count and rating-sum matrices with the factors.
 
 The classifier at the bottom attributes an anonymized household rating to
 the member whose predicted rating is closest, with a scaling knob that
@@ -207,35 +208,29 @@ def _init_factors(m, n, rank, bins, seed):
     return user_factors, movie_factors, user_bias
 
 
-def _segment_sums(keys, count):
-    """(count, k) 0/1 matrix whose row i sums the k events keyed i, in order."""
-    return scipy.sparse.csr_array((np.ones(len(keys)), (keys, np.arange(len(keys)))),
-                                  shape=(count, len(keys)))
+def _grams(counts, factors):
+    """Per-row Gram matrices sum_j counts[i, j] f_j f_j^T, as a (rows, r, r) stack."""
+    rank = factors.shape[1]
+    outer = (factors[:, :, None] * factors[:, None, :]).reshape(-1, rank * rank)
+    return (counts @ outer).reshape(-1, rank, rank)
 
 
-def _update_block(tensor, b, segments, features, targets, base_shift, xi):
-    """Refresh bin b of a factor or bias tensor in one stacked ridge solve.
+def _refresh(tensor, b, grams, rhs, active, base_shift, xi):
+    """Solve the ridge systems of bin b of a factor or bias tensor, in place.
 
-    features (k, r) and targets (k,) hold one row per event of the bin,
-    and segments (from _segment_sums) maps events to tensor rows. Each
-    row with events solves its ridge problem over them, with the diagonal
-    shift base_shift plus xi per neighbor bin and xi times the neighbors'
-    sum added to the right-hand side. Rows without events are refreshed
-    only when that pull exists (xi != 0 and a neighbor bin).
+    Rows with events (the mask active) are refreshed, every row when xi
+    pulls toward a neighbor bin: xi times the neighbors' sum joins rhs and
+    xi per neighbor joins base_shift. A 1-d grams holds bias rows' event
+    counts; count + shift > 0 on every refreshed row, so each is a division.
     """
-    current = tensor[b].reshape(tensor.shape[1], -1)  # a view; (m, 1) for biases
-    count, rank = current.shape
-    outer = (features[:, :, None] * features[:, None, :]).reshape(-1, rank * rank)
-    grams = (segments @ outer).reshape(count, rank, rank)
-    rhs = segments @ (features * targets[:, None])
-    rows = np.flatnonzero(np.diff(segments.indptr))
-    neighbors = [tensor[c].reshape(count, rank) for c in (b - 1, b + 1)
-                 if 0 <= c < tensor.shape[0]]
+    neighbors = [tensor[c] for c in (b - 1, b + 1) if 0 <= c < tensor.shape[0]]
     shift = base_shift + len(neighbors) * xi
     if neighbors and xi != 0.0:
-        pull = neighbors[0] if len(neighbors) == 1 else neighbors[0] + neighbors[1]
-        rows, rhs = slice(None), rhs + xi * pull
-    current[rows] = _stacked_spd_solve(grams[rows], rhs[rows], shift)
+        active, rhs = slice(None), rhs + xi * sum(neighbors)
+    if grams.ndim == 1:
+        tensor[b, active] = rhs[active] / (grams[active] + shift)
+    else:
+        tensor[b, active] = _stacked_spd_solve(grams[active], rhs[active], shift)
 
 
 def fit_lowrank(train, params: FactorParams, user_count=None, movie_count=None,
@@ -256,6 +251,8 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
     factors, then all movie factors, then all user biases are refreshed.
     A row's update depends on no other row of its block, so each block is
     one stacked solve and the sweep is still row-by-row Gauss-Seidel.
+    Each bin's events are summed once into sparse user x movie matrices of
+    event counts and rating sums, which the blocks multiply by the factors.
     Each update solves its ridge subproblem with the diagonal shift raised
     by xi per existing neighbor bin and the right-hand side pulled toward
     the sum of the neighboring bins' current vectors (the bin below has
@@ -282,25 +279,28 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
     n = movie_count if movie_count is not None else int(movies.max()) + 1
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
     model = TemporalFactorModel(U, V, Z, binning, params)
-    lam = params.reg_lambda
+    lam, hook = params.reg_lambda, block_hook or (lambda *_: None)
     per_bin = []
     for b in range(T):
-        in_bin = np.flatnonzero(bins == b)
-        u, v = users[in_bin], movies[in_bin]
-        per_bin.append((u, v, ratings[in_bin], _segment_sums(u, m), _segment_sums(v, n)))
+        in_bin = bins == b
+        u, v, x = users[in_bin], movies[in_bin], ratings[in_bin]
+        C, X = (scipy.sparse.csr_array((w, (u, v)), (m, n)) for w in (np.ones(len(u)), x))
+        count = np.bincount(u, minlength=m)  # events, not distinct pairs
+        per_bin.append((C, X, C.T, X.T, count, np.bincount(u, x, m),
+                        count > 0, np.bincount(v, minlength=n) > 0))
 
     for k in range(params.iterations):
-        for b, (u, v, x, by_user, by_movie) in enumerate(per_bin):
-            _update_block(U, b, by_user, V[b, v], x - Z[b, u], lam, params.xi_u)
-            if block_hook:
-                block_hook("u", b + 1, model)
-            _update_block(V, b, by_movie, U[b, u], x - Z[b, u], lam, params.xi_v)
-            if block_hook:
-                block_hook("v", b + 1, model)
-            resid = x - np.einsum("er,er->e", V[b, v], U[b, u])
-            _update_block(Z, b, by_user, np.ones((len(u), 1)), resid, 0.0, params.xi_z)
-            if block_hook:
-                block_hook("z", b + 1, model)
+        for b, (C, X, Ct, Xt, count, total, user_rows, movie_rows) in enumerate(per_bin):
+            Ub, Vb, Zb = U[b], V[b], Z[b]  # views: each block reads the last update
+            _refresh(U, b, _grams(C, Vb), X @ Vb - Zb[:, None] * (C @ Vb), user_rows,
+                     lam, params.xi_u)
+            hook("u", b + 1, model)
+            _refresh(V, b, _grams(Ct, Ub), Xt @ Ub - Ct @ (Zb[:, None] * Ub), movie_rows,
+                     lam, params.xi_v)
+            hook("v", b + 1, model)
+            _refresh(Z, b, count, total - np.einsum("ir,ir->i", Ub, C @ Vb), user_rows,
+                     0.0, params.xi_z)
+            hook("z", b + 1, model)
         if progress:
             progress(k + 1, model, cost(model, columns))
     return model

@@ -154,6 +154,50 @@ def test_round_trip_arbitrary_ratings(tmp_path_factory, rows):
     assert parse_ratings(path) == events
 
 
+def _reparsed(parse, write, directory, text):
+    """parse(text) and parse(write(parse(text))), from files in directory."""
+    first = directory / "first.txt"
+    first.write_text(text)
+    parsed = parse(first)
+    write(parsed, directory / "second.txt")
+    return parsed, parse(directory / "second.txt")
+
+
+DELIMITERS = st.sampled_from(["\t", ",", " ", "  "])
+
+
+@given(st.dictionaries(st.integers(0, 10 ** 6),
+                       st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=4,
+                                unique=True),
+                       max_size=20),
+       DELIMITERS)
+@settings(max_examples=40, deadline=None)
+def test_round_trip_arbitrary_households(tmp_path_factory, members, sep):
+    text = "".join(sep.join(map(str, (hid, *ids))) + "\n" for hid, ids in members.items())
+    parsed, again = _reparsed(parse_households, write_households,
+                              tmp_path_factory.mktemp("rt"), text)
+    assert parsed == {hid: Household(hid, tuple(ids)) for hid, ids in members.items()}
+    assert again == parsed
+    assert list(again) == list(members)
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 50), st.integers(0, 30),
+              st.floats(0, 100, allow_nan=False), st.integers(0, 10 ** 9),
+              st.none() | st.integers(0, 10 ** 6)),
+    max_size=30,
+), DELIMITERS)
+@example(rows=[(1, 2, 50.0, 7, None), (3, 4, 0.5, 9, None)], sep="\t")
+@example(rows=[(1, 2, 50.0, 7, 11), (0, 0, 0.0, 0, 0), (3, 4, 100.0, 9, None)], sep=",")
+@settings(max_examples=40, deadline=None)
+def test_round_trip_arbitrary_test_events(tmp_path_factory, rows, sep):
+    text = "".join(sep.join(repr(f) for f in row if f is not None) + "\n" for row in rows)
+    parsed, again = _reparsed(parse_test_events, write_test_events,
+                              tmp_path_factory.mktemp("rt"), text)
+    assert parsed == [TestEvent(*row) for row in rows]
+    assert again == parsed
+
+
 # ---------------------------------------------------------------------------
 # Time helpers
 # ---------------------------------------------------------------------------

@@ -289,6 +289,17 @@ def test_t1_temporal_equals_lowrank_exactly():
         assert np.array_equal(a.user_bias, b.user_bias)
 
 
+# (user, movie, rating, t): user 0 rates movie 0 three times in the first of
+# three bins and twice in the last, so event counts differ from pair counts
+REPEATED_RATINGS = [
+    (0, 0, 20.0, 0), (0, 0, 80.0, 1), (0, 0, 55.0, 2), (0, 1, 40.0, 3),
+    (1, 0, 70.0, 0), (1, 2, 30.0, 4), (1, 2, 90.0, 5), (2, 1, 10.0, 6),
+    (1, 1, 25.0, 9), (1, 1, 75.0, 10), (2, 2, 45.0, 11), (0, 2, 60.0, 12),
+    (2, 1, 35.0, 14), (2, 1, 60.0, 15), (1, 2, 50.0, 18), (0, 0, 45.0, 20),
+    (0, 0, 65.0, 20),
+]
+
+
 @given(
     ratings=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
                                st.floats(1.0, 100.0), st.integers(0, 40)),
@@ -306,6 +317,8 @@ def test_t1_temporal_equals_lowrank_exactly():
                   (1, 4, 77.0, 0), (2, 2, 1.0, 0)],
          bins=1, rank=2, reg_lambda=0.0, xi=0.0, seed=2)
 @example(ratings=PINV_RATINGS, bins=1, rank=3, reg_lambda=0.0, xi=3.0, seed=2)
+@example(ratings=REPEATED_RATINGS, bins=1, rank=2, reg_lambda=1.0, xi=2.0, seed=4)
+@example(ratings=REPEATED_RATINGS, bins=3, rank=2, reg_lambda=1.0, xi=2.0, seed=4)
 def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambda,
                                                   xi, seed):
     # users 0..6 and movies 0..5: some never rate, others skip some bins;
@@ -339,6 +352,39 @@ def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambd
         want = cost(TemporalFactorModel(U, V, Z, model.binning, params), events)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (kind, b)
         state = tensors
+
+
+@pytest.mark.parametrize("xi_v", [0.0, 5.0])
+def test_movie_without_events_in_a_bin(xi_v):
+    # movie 3 is rated in the first and last of three bins only, movie 4 never
+    events = [event(u, v, rating=30.0 + 10 * u + 5 * v, day=(u + v) % 7, week=w)
+              for w in (0, 4, 8) for u in range(3) for v in range(3)]
+    events += [event(0, 3, rating=70.0, week=0), event(1, 3, rating=20.0, week=8)]
+    params = FactorParams(rank=2, xi_v=xi_v, bin_count=3, iterations=2, seed=3)
+    before_v = []
+
+    def hook(kind, b, mod):
+        if kind == "u" and b == 2:
+            before_v.append(mod.movie_factors.copy())
+
+    model = fit_lowrank_temporal(events, params, 3, 5, block_hook=hook)
+    assert {bin_of(ev.timestamp, model.binning, clamp=True)
+            for ev in events if ev.movie == 3} == {1, 3}
+    init_v = _init_factors(3, 5, 2, 3, params.seed)[1]
+    V = model.movie_factors
+    if xi_v == 0.0:
+        assert np.array_equal(V[1, 3], init_v[1, 3])
+        assert np.array_equal(V[:, 4], init_v[:, 4])
+        return
+    # pulled toward its neighbors: (lambda + 2 xi) v = xi (below + above),
+    # with the bin below refreshed this iteration and the bin above not yet
+    last = before_v[-1]
+    pulled = xi_v * (last[0, 3] + last[2, 3]) / (params.reg_lambda + 2 * xi_v)
+    np.testing.assert_allclose(V[1, 3], pulled, rtol=1e-12)
+    assert not np.allclose(V[1, 3], init_v[1, 3])
+    assert not np.allclose(V[:, 4], init_v[:, 4])
+    expected = reference_fit(events, params, 3, 5)
+    np.testing.assert_allclose(V, expected[1], rtol=1e-9, atol=1e-12)
 
 
 def test_large_xi_flattens_bins():
