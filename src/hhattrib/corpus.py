@@ -11,14 +11,13 @@ values in this module are immutable after construction and safe to share
 across threads.
 
 Behind the file edge, array code reads an event list as `EventColumns`:
-user, movie, rating and stamp arrays in event order, extracted per use.
-Functions that read train events take the events or their columns.
+user, movie, rating and stamp arrays in event order, kept by a Dataset; a
+split reads its parent's through its keep mask.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -72,7 +71,7 @@ class ConfigError(ValueError):
     """An invalid or unreadable configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatingEvent:
     """One observed rating: (user, movie, rating, timestamp)."""
 
@@ -90,7 +89,7 @@ class RatingEvent:
             raise RangeError(f"bad timestamp {self.timestamp}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestEvent:
     """An anonymized rating known only at household level.
 
@@ -163,18 +162,22 @@ class Household:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training events, household structure, and (possibly empty) test events."""
+    """Training events, households, test events and ``member_of`` (member ->
+    household). The train columns are kept by a Dataset; a split reads its
+    parent's through its keep mask."""
 
     train: tuple[RatingEvent, ...]
     households: dict[int, Household]
     test: tuple[TestEvent, ...]
     user_count: int
     movie_count: int
+    _keep = None   # a split's bool mask over the events of _columns
 
     def __post_init__(self):
         object.__setattr__(self, "train", tuple(self.train))
         object.__setattr__(self, "test", tuple(self.test))
-        users, movies = (event_column(self.train, f, np.intp) for f in ("user", "movie"))
+        object.__setattr__(self, "_columns", EventColumns.of(self.train))
+        users, movies = self.columns.user, self.columns.movie
         # keys span the largest movie: one beyond movie_count is not a repeat
         key = users * max(self.movie_count, int(movies.max(initial=-1)) + 1) + movies
         repeat = np.ones(len(key), dtype=bool)
@@ -194,23 +197,32 @@ class Dataset:
                 if member in owner:
                     raise DuplicateError(f"user {member} in two households")
                 owner[member] = hid
+        object.__setattr__(self, "member_of", owner)
         for ev in self.test:
             if ev.household not in self.households:
                 raise ValueError(f"test event for unknown household {ev.household}")
-            if ev.true_user is not None:
-                if ev.true_user not in self.households[ev.household].members:
-                    raise ValueError(
-                        f"true_user {ev.true_user} not in household {ev.household}"
-                    )
+            if ev.true_user is not None and owner.get(ev.true_user) != ev.household:
+                raise ValueError(f"true_user {ev.true_user} not in household {ev.household}")
 
-    @cached_property
-    def member_of(self) -> dict[int, int]:
-        """Map user id -> household id for all declared members."""
-        out = {}
-        for hid, hh in self.households.items():
-            for member in hh.members:
-                out[member] = hid
-        return out
+    @property
+    def columns(self) -> EventColumns:
+        """The train events' columns, in event order."""
+        columns, keep = self._columns, self._keep
+        if keep is None:
+            return columns
+        return EventColumns(columns.user[keep], columns.movie[keep],
+                            columns.rating[keep], columns.stamp[keep])
+
+    def _subset(self, keep: np.ndarray, test: tuple) -> "Dataset":
+        """The train events where ``keep`` is set and ``test``, not validated again."""
+        split = object.__new__(type(self))
+        vars(split).update(vars(self), test=test,
+                           train=tuple(itertools.compress(self.train, keep.tolist())))
+        if self._keep is not None:   # a split of a split: one mask over the same columns
+            keep, inner = self._keep.copy(), keep
+            keep[self._keep] = inner
+        vars(split)["_keep"] = keep
+        return split
 
 
 @dataclass(frozen=True)
@@ -467,6 +479,11 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     The k member events take one ``rng.random(k)`` draw in train order and
     other events none: one ``rng.random()`` per member event, as the
     per-event loop drew. Kept events are the dataset's own objects.
+
+    The split is not validated again: its train is a subset of a validated
+    train, and each hidden event is built from a validated event whose owner
+    is a member of the household. It reads the dataset's columns through
+    its keep mask.
     """
     if not dataset.households:
         raise ValueError("cv_split needs a dataset with households")
@@ -476,14 +493,13 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     member_of = dataset.member_of
     household_of = np.full(max(dataset.user_count, max(member_of) + 1), -1)
     household_of[list(member_of)] = list(member_of.values())
-    household = household_of[event_column(dataset.train, "user", np.intp)]
+    household = household_of[dataset.columns.user]
     hide = household >= 0   # member events, then the hidden ones among them
     hide[hide] = rng.random(int(hide.sum())) < fraction
-    keep = itertools.compress(dataset.train, (~hide).tolist())
     hidden = [TestEvent(hid, ev.movie, ev.rating, ev.timestamp, ev.user)
               for ev, hid in zip(itertools.compress(dataset.train, hide.tolist()),
                                  household[hide].tolist())]
-    return replace(dataset, train=tuple(keep), test=tuple(hidden))
+    return dataset._subset(~hide, tuple(hidden))
 
 
 # ---------------------------------------------------------------------------

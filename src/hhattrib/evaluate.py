@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import factorize, generative, logistic, temporal
-from .corpus import Binning, Dataset, EventColumns, Household, cv_split, derive_binning
+from .corpus import Binning, Dataset, Household, cv_split, derive_binning
 
 CLASSIFIERS = (
     "residual",
@@ -318,7 +318,7 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
     otherwise one is fitted when the family needs it.
     """
     train, households = dataset.train, dataset.households
-    columns = EventColumns.of(train)
+    columns = dataset.columns
     name = pipeline.classifier
     binning = (model.binning if model is not None
                else derive_binning(columns, pipeline.factor_params.bin_count))

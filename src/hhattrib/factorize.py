@@ -15,6 +15,7 @@ biases the decision for or against the household's first member (used to
 trace ROC curves).
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ import scipy.sparse
 from .corpus import (
     Binning, EventColumns, Household, TestEvent, bin_column, bin_of, derive_binning,
 )
+
+log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
 
@@ -340,21 +343,31 @@ def cost(model: TemporalFactorModel, train) -> float:
 
 
 def predict(model: TemporalFactorModel, user: int, movie: int, timestamp: int) -> float:
-    """Predicted rating of (user, movie) at the timestamp's bin, unclamped."""
+    """Predicted rating of (user, movie) at the timestamp's bin, unclamped;
+    the user's bin bias for a movie unknown to the model (see note_unknown_movie)."""
     if not 0 <= user < model.user_count:
         raise ValueError(f"user {user} outside [0, {model.user_count})")
-    if not 0 <= movie < model.movie_count:
+    if movie < 0:
         raise ValueError(f"movie {movie} outside [0, {model.movie_count})")
     b = bin_of(timestamp, model.binning, clamp=True) - 1
+    if movie >= model.movie_count:
+        return float(model.user_bias[b, user])
     return float(
         model.user_bias[b, user]
         + model.user_factors[b, user] @ model.movie_factors[b, movie]
     )
 
 
+def note_unknown_movie(model: TemporalFactorModel, event: TestEvent) -> None:
+    """One DEBUG record if the event's movie is unknown to the model."""
+    if event.movie >= model.movie_count:
+        log.debug("movie %s unknown to the factor model, user bias only", event.movie)
+
+
 def residual_gaps(model: TemporalFactorModel, household: Household,
                   event: TestEvent) -> list[float]:
     """Per-member |observed - predicted| for one anonymized rating."""
+    note_unknown_movie(model, event)
     return [
         abs(event.rating - predict(model, member, event.movie, event.timestamp))
         for member in household.members

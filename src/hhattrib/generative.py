@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EventColumns, Household, TestEvent
-from .factorize import TemporalFactorModel, predict, residuals
+from .factorize import TemporalFactorModel, note_unknown_movie, predict, residuals
 from .temporal import TemporalPriors, argmax_member, prior_value
 
 log = logging.getLogger(__name__)
@@ -103,6 +103,8 @@ def member_scores(members, rating: float, event: TestEvent,
     the scale is infinite (see ``SigmaModel.log_space``).
     """
     scores = {}
+    if sigma_model.log_space:
+        note_unknown_movie(model, event)
     for member in members:
         q = prior_value(priors, member, mode, event)
         if not sigma_model.log_space:

@@ -1,3 +1,4 @@
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,23 @@ def test_classify_unified_without_movie_feature(workspace):
                  "--out", str(out), "--dump-logit", str(workspace / "logit.txt")])
     assert code == 0
     assert out.is_file() and (workspace / "logit.txt").is_file()
+
+
+@pytest.mark.parametrize("classifier", ["gen-day", "residual"])
+def test_classify_movie_unknown_to_model(workspace, classifier, caplog):
+    model = fit_model(workspace)
+    test = workspace / "data" / "test.tsv"
+    fields = test.read_text().splitlines()[0].split("\t")
+    fields[1] = str(factorize.load_model(model).movie_count + 5)
+    test.write_text(test.read_text() + "\t".join(fields) + "\n")
+    out = workspace / "unknown.tsv"
+    with caplog.at_level(logging.DEBUG, logger="hhattrib.factorize"):
+        code = main(["classify", *data_args(workspace), "--classifier", classifier,
+                     "--model", str(model), "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == len(test.read_text().splitlines()) + 1
+    records = [r for r in caplog.records if "unknown to the factor model" in r.getMessage()]
+    assert len(records) == 1
 
 
 def test_classify_gen_day_with_posterior_dump(workspace):

@@ -1,4 +1,8 @@
+import dataclasses
 import datetime
+import gc
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 
 from hhattrib import temporal
 from hhattrib.corpus import (
-    Binning, ConfigError, Dataset, DuplicateError, Household, ParseError,
+    Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, ParseError,
     RangeError, RatingEvent, StructureError, SynthConfig, TestEvent, bin_column,
     bin_of, cv_split, derive_binning, load_dataset, make_dataset, parse_households,
     parse_ratings, parse_test_events, read_synth_config, synth_generate,
@@ -335,6 +339,15 @@ def test_cv_split_expected_size():
     assert 20 <= np.mean(sizes) <= 60
 
 
+def _assert_columns_extracted(dataset):
+    """Every field of dataset.columns equals a fresh extraction, dtype included."""
+    expected = EventColumns.of(dataset.train)
+    for field in dataclasses.fields(EventColumns):
+        ours, theirs = getattr(dataset.columns, field.name), getattr(expected, field.name)
+        assert ours.dtype == theirs.dtype
+        np.testing.assert_array_equal(ours, theirs)
+
+
 def _reference_cv_split(dataset, fraction, seed):
     """One rng.random() per household member's event, in train order."""
     rng = np.random.default_rng(seed)
@@ -364,6 +377,10 @@ def test_cv_split_matches_per_event_draws(seed, fraction):
     assert split.test == tuple(hidden)
     assert (split.user_count, split.movie_count) == (dataset.user_count,
                                                      dataset.movie_count)
+    _assert_columns_extracted(split)
+    nested = cv_split(split, 0.5, seed + 1)   # masks compose over the same columns
+    assert len(nested.train) < len(split.train)
+    _assert_columns_extracted(nested)
 
 
 def test_cv_split_ignores_outsiders():
@@ -372,6 +389,43 @@ def test_cv_split_ignores_outsiders():
     split = cv_split(dataset, 0.9, seed=3)
     assert all(ev.user == 9 for ev in split.train if ev.user not in (0, 1))
     assert sum(ev.user == 9 for ev in split.train) == 10
+
+
+def test_cv_split_replace_revalidates(small_dataset):
+    split = cv_split(small_dataset, 0.3, seed=4)
+    again = dataclasses.replace(split)   # full construction, checks included
+    assert again == split
+    _assert_columns_extracted(again)
+    subset = dataclasses.replace(split, train=split.train[::2])
+    _assert_columns_extracted(subset)
+    with pytest.raises(DuplicateError):
+        dataclasses.replace(split, train=split.train + split.train[:1])
+
+
+def test_cv_splits_hold_no_columns():
+    """Five live splits cost their train tuples, hidden events and keep masks.
+
+    Each split refers to its parent's columns through one bool mask (1 byte
+    per parent event); columns of its own would add 32 bytes per kept event,
+    about 3.3 MB over these splits against a budget of about 1.3 MB.
+    """
+    dataset = synth_generate(SynthConfig(
+        households_size2=44, households_size3=4, households_size4=2,
+        events_per_user=200, overlap=0.1, rank=3, noise_sigma=10.0, seed=20))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        splits = [cv_split(dataset, 0.04, seed) for seed in range(101, 106)]
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    budget = sum(sys.getsizeof(split.train) + sys.getsizeof(split.test)
+                 + sum(map(sys.getsizeof, split.test)) + len(dataset.train)
+                 for split in splits)
+    # 10% for the Dataset objects, array headers and interpreter bookkeeping
+    assert used <= 1.1 * budget, (used, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -505,6 +507,25 @@ def test_predict_depends_only_on_bin():
     assert predict(model, 0, 0, 0) == predict(model, 0, 0, 999)
     with pytest.raises(ValueError):
         predict(model, 5, 0, 0)
+
+
+def test_predict_unknown_movie_is_bin_bias(pair_household, caplog):
+    rng = np.random.default_rng(23)
+    m, n, events = random_instance(rng)
+    params = FactorParams(rank=2, bin_count=3, iterations=2, seed=4)
+    model = fit_lowrank_temporal(events, params, m, n)
+    for ev in events:
+        b = bin_of(ev.timestamp, model.binning, clamp=True) - 1
+        for movie in (n, n + 7):
+            assert predict(model, ev.user, movie, ev.timestamp) == model.user_bias[b, ev.user]
+    with pytest.raises(ValueError, match="movie"):
+        predict(model, 0, -1, DAY0)
+    # one record per scored event, however many members it has
+    with caplog.at_level(logging.DEBUG, logger="hhattrib.factorize"):
+        residual_gaps(model, pair_household, anon_event(0, n))
+        residual_gaps(model, pair_household, anon_event(0, 0))
+    records = [r for r in caplog.records if "unknown to the factor model" in r.getMessage()]
+    assert len(records) == 1
 
 
 def test_residuals_gather_matches_predict():
