@@ -162,8 +162,11 @@ def _read_predictions(path, test_events):
     return predictions
 
 
-def _read_posteriors(path, test_events):
-    """Load a posterior dump back into one member->probability map per event."""
+def _read_posteriors(path, test_events, households):
+    """Load a posterior dump back into one member->probability map per event.
+
+    Each event must carry exactly its household's members.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if lines and lines[0].startswith("household"):
@@ -177,8 +180,13 @@ def _read_posteriors(path, test_events):
         if idx is None:
             raise ConfigError(f"{path}: posterior row matches no test event")
         posteriors[idx][int(member)] = float(value)
-    if any(not post for post in posteriors):
-        raise ConfigError(f"{path}: missing posteriors for some test events")
+    for ev, post in zip(test_events, posteriors):
+        members = households[ev.household].members if ev.household in households else ()
+        if set(post) != set(members):
+            raise ConfigError(
+                f"{path}: test event (household {ev.household}, movie {ev.movie}, "
+                f"timestamp {ev.timestamp}) has posteriors for members {sorted(post)}, "
+                f"not {sorted(members)}")
     return posteriors
 
 
@@ -236,7 +244,7 @@ def cmd_evaluate(args) -> int:
     predictions = _read_predictions(args.predictions, test)
     posteriors = None
     if args.posteriors:
-        posteriors = _read_posteriors(args.posteriors, test)
+        posteriors = _read_posteriors(args.posteriors, test, households)
     report = evaluate.build_report(test, predictions, households,
                                    posteriors=posteriors,
                                    annotations=annotations)

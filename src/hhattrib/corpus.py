@@ -160,6 +160,16 @@ class Household:
         return len(self.members)
 
 
+def member_table(households: dict[int, Household]) -> np.ndarray:
+    """Members of each household in file order, one row per household in map
+    order, padded with -1 to the largest household size."""
+    width = max((hh.size for hh in households.values()), default=0)
+    table = np.full((len(households), width), -1, dtype=np.intp)
+    for row, hh in zip(table, households.values()):
+        row[:hh.size] = hh.members
+    return table
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Training events, households, test events and ``member_of`` (member ->

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import factorize, generative, logistic, temporal
-from .corpus import Binning, Dataset, Household, cv_split, derive_binning
+from .corpus import (
+    Binning, Dataset, Household, cv_split, derive_binning, event_column, member_table,
+)
 
 CLASSIFIERS = (
     "residual",
@@ -60,26 +62,6 @@ class AttributionReport:
     auc_mean: float | None = None
     auc_per: dict = field(default_factory=dict)
     annotations: dict = field(default_factory=dict)
-
-
-def tpr(test_events, predictions, household: Household, member: int) -> float | None:
-    """Fraction of the member's test events attributed to them; None if none."""
-    total = correct = 0
-    for ev, pred in zip(test_events, predictions):
-        if ev.household == household.id and ev.true_user == member:
-            total += 1
-            correct += pred == member
-    return None if total == 0 else correct / total
-
-
-def misclassification(test_events, predictions, household: Household) -> float | None:
-    """1 - (correct attributions / test events) for one household."""
-    total = correct = 0
-    for ev, pred in zip(test_events, predictions):
-        if ev.household == household.id:
-            total += 1
-            correct += pred == ev.true_user
-    return None if total == 0 else 1.0 - correct / total
 
 
 def aggregate(scores: dict[int, HouseholdScore],
@@ -239,12 +221,8 @@ def roc_sweep(model, households, test_events, alphas) -> list[RocPoint]:
     (0, 1).
     """
     test_events = tuple(test_events)
-    gaps_first = np.empty(len(test_events))
-    gaps_rest = np.empty(len(test_events))
-    for i, ev in enumerate(test_events):
-        gaps = factorize.residual_gaps(model, households[ev.household], ev)
-        gaps_first[i] = gaps[0]
-        gaps_rest[i] = min(gaps[1:])
+    gaps = _gap_matrix(model, _member_rows(households, test_events)[1], test_events)
+    gaps_first, gaps_rest = gaps[:, 0], gaps[:, 1:].min(axis=1)
     grouped = _household_arrays(test_events, households)
 
     def decide_first(alpha, idxs):
@@ -289,6 +267,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.classifier not in CLASSIFIERS:
             raise ValueError(f"unknown classifier {self.classifier!r}")
+        if self.alpha < 0:
+            raise ValueError(f"alpha {self.alpha} must be >= 0")
 
     @property
     def needs_factor_model(self) -> bool:
@@ -305,7 +285,7 @@ class FittedPipeline:
     households: dict[int, Household]
     binning: Binning
     model: factorize.TemporalFactorModel | None = None
-    priors: dict | None = None
+    priors: temporal.TemporalPriors | None = None
     sigma_model: generative.SigmaModel | None = None
     logit_models: dict | None = None
 
@@ -347,44 +327,80 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
                           sigma_model, logit_models)
 
 
+def _member_rows(households, test_events):
+    """Each event's household row in map order, and that household's members
+    in file order, padded with -1 to the largest household size."""
+    row_of = {hid: row for row, hid in enumerate(households)}
+    rows = np.fromiter((row_of[ev.household] for ev in test_events), np.intp,
+                       len(test_events))
+    return rows, member_table(households)[rows]
+
+
+def _gap_matrix(model, members, test_events) -> np.ndarray:
+    """|rating - prediction| for each member slot of each event; inf where padded."""
+    users = np.where(members >= 0, members, members[:, :1])
+    predictions = factorize.predict(
+        model, users, event_column(test_events, "movie", np.intp)[:, None],
+        event_column(test_events, "timestamp", np.int64)[:, None])
+    gaps = np.abs(event_column(test_events, "rating", np.float64)[:, None] - predictions)
+    return np.where(members >= 0, gaps, np.inf)
+
+
+def _argmax_members(scores, members) -> np.ndarray:
+    """Member with the largest score in each row, over the slots whose member
+    is not -1; exact ties go to the smaller user id."""
+    real = members >= 0
+    scores = np.where(real, scores, -np.inf)
+    tied = real & (scores == scores.max(axis=1, keepdims=True))
+    return np.where(tied, members, np.iinfo(members.dtype).max).min(axis=1)
+
+
 def classify_events(fitted: FittedPipeline, test_events):
     """Attribute each test event to a household member.
 
     Returns (predictions, posteriors): one predicted member per test
     event, plus per-event member->probability maps (None for the residual
-    classifier). Every other family scores each event once into a member
-    -> score map; the prediction is its argmax, the posterior its
-    normalization; unified builds one feature matrix per household.
+    classifier). The family fills one score matrix for the whole split,
+    one row per event and one column per member of its household in file
+    order; the prediction is the row argmax (smaller user id on exact
+    ties), the posterior the row's normalization.
+
+    The residual classifier reads the |rating - prediction| gaps instead:
+    the first member wins iff alpha times their gap beats every other
+    member's gap strictly; otherwise the closest of the rest wins, smaller
+    user id on ties. alpha = 1 is the plain argmin for two-member
+    households; alpha sweeps trade the first member's true positive rate
+    against the rest's.
     """
     name = fitted.config.classifier
-    mode = name.partition("-")[2]
     test_events = tuple(test_events)
-    logit_scores = {}
+    rows, members = _member_rows(fitted.households, test_events)
+    if name == "residual":
+        gaps = _gap_matrix(fitted.model, members, test_events)
+        first = fitted.config.alpha * gaps[:, 0] < gaps[:, 1:].min(axis=1)
+        rest = _argmax_members(-gaps[:, 1:], members[:, 1:])
+        return np.where(first, members[:, 0], rest).tolist(), None
+    log_space = False
     if name == "unified":
-        for hid, idxs in _by_household(test_events):
-            logit_scores.update(zip(idxs, logistic.member_probabilities(
-                fitted.logit_models[hid], [test_events[i] for i in idxs],
-                fitted.model, fitted.binning)))
-    predictions, posteriors = [], []
-    for i, ev in enumerate(test_events):
-        hh = fitted.households[ev.household]
-        if name == "residual":
-            predictions.append(factorize.classify_by_residual(
-                fitted.model, hh, ev, fitted.config.alpha))
-            continue
-        log_space = False
-        if name.startswith("prior-"):
-            scores = temporal.prior_scores(fitted.priors[hh.id], mode, ev)
-        elif name.startswith("gen-"):
-            scores = generative.member_scores(
-                hh.members, ev.rating, ev, fitted.model, fitted.priors[hh.id],
-                mode, fitted.sigma_model)
-            log_space = fitted.sigma_model.log_space
-        else:
-            scores = logit_scores[i]
-        predictions.append(temporal.argmax_member(scores))
-        posteriors.append(generative.normalize(scores, log_space))
-    return predictions, (None if name == "residual" else posteriors)
+        scores = np.zeros(members.shape)
+        for row, (hid, hh) in enumerate(fitted.households.items()):
+            mine = np.flatnonzero(rows == row)
+            if len(mine):
+                scores[mine, :hh.size] = logistic.member_probabilities(
+                    fitted.logit_models[hid], [test_events[i] for i in mine],
+                    fitted.model, fitted.binning)
+    else:
+        stamps = event_column(test_events, "timestamp", np.int64)
+        scores = temporal.prior_matrix(fitted.priors, name.partition("-")[2], rows, stamps)
+        log_space = name.startswith("gen-") and fitted.sigma_model.log_space
+        if log_space:
+            sigmas = fitted.sigma_model.sigmas(np.maximum(members, 0))
+            scores = generative.log_scores(
+                scores, _gap_matrix(fitted.model, members, test_events), sigmas)
+    posteriors = generative.normalize_rows(scores, members, log_space)
+    return _argmax_members(scores, members).tolist(), [
+        {m: p for m, p in zip(row_members, row) if m >= 0}
+        for row_members, row in zip(members.tolist(), posteriors.tolist())]
 
 
 def fit_and_classify(dataset: Dataset, pipeline: PipelineConfig):

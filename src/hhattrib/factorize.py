@@ -9,10 +9,8 @@ a block do not depend on each other, so each block is solved as one stack
 of small ridge systems, whose Gram matrices and right-hand sides are products
 of each bin's sparse event-count and rating-sum matrices with the factors.
 
-The classifier at the bottom attributes an anonymized household rating to
-the member whose predicted rating is closest, with a scaling knob that
-biases the decision for or against the household's first member (used to
-trace ROC curves).
+`predict` scores any array of (user, movie, stamp) triples at once; the
+residual classifier and the Gaussian scores read their rating gaps from it.
 """
 
 import logging
@@ -23,9 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .corpus import (
-    Binning, EventColumns, Household, TestEvent, bin_column, bin_of, derive_binning,
-)
+from .corpus import Binning, EventColumns, bin_column, derive_binning
 
 log = logging.getLogger(__name__)
 
@@ -312,19 +308,13 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
 def residuals(train, model: TemporalFactorModel) -> np.ndarray:
     """Observed minus predicted rating for every event, in order.
 
-    Raises ValueError, as predict does, for a user or movie outside the
-    model.
+    Raises ValueError for a user or movie outside the model.
     """
     columns = EventColumns.of(train)
-    users, movies = columns.user, columns.movie
-    bins = bin_column(columns.stamp, model.binning)
-    for name, ids, count in (("user", users, model.user_count),
-                             ("movie", movies, model.movie_count)):
-        outside = ids[(ids < 0) | (ids >= count)]
-        if len(outside):
-            raise ValueError(f"{name} {outside[0]} outside [0, {count})")
-    return columns.rating - (model.user_bias[bins, users] + np.einsum(
-        "er,er->e", model.user_factors[bins, users], model.movie_factors[bins, movies]))
+    unknown = columns.movie[columns.movie >= model.movie_count]
+    if len(unknown):
+        raise ValueError(f"movie {unknown[0]} outside [0, {model.movie_count})")
+    return columns.rating - predict(model, columns.user, columns.movie, columns.stamp)
 
 
 def cost(model: TemporalFactorModel, train) -> float:
@@ -342,55 +332,29 @@ def cost(model: TemporalFactorModel, train) -> float:
     return total
 
 
-def predict(model: TemporalFactorModel, user: int, movie: int, timestamp: int) -> float:
-    """Predicted rating of (user, movie) at the timestamp's bin, unclamped;
-    the user's bin bias for a movie unknown to the model (see note_unknown_movie)."""
-    if not 0 <= user < model.user_count:
-        raise ValueError(f"user {user} outside [0, {model.user_count})")
-    if movie < 0:
-        raise ValueError(f"movie {movie} outside [0, {model.movie_count})")
-    b = bin_of(timestamp, model.binning, clamp=True) - 1
-    if movie >= model.movie_count:
-        return float(model.user_bias[b, user])
-    return float(
-        model.user_bias[b, user]
-        + model.user_factors[b, user] @ model.movie_factors[b, movie]
-    )
+def predict(model: TemporalFactorModel, users, movies, stamps) -> np.ndarray:
+    """Predicted ratings of (user, movie) pairs at their stamps' bins, unclamped.
 
-
-def note_unknown_movie(model: TemporalFactorModel, event: TestEvent) -> None:
-    """One DEBUG record if the event's movie is unknown to the model."""
-    if event.movie >= model.movie_count:
-        log.debug("movie %s unknown to the factor model, user bias only", event.movie)
-
-
-def residual_gaps(model: TemporalFactorModel, household: Household,
-                  event: TestEvent) -> list[float]:
-    """Per-member |observed - predicted| for one anonymized rating."""
-    note_unknown_movie(model, event)
-    return [
-        abs(event.rating - predict(model, member, event.movie, event.timestamp))
-        for member in household.members
-    ]
-
-
-def classify_by_residual(model: TemporalFactorModel, household: Household,
-                         event: TestEvent, alpha: float = 1.0) -> int:
-    """Attribute the rating to the member with the closest prediction.
-
-    The first member wins iff alpha times their residual beats every other
-    member's residual strictly; otherwise the best of the remaining
-    members wins, smaller user id on ties. alpha = 1 is the plain argmin
-    for two-member households; alpha sweeps trade the first member's true
-    positive rate against the rest's.
+    The three arrays are broadcast together. A movie unknown to the model
+    predicts the user's bin bias, with one debug record per unknown entry
+    of ``movies``; a user outside the model or a negative movie raises
+    ValueError.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha {alpha} must be >= 0")
-    gaps = residual_gaps(model, household, event)
-    rest = list(zip(gaps[1:], household.members[1:]))
-    if alpha * gaps[0] < min(gap for gap, _ in rest):
-        return household.members[0]
-    return min(rest, key=lambda pair: (pair[0], pair[1]))[1]
+    users = np.asarray(users, dtype=np.intp)
+    movies = np.asarray(movies, dtype=np.intp)
+    for name, outside, count in (
+            ("user", users[(users < 0) | (users >= model.user_count)], model.user_count),
+            ("movie", movies[movies < 0], model.movie_count)):
+        if len(outside):
+            raise ValueError(f"{name} {outside[0]} outside [0, {count})")
+    known = movies < model.movie_count
+    for movie in movies[~known].tolist():
+        log.debug("movie %s unknown to the factor model, user bias only", movie)
+    bins = bin_column(stamps, model.binning)
+    bias = model.user_bias[bins, users]
+    products = np.einsum("...r,...r->...", model.user_factors[bins, users],
+                         model.movie_factors[bins, np.where(known, movies, 0)])
+    return np.where(known, bias + products, bias)
 
 
 # ---------------------------------------------------------------------------

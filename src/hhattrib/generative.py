@@ -8,8 +8,9 @@ underflowing to a tie. Normalizing the scores across household members
 gives a posterior over who produced the rating; the classifier takes the
 argmax. With the residual scale set to infinity the density factor drops
 out and the scores are the raw priors, so the decision coincides exactly
-with the prior-only classifier of the same mode. `normalize` turns the
-member scores of every classifier family into a posterior.
+with the prior-only classifier of the same mode. `normalize_rows` turns
+the (event, member) score matrix of every classifier family into
+posteriors.
 """
 
 import logging
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EventColumns, Household, TestEvent
-from .factorize import TemporalFactorModel, note_unknown_movie, predict, residuals
-from .temporal import TemporalPriors, argmax_member, prior_value
+from .corpus import EventColumns
+from .factorize import TemporalFactorModel, residuals
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +56,15 @@ class SigmaModel:
         """Whether member scores are log densities rather than raw priors."""
         return self.scope != "infinite"
 
-    def sigma_for(self, member: int) -> float:
-        if self.scope == "infinite":
-            return math.inf
-        if self.scope == "global":
-            return self.sigma_all
-        return self.sigma_by_user.get(member, self.sigma_all)
+    def sigmas(self, users: np.ndarray) -> np.ndarray:
+        """Each user's scale: its own under ``per_user`` when it has one, else
+        the global value (infinite for the ``infinite`` scope)."""
+        users = np.asarray(users, dtype=np.intp)
+        size = max(int(users.max(initial=-1)), *self.sigma_by_user, -1) + 1
+        lookup = np.full(size, self.sigma_all)
+        if self.scope == "per_user":
+            lookup[list(self.sigma_by_user)] = list(self.sigma_by_user.values())
+        return lookup[users]
 
 
 def estimate_sigma(train, model: TemporalFactorModel, scope: str,
@@ -93,73 +96,43 @@ def estimate_sigma(train, model: TemporalFactorModel, scope: str,
     return SigmaModel(scope, sigma_all, by_user, floor)
 
 
-def member_scores(members, rating: float, event: TestEvent,
-                  model: TemporalFactorModel, priors: TemporalPriors,
-                  mode: str, sigma_model: SigmaModel) -> dict[int, float]:
-    """Each member's score for the rating at the event's time.
+def log_scores(prior: np.ndarray, gaps: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Log prior plus the Gaussian log density of each rating gap at its scale.
 
-    Log prior plus the Gaussian log density of the rating around the
-    member's prediction (-inf where the prior is 0); the raw prior when
-    the scale is infinite (see ``SigmaModel.log_space``).
+    Arrays are broadcast together, one entry per (event, member); -inf
+    where the prior is 0.
     """
-    scores = {}
-    if sigma_model.log_space:
-        note_unknown_movie(model, event)
-    for member in members:
-        q = prior_value(priors, member, mode, event)
-        if not sigma_model.log_space:
-            scores[member] = q
-        elif q == 0.0:
-            scores[member] = -math.inf
-        else:
-            sigma = sigma_model.sigma_for(member)
-            gap = rating - predict(model, member, event.movie, event.timestamp)
-            scores[member] = (math.log(q) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
-                              - (gap * gap) / (2.0 * sigma * sigma))
-    return scores
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior)
+    return (log_prior - 0.5 * np.log(2.0 * np.pi * sigmas * sigmas)
+            - (gaps * gaps) / (2.0 * sigmas * sigmas))
 
 
-def joint_score(member: int, rating: float, event: TestEvent,
-                model: TemporalFactorModel, priors: TemporalPriors,
-                mode: str, sigma_model: SigmaModel) -> float:
-    """Normal density of the rating around the member's prediction, times prior."""
-    score = member_scores((member,), rating, event, model, priors, mode,
-                          sigma_model)[member]
-    return math.exp(score) if sigma_model.log_space else score
+def normalize_rows(scores: np.ndarray, members: np.ndarray,
+                   log_space: bool = False) -> np.ndarray:
+    """Posterior over each row's members from their scores.
 
-
-def normalize(scores: dict[int, float], log_space: bool = False) -> dict[int, float]:
-    """Posterior over members from their scores.
-
-    Plain scores are divided by their sum; log scores are normalized with
-    log-sum-exp. Uniform, with a debug record, when the scores carry no
-    finite positive mass.
+    Slots whose member is -1 are padding and get 0. Plain scores are
+    divided by their row sum; log scores are normalized with log-sum-exp.
+    A row whose scores carry no finite positive mass is uniform over its
+    members, with one debug record.
     """
+    real = members >= 0
     if log_space:
-        top = max(scores.values())
-        scores = {member: math.exp(value - top) for member, value in scores.items()}
-    total = sum(scores.values())
-    if not 0.0 < total < math.inf:
-        log.debug("members %s: degenerate scores, uniform posterior", sorted(scores))
-        return dict.fromkeys(scores, 1.0 / len(scores))
-    return {member: value / total for member, value in scores.items()}
-
-
-def posterior(household: Household, event: TestEvent,
-              model: TemporalFactorModel, priors: TemporalPriors,
-              mode: str, sigma_model: SigmaModel) -> dict[int, float]:
-    """Joint scores normalized over members; uniform if they are degenerate."""
-    scores = member_scores(household.members, event.rating, event, model,
-                           priors, mode, sigma_model)
-    return normalize(scores, sigma_model.log_space)
-
-
-def classify_generative(household: Household, event: TestEvent,
-                        model: TemporalFactorModel, priors: TemporalPriors,
-                        mode: str, sigma_model: SigmaModel) -> int:
-    """Attribute the event to the member with the largest joint score."""
-    return argmax_member(member_scores(household.members, event.rating, event,
-                                       model, priors, mode, sigma_model))
+        scores = np.where(real, scores, -np.inf)
+        with np.errstate(invalid="ignore"):   # a row of -inf only
+            scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+    else:
+        scores = np.where(real, scores, 0.0)
+    total = scores.sum(axis=1, keepdims=True)
+    degenerate = ~((0.0 < total) & (total < math.inf))[:, 0]
+    for row in members[degenerate].tolist():
+        log.debug("members %s: degenerate scores, uniform posterior",
+                  sorted(m for m in row if m >= 0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        posterior = scores / total
+    posterior[degenerate] = real[degenerate] / real[degenerate].sum(axis=1, keepdims=True)
+    return posterior
 
 
 def residual_histogram(train, model: TemporalFactorModel, bins: int = 50,

@@ -29,7 +29,6 @@ three or more members fit every member.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ from .corpus import (
     SECONDS_PER_DAY, Binning, Household, bin_column, event_column, weekday_column,
 )
 from .factorize import TemporalFactorModel
-from .temporal import argmax_member
 
 log = logging.getLogger(__name__)
 
@@ -137,13 +135,6 @@ def feature_matrix(events, config: FeatureConfig,
         ratings = event_column(events, "rating", np.float64)
         blocks.append((1.0 + 4.0 * ratings / 100.0)[:, None])
     return np.concatenate(blocks, axis=1)
-
-
-def build_features(event, config: FeatureConfig,
-                   model: TemporalFactorModel | None = None,
-                   binning: Binning | None = None) -> np.ndarray:
-    """Feature vector of one rating event: feature_matrix's one-row case."""
-    return feature_matrix([event], config, model, binning)[0]
 
 
 def standardize_fit(rows: np.ndarray) -> Standardization:
@@ -350,17 +341,8 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
     return theta
 
 
-def logit_prob(theta: np.ndarray, x: np.ndarray) -> float:
-    """Numerically stable sigmoid of <theta, x>."""
-    u = float(np.dot(theta, x))
-    if u >= 0:
-        return 1.0 / (1.0 + math.exp(-u))
-    eu = math.exp(u)
-    return eu / (1.0 + eu)
-
-
 # ---------------------------------------------------------------------------
-# Household-level fitting and classification
+# Household-level fitting and scoring
 # ---------------------------------------------------------------------------
 
 def fit_household(train, household: Household, config: FeatureConfig,
@@ -397,23 +379,20 @@ def fit_household(train, household: Household, config: FeatureConfig,
 
 def member_probabilities(models: dict[int, LogitModel], events,
                          model: TemporalFactorModel | None = None,
-                         binning: Binning | None = None) -> list[dict[int, float]]:
-    """Per-member logit probabilities (not normalized) of each event, row by row."""
+                         binning: Binning | None = None) -> np.ndarray:
+    """Per-member logit probabilities (not normalized) of each event.
+
+    One row per event, one column per member in the order of ``models``.
+    """
     if not models:
         raise ValueError("no fitted member models")
     first = next(iter(models.values()))
     rows = standardize_apply(
         first.standardization, feature_matrix(events, first.config, model, binning)
     )
-    return [{member: logit_prob(models[member].theta, x) for member in models}
-            for x in rows]
-
-
-def classify_logistic(models: dict[int, LogitModel], event,
-                      model: TemporalFactorModel | None = None,
-                      binning: Binning | None = None) -> int:
-    """Attribute the event to the member with the highest logit probability."""
-    return argmax_member(member_probabilities(models, [event], model, binning)[0])
+    thetas = np.array([lm.theta for lm in models.values()])
+    # einsum sums in a fixed order, so a row's scores do not depend on its batch
+    return _sigmoid(np.einsum("ep,kp->ek", rows, thetas))
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
-"""Weekday profiles, household separation, and prior-only classifiers.
+"""Weekday profiles, household separation, and prior-only scores.
 
 Household members tend to rate movies on different days of the week; the
 empirical weekday distribution of each member therefore carries a strong
 identity signal. This module builds those profiles, measures how well
 separated a household's members are (average pairwise total variation),
-and classifies anonymized ratings by the empirical probability that each
+and scores anonymized ratings by the empirical probability that each
 member produced a rating -- unconditionally, given the time bin, or given
-the weekday. None of the prior classifiers looks at the rating value.
+the weekday. None of the prior scores looks at the rating value.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import (
-    Binning, DuplicateError, EventColumns, Household, TestEvent, bin_column, bin_of,
-    weekday_column, weekday_of,
+    Binning, DuplicateError, EventColumns, Household, bin_column, member_table,
+    weekday_column,
 )
 
 log = logging.getLogger(__name__)
@@ -43,20 +42,22 @@ class DayProfile:
             raise ValueError("weights must be a probability vector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalPriors:
-    """Smoothed per-household member probabilities, overall / per bin / per day.
+    """Smoothed member probabilities of every household, overall / per bin / per day.
 
-    Conditional entries are NaN when the conditioning value was never
-    observed and smoothing is zero; classification falls back to the
-    unconditional prior there.
+    ``shares[h, c, k]`` is the probability of member ``members[h, k]`` of
+    household ``households[h]`` under condition c: 0 is unconditional,
+    1..T the time bins and T+1..T+7 the weekdays, Sunday first. Households
+    keep the order of the map they were fitted on and members their file
+    order; padded slots (member -1) hold 0. Conditional entries are NaN
+    when the conditioning value was never observed and smoothing is zero;
+    scoring falls back to the unconditional prior there.
     """
 
-    household: int
-    members: tuple[int, ...]
-    prior: dict[int, float]
-    by_bin: dict[tuple[int, int], float]
-    by_day: dict[tuple[int, int], float]
+    households: tuple[int, ...]
+    members: np.ndarray   # (H, width) intp, see corpus.member_table
+    shares: np.ndarray    # (H, 1 + T + 7, width)
     binning: Binning
     epsilon: float
 
@@ -107,7 +108,7 @@ def _average_tv(profiles) -> float:
 
 
 def fit_priors(train, households: dict[int, Household], binning: Binning,
-               epsilon: float = 0.5) -> dict[int, TemporalPriors]:
+               epsilon: float = 0.5) -> TemporalPriors:
     """Every household's member probabilities, smoothed by epsilon.
 
     One pass over train counts each member's events per (time bin,
@@ -123,83 +124,60 @@ def fit_priors(train, households: dict[int, Household], binning: Binning,
         raise ValueError(f"epsilon {epsilon} must be >= 0")
     columns = EventColumns.of(train)
     T = binning.bin_count
-    width = max((hh.size for hh in households.values()), default=0)
-    places = {member: h * width + k for h, hh in enumerate(households.values())
-              for k, member in enumerate(hh.members)}
-    if len(places) != sum(hh.size for hh in households.values()):
+    table = member_table(households)
+    real = table >= 0
+    members = table[real]
+    if len(np.unique(members)) != len(members):
         raise DuplicateError("a user belongs to two households")
-    place_of = np.full(max([*places, int(columns.user.max(initial=-1))]) + 1, -1)
-    place_of[list(places)] = list(places.values())
+    place_of = np.full(max(int(members.max(initial=-1)),
+                           int(columns.user.max(initial=-1))) + 1, -1)
+    place_of[members] = np.flatnonzero(real)   # row-major slot of each member
     place = place_of[columns.user]
     stamps = columns.stamp[place >= 0]
     cells = ((place[place >= 0] * T + bin_column(stamps, binning)) * 7
              + weekday_column(stamps))
-    counts = np.bincount(cells, minlength=len(households) * width * T * 7)
-    counts = counts.reshape(len(households), width, T, 7).transpose(0, 2, 3, 1)
+    counts = np.bincount(cells, minlength=table.size * T * 7)
+    counts = counts.reshape(*table.shape, T, 7).transpose(0, 2, 3, 1)
     # rows: 0 is the unconditional count, 1..T the bins, T+1..T+7 the weekdays
-    table = np.concatenate([counts.sum(axis=(1, 2))[:, None], counts.sum(axis=2),
-                            counts.sum(axis=1)], axis=1)
-    sizes = np.array([hh.size for hh in households.values()], dtype=float)
+    counts = np.concatenate([counts.sum(axis=(1, 2))[:, None], counts.sum(axis=2),
+                             counts.sum(axis=1)], axis=1)
+    sizes = real.sum(axis=1)
     with np.errstate(invalid="ignore"):
-        shares = (table + epsilon) / (table.sum(axis=2, keepdims=True)
-                                      + epsilon * sizes[:, None, None])
-    out = {}
-    for h, (hid, hh) in enumerate(households.items()):
-        rows = shares[h, :, :hh.size].tolist()
-        if math.isnan(rows[0][0]):
-            raise UndefinedProfileError(f"household {hid} has no training events "
-                                        "and epsilon = 0")
-        out[hid] = TemporalPriors(
-            household=hid, members=hh.members,
-            prior=dict(zip(hh.members, rows[0])),
-            by_bin={(member, b): value for b, row in enumerate(rows[1:T + 1], 1)
-                    for member, value in zip(hh.members, row)},
-            by_day={(member, d): value for d, row in enumerate(rows[T + 1:])
-                    for member, value in zip(hh.members, row)},
-            binning=binning, epsilon=epsilon,
-        )
-    return out
+        shares = (counts + epsilon) / (counts.sum(axis=2, keepdims=True)
+                                       + epsilon * sizes[:, None, None])
+    empty = np.isnan(shares[:, 0, 0])
+    if empty.any():
+        raise UndefinedProfileError(f"household {list(households)[empty.argmax()]} "
+                                    "has no training events and epsilon = 0")
+    return TemporalPriors(tuple(households), table,
+                          np.where(real[:, None, :], shares, 0.0), binning, epsilon)
 
 
-def prior_value(priors: TemporalPriors, member: int, mode: str,
-                event: TestEvent) -> float:
-    """Resolved member probability for an event under the given mode.
+def prior_matrix(priors: TemporalPriors, mode: str, rows: np.ndarray,
+                 stamps: np.ndarray) -> np.ndarray:
+    """Member probabilities of events of the households at ``rows``, stamped ``stamps``.
 
-    Undefined conditionals (possible only with epsilon = 0) fall back to
-    the unconditional prior, with a debug log.
+    One row per event, one column per member slot of ``priors.members``;
+    rows index the households in the order of the map fit_priors was
+    given. Undefined conditionals (possible only with epsilon = 0) fall
+    back to the unconditional prior, with one debug record per (event,
+    member).
     """
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
+    prior = priors.shares[rows, 0]
     if mode == "uniform":
-        return priors.prior[member]
+        return prior
     if mode == "bin":
-        value = priors.by_bin[(member, bin_of(event.timestamp, priors.binning, clamp=True))]
+        condition = 1 + bin_column(stamps, priors.binning)
     else:
-        value = priors.by_day[(member, weekday_of(event.timestamp))]
-    if math.isnan(value):
-        log.debug(
-            "household %s: undefined %s conditional, falling back to prior",
-            priors.household, mode,
-        )
-        return priors.prior[member]
-    return value
-
-
-def argmax_member(scores: dict[int, float]) -> int:
-    """Member with the highest score; exact ties go to the smaller user id."""
-    return min(scores, key=lambda member: (-scores[member], member))
-
-
-def prior_scores(priors: TemporalPriors, mode: str,
-                 event: TestEvent) -> dict[int, float]:
-    """Each member's resolved prior probability for the event."""
-    return {member: prior_value(priors, member, mode, event)
-            for member in priors.members}
-
-
-def classify_prior(priors: TemporalPriors, mode: str, event: TestEvent) -> int:
-    """Attribute an event to the member with the largest prior probability."""
-    return argmax_member(prior_scores(priors, mode, event))
+        condition = 1 + priors.binning.bin_count + weekday_column(stamps)
+    values = priors.shares[rows, condition]
+    undefined = np.isnan(values)
+    for hid in np.asarray(priors.households)[rows[np.nonzero(undefined)[0]]].tolist():
+        log.debug("household %s: undefined %s conditional, falling back to prior",
+                  hid, mode)
+    return np.where(undefined, prior, values)
 
 
 # ---------------------------------------------------------------------------

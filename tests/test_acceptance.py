@@ -130,12 +130,12 @@ def test_criterion_05_infinite_sigma_reduction():
         priors = temporal.fit_priors(dataset.train, dataset.households,
                                      model.binning, epsilon)
         for mode in ("uniform", "bin", "day"):
-            for ev in dataset.test:
-                hh = dataset.households[ev.household]
-                gen = generative.classify_generative(hh, ev, model,
-                                                     priors[hh.id], mode, sigma)
-                assert gen == temporal.classify_prior(priors[hh.id], mode, ev)
-                checked += 1
+            gen, prior = (evaluate.classify_events(evaluate.FittedPipeline(
+                evaluate.PipelineConfig(f"{family}-{mode}", epsilon=epsilon),
+                dataset.households, model.binning, model, priors, sigma),
+                dataset.test)[0] for family in ("gen", "prior"))
+            assert gen == prior
+            checked += len(gen)
     print(f"[criterion 5] PASS sigma=inf decisions equal prior decisions on "
           f"{checked} event/mode/epsilon combinations")
 

@@ -359,6 +359,37 @@ def test_classify_rejects_dump_flag_before_writing(workspace, classifier, flag):
     assert not out.exists() and not dump.exists()
 
 
+def test_classify_negative_alpha_is_usage_error(workspace):
+    out = workspace / "neg.tsv"
+    code = main(["classify", *data_args(workspace), "--classifier", "residual",
+                 "--model", str(fit_model(workspace)), "--alpha", "-1",
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["drop a member", "add a non-member"])
+def test_evaluate_rejects_posteriors_of_wrong_members(workspace, capsys, damage):
+    preds, post = workspace / "preds.tsv", workspace / "post.tsv"
+    assert main(["classify", *data_args(workspace), "--classifier", "gen-day",
+                 "--model", str(fit_model(workspace)), "--out", str(preds),
+                 "--dump-posteriors", str(post)]) == 0
+    lines = post.read_text().splitlines()
+    hid, movie, stamp, _, _ = lines[1].split("\t")
+    if damage == "drop a member":
+        del lines[1]
+    else:   # user 999 belongs to no household
+        lines.insert(2, "\t".join([hid, movie, stamp, "999", "0.0"]))
+    post.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--households", str(workspace / "data" / "households.tsv"),
+                 "--test", str(workspace / "data" / "test.tsv"),
+                 "--predictions", str(preds), "--posteriors", str(post),
+                 "--out", str(workspace / "report.tsv")])
+    assert code == 2
+    assert (f"{post}: test event (household {hid}, movie {movie}, timestamp {stamp})"
+            in capsys.readouterr().err)
+
+
 def test_classify_truncated_model_is_usage_error(workspace, capsys):
     model = fit_model(workspace)
     lines = model.read_text().splitlines()

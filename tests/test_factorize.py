@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from hhattrib.corpus import (
     Binning, Household, RatingEvent, bin_of, derive_binning, make_dataset,
 )
+from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.factorize import (
     FactorParams, TemporalFactorModel, Xorshift64Star, _init_factors,
-    classify_by_residual, cost, fit_lowrank, fit_lowrank_temporal, load_model,
-    predict, residual_gaps, residuals, ridge_solve, save_model,
+    cost, fit_lowrank, fit_lowrank_temporal, load_model,
+    predict, residuals, ridge_solve, save_model,
     smoothed_ridge_solve,
 )
 
-from conftest import DAY0, event, anon_event
+from conftest import DAY0, anon_event, event
 
 
 def naive_cost(model, train):
@@ -509,7 +510,7 @@ def test_predict_depends_only_on_bin():
         predict(model, 5, 0, 0)
 
 
-def test_predict_unknown_movie_is_bin_bias(pair_household, caplog):
+def test_predict_unknown_movie_is_bin_bias(caplog):
     rng = np.random.default_rng(23)
     m, n, events = random_instance(rng)
     params = FactorParams(rank=2, bin_count=3, iterations=2, seed=4)
@@ -520,10 +521,10 @@ def test_predict_unknown_movie_is_bin_bias(pair_household, caplog):
             assert predict(model, ev.user, movie, ev.timestamp) == model.user_bias[b, ev.user]
     with pytest.raises(ValueError, match="movie"):
         predict(model, 0, -1, DAY0)
-    # one record per scored event, however many members it has
+    # one record per unknown entry of movies, however many users it is broadcast to
     with caplog.at_level(logging.DEBUG, logger="hhattrib.factorize"):
-        residual_gaps(model, pair_household, anon_event(0, n))
-        residual_gaps(model, pair_household, anon_event(0, 0))
+        predict(model, [[0, 1]], [[n]], [[DAY0]])
+        predict(model, [[0, 1]], [[0]], [[DAY0]])
     records = [r for r in caplog.records if "unknown to the factor model" in r.getMessage()]
     assert len(records) == 1
 
@@ -546,30 +547,28 @@ def test_residuals_gather_matches_predict():
 # Residual classifier
 # ---------------------------------------------------------------------------
 
-def _gap_model(predictions):
-    """Model with one bin predicting predictions[user] for every movie."""
-    m = len(predictions)
-    model = _zero_model(m=m, n=2, bias=0.0)
-    for user, value in enumerate(predictions):
-        model.user_bias[0, user] = value
-    return model
+def classify_residual(predictions, household, ev, alpha):
+    """The residual classifier on one event, under a one-bin model that
+    predicts predictions[user] for every movie."""
+    model = TemporalFactorModel(
+        np.zeros((1, len(predictions), 1)), np.zeros((1, 2, 1)),
+        np.array([predictions], dtype=float), Binning(1, 0, 10 ** 10),
+        FactorParams(rank=1, bin_count=1, iterations=1))
+    fitted = FittedPipeline(PipelineConfig("residual", alpha=alpha),
+                            {household.id: household}, model.binning, model)
+    return classify_events(fitted, [ev])[0][0]
 
 
 def test_classifier_alpha_rules(pair_household):
     # observed 10: member 0 predicts 12 (gap 2), member 1 predicts 17 (gap 7)
-    model = _gap_model([12.0, 17.0])
     ev = anon_event(0, 0, rating=10.0)
-    assert residual_gaps(model, pair_household, ev) == [2.0, 7.0]
-    assert classify_by_residual(model, pair_household, ev, alpha=1.0) == 0
-    assert classify_by_residual(model, pair_household, ev, alpha=10.0) == 1
-    assert classify_by_residual(model, pair_household, ev, alpha=0.0) == 0
+    for alpha, member in ((1.0, 0), (10.0, 1), (0.0, 0), (3.4, 0), (3.6, 1)):
+        assert classify_residual([12.0, 17.0], pair_household, ev, alpha) == member
 
 
 def test_classifier_rest_tie_breaks_to_smaller_id():
-    model = _gap_model([0.0, 30.0, 30.0])
-    household = Household(0, (0, 2, 1))
     ev = anon_event(0, 0, rating=40.0)  # gaps: 40, 10, 10
-    assert classify_by_residual(model, household, ev, alpha=1.0) == 1
+    assert classify_residual([0.0, 30.0, 30.0], Household(0, (0, 2, 1)), ev, 1.0) == 1
 
 
 # ---------------------------------------------------------------------------

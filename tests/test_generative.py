@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from hhattrib import evaluate
 from hhattrib.corpus import Binning, Household, SynthConfig, cv_split, synth_generate
+from hhattrib.evaluate import (
+    FittedPipeline, PipelineConfig, classify_events, fit_and_classify,
+)
 from hhattrib.factorize import FactorParams, TemporalFactorModel, fit_lowrank_temporal
 from hhattrib.generative import (
-    SigmaModel, classify_generative, estimate_sigma, joint_score, normalize,
-    posterior, residual_histogram, residuals,
+    SigmaModel, estimate_sigma, log_scores, normalize_rows, residual_histogram,
+    residuals,
 )
-from hhattrib.temporal import classify_prior, fit_priors
+from hhattrib.temporal import fit_priors
 
 from conftest import anon_event, event
 
@@ -31,8 +33,15 @@ def flat_model(user_biases, n_movies=4, rank=2):
 
 def uniform_priors(household, binning=BINNING):
     train = [event(member, idx) for idx, member in enumerate(household.members)]
-    priors = fit_priors(train, {household.id: household}, binning, epsilon=1.0)
-    return priors[household.id]
+    return fit_priors(train, {household.id: household}, binning, epsilon=1.0)
+
+
+def classify(household, ev, model, priors, sigma, mode="uniform"):
+    """gen-mode's (prediction, posterior) for one event."""
+    fitted = FittedPipeline(PipelineConfig(f"gen-{mode}"), {household.id: household},
+                            model.binning, model, priors, sigma)
+    predictions, posteriors = classify_events(fitted, [ev])
+    return predictions[0], posteriors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +70,8 @@ def test_sigma_per_user_fallback():
     sigma = estimate_sigma(train, model, "per_user", min_residuals=5)
     assert sigma.sigma_by_user[0] == pytest.approx(8.0)
     assert sigma.sigma_by_user[1] == sigma.sigma_all
-    assert sigma.sigma_for(99) == sigma.sigma_all
+    assert sigma.sigmas(np.array([0, 1, 99])).tolist() == [
+        sigma.sigma_by_user[0], sigma.sigma_all, sigma.sigma_all]
 
 
 def test_sigma_per_user_equals_masked_reference(planted_dataset):
@@ -110,39 +120,28 @@ def test_sigma_rejects_empty_train():
 
 def test_joint_score_infinite_sigma_is_prior(pair_household):
     model = flat_model([10.0, 90.0])
-    priors = uniform_priors(pair_household)
+    train = [event(0, m) for m in range(3)] + [event(1, 9)]
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
     sigma = SigmaModel("infinite", math.inf, {})
-    ev = anon_event(0, 0, rating=95.0)
-    for member in pair_household.members:
-        assert joint_score(member, ev.rating, ev, model, priors, "uniform",
-                           sigma) == priors.prior[member]
+    _, post = classify(pair_household, anon_event(0, 0, rating=95.0), model, priors, sigma)
+    assert post == dict(zip(pair_household.members, priors.shares[0, 0].tolist()))
 
 
-def test_joint_score_standard_normal_peak(pair_household):
-    model = flat_model([60.0, 60.0])
-    train = [event(0, m) for m in range(3)]  # q(0) = 1 with epsilon 0
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
-    sigma = SigmaModel("global", 1.0, {})
-    ev = anon_event(0, 0, rating=60.0)
-    score = joint_score(0, ev.rating, ev, model, priors, "uniform", sigma)
-    assert score == pytest.approx(1.0 / math.sqrt(2 * math.pi))
+def test_joint_score_standard_normal_peak():
+    score = log_scores(np.array([1.0]), np.array([0.0]), np.array([1.0]))[0]
+    assert math.exp(score) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
 
-def test_joint_score_zero_prior_zeroes_score(pair_household):
-    model = flat_model([60.0, 60.0])
-    train = [event(0, m) for m in range(3)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
-    sigma = SigmaModel("global", 5.0, {})
-    ev = anon_event(0, 0, rating=60.0)
-    assert joint_score(1, ev.rating, ev, model, priors, "uniform", sigma) == 0.0
+def test_joint_score_zero_prior_zeroes_score():
+    assert log_scores(np.array([0.0]), np.array([0.0]), np.array([5.0]))[0] == -math.inf
 
 
 def test_posterior_normalization_cases(pair_household):
     model = flat_model([50.0, 50.0])
     priors = uniform_priors(pair_household)
     sigma = SigmaModel("global", 10.0, {})
-    post = posterior(pair_household, anon_event(0, 0, rating=50.0),
-                     model, priors, "uniform", sigma)
+    _, post = classify(pair_household, anon_event(0, 0, rating=50.0), model, priors,
+                       sigma)
     assert post[0] == pytest.approx(0.5)
     assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -151,10 +150,9 @@ def test_posterior_ratio():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)[0]
+    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)
     sigma = SigmaModel("global", 10.0, {})
-    post = posterior(household, anon_event(0, 0, rating=50.0), model, priors,
-                     "uniform", sigma)
+    _, post = classify(household, anon_event(0, 0, rating=50.0), model, priors, sigma)
     # equal densities, priors 0.75 / 0.25
     assert post[0] == pytest.approx(0.75)
     assert post[1] == pytest.approx(0.25)
@@ -166,8 +164,7 @@ def test_posterior_uniform_fallback_when_all_zero():
     priors = uniform_priors(household)
     sigma = SigmaModel("global", 0.5, {})
     # rating 100 vs predictions 0: density underflows to exactly 0
-    post = posterior(household, anon_event(0, 0, rating=100.0), model, priors,
-                     "uniform", sigma)
+    _, post = classify(household, anon_event(0, 0, rating=100.0), model, priors, sigma)
     assert post == {0: pytest.approx(1 / 3), 1: pytest.approx(1 / 3),
                     2: pytest.approx(1 / 3)}
 
@@ -179,31 +176,35 @@ def test_far_rating_goes_to_closer_member(pair_household):
     priors = uniform_priors(pair_household)
     sigma = SigmaModel("global", 1.0, {})
     ev = anon_event(0, 0, rating=100.0)
-    post = posterior(pair_household, ev, model, priors, "uniform", sigma)
-    assert post == {0: 0.0, 1: 1.0}
-    assert classify_generative(pair_household, ev, model, priors, "uniform",
-                               sigma) == 1
+    assert classify(pair_household, ev, model, priors, sigma) == (1, {0: 0.0, 1: 1.0})
 
 
 def test_normalize_plain_and_log_scores():
-    assert normalize({3: 1.0, 5: 3.0}) == {3: 0.25, 5: 0.75}
-    post = normalize({3: math.log(1.0) - 1000.0, 5: math.log(3.0) - 1000.0},
-                     log_space=True)
-    assert post == {3: pytest.approx(0.25), 5: pytest.approx(0.75)}
-    assert normalize({3: -math.inf, 5: 0.0}, log_space=True) == {3: 0.0, 5: 1.0}
+    members = np.array([[3, 5, -1]])   # the last slot is padding
+    assert normalize_rows(np.array([[1.0, 3.0, 9.0]]), members).tolist() == [
+        [0.25, 0.75, 0.0]]
+    post = normalize_rows(np.array([[math.log(1.0) - 1000.0,
+                                     math.log(3.0) - 1000.0, 0.0]]),
+                          members, log_space=True)
+    np.testing.assert_allclose(post, [[0.25, 0.75, 0.0]])
+    assert normalize_rows(np.array([[-math.inf, 0.0, 0.0]]), members,
+                          log_space=True).tolist() == [[0.0, 1.0, 0.0]]
 
 
 @pytest.mark.parametrize("scores, log_space", [
-    ({0: 0.0, 1: 0.0, 2: 0.0}, False),
-    ({0: -math.inf, 1: -math.inf}, True),
-    ({0: math.nan, 1: 0.5}, False),
+    ([0.0, 0.0, 0.0], False),
+    ([-math.inf, -math.inf], True),
+    ([math.nan, 0.5], False),
 ])
 def test_normalize_degenerate_is_uniform_and_logged(scores, log_space, caplog):
+    # two rows, padded by one slot, each uniform over its real members
+    members = np.tile(np.arange(len(scores) + 1), (2, 1))
+    members[:, -1] = -1
     with caplog.at_level(logging.DEBUG, logger="hhattrib.generative"):
-        post = normalize(scores, log_space)
-    assert post == dict.fromkeys(scores, 1.0 / len(scores))
-    assert any(rec.name == "hhattrib.generative" and "degenerate" in rec.msg
-               for rec in caplog.records)
+        post = normalize_rows(np.array([scores + [7.0]] * 2), members, log_space)
+    assert post.tolist() == [[1.0 / len(scores)] * len(scores) + [0.0]] * 2
+    assert sum(rec.name == "hhattrib.generative" and "degenerate" in rec.msg
+               for rec in caplog.records) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +216,17 @@ def test_generative_residual_decides_under_equal_priors(pair_household):
     priors = uniform_priors(pair_household)
     sigma = SigmaModel("global", 10.0, {})
     ev = anon_event(0, 0, rating=78.0)
-    assert classify_generative(pair_household, ev, model, priors, "uniform",
-                               sigma) == 0
+    assert classify(pair_household, ev, model, priors, sigma)[0] == 0
 
 
 def test_generative_prior_decides_under_equal_residuals():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(9)] + [event(1, 20)]
-    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)[0]
+    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)
     sigma = SigmaModel("global", 10.0, {})
     ev = anon_event(0, 0, rating=58.0)
-    assert classify_generative(household, ev, model, priors, "uniform",
-                               sigma) == 0
+    assert classify(household, ev, model, priors, sigma)[0] == 0
 
 
 def test_generative_scale_invariance_of_decision(pair_household):
@@ -236,11 +235,10 @@ def test_generative_scale_invariance_of_decision(pair_household):
     for scale in (0.5, 2.0, 100.0):
         sigma = SigmaModel("global", 12.0, {})
         ev = anon_event(0, 0, rating=64.0)
-        post = posterior(pair_household, ev, model, priors, "uniform", sigma)
+        predicted, post = classify(pair_household, ev, model, priors, sigma)
         scaled = {m: scale * v for m, v in post.items()}
         assert max(post, key=post.get) == max(scaled, key=scaled.get)
-        assert classify_generative(pair_household, ev, model, priors,
-                                   "uniform", sigma) == 1
+        assert predicted == 1
 
 
 def test_generative_smaller_residual_always_wins(pair_household):
@@ -256,8 +254,7 @@ def test_generative_smaller_residual_always_wins(pair_household):
         if gaps[0] == gaps[1]:
             continue
         expected = int(np.argmin(gaps))
-        assert classify_generative(pair_household, ev, model, priors,
-                                   "uniform", sigma) == expected
+        assert classify(pair_household, ev, model, priors, sigma)[0] == expected
 
 
 def test_infinite_sigma_reduces_to_prior_classifier(planted_dataset):
@@ -269,11 +266,10 @@ def test_infinite_sigma_reduces_to_prior_classifier(planted_dataset):
     for epsilon in (0.0, 0.5):
         priors = fit_priors(dataset.train, dataset.households, model.binning, epsilon)
         for mode in ("uniform", "bin", "day"):
-            for ev in dataset.test:
-                hh = dataset.households[ev.household]
-                assert classify_generative(hh, ev, model, priors[hh.id], mode,
-                                           sigma) == \
-                    classify_prior(priors[hh.id], mode, ev)
+            gen, prior = (classify_events(FittedPipeline(
+                PipelineConfig(f"{family}-{mode}"), dataset.households, model.binning,
+                model, priors, sigma), dataset.test) for family in ("gen", "prior"))
+            assert gen == prior
 
 
 def test_generative_day_beats_prior_day_on_planted_data():
@@ -287,16 +283,13 @@ def test_generative_day_beats_prior_day_on_planted_data():
         split = cv_split(dataset, 0.1, seed=seed + 100)
         params = FactorParams(rank=2, reg_lambda=2.0, bin_count=1,
                               iterations=10, seed=1)
-        model = fit_lowrank_temporal(split.train, params,
-                                     dataset.user_count, dataset.movie_count)
-        sigma = estimate_sigma(split.train, model, "per_user")
-        priors = fit_priors(split.train, dataset.households, model.binning, 0.5)
-        errors = {"gen": 0, "prior": 0}
-        for ev in split.test:
-            hh = dataset.households[ev.household]
-            errors["gen"] += classify_generative(
-                hh, ev, model, priors[hh.id], "day", sigma) != ev.true_user
-            errors["prior"] += classify_prior(priors[hh.id], "day", ev) != ev.true_user
+        errors = {}
+        for family in ("gen", "prior"):
+            predictions, _ = fit_and_classify(split, PipelineConfig(
+                f"{family}-day", factor_params=params, sigma_scope="per_user",
+                epsilon=0.5))
+            errors[family] = sum(pred != ev.true_user
+                                 for pred, ev in zip(predictions, split.test))
         gen_wins.append((errors["gen"], errors["prior"], len(split.test)))
     gen_mean = np.mean([g / n for g, _, n in gen_wins])
     prior_mean = np.mean([p / n for _, p, n in gen_wins])

@@ -18,12 +18,12 @@ from hhattrib.corpus import (
     Binning, Household, SynthConfig, bin_of, derive_binning, hour_of, synth_generate,
     weekday_of,
 )
+from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.logistic import (
-    FEATURE_ORDER, FeatureConfig, build_features, classify_logistic,
-    feature_matrix, fit_household, fit_logistic, kkt_residual, load_logit_models,
-    logistic_objective, logit_prob, member_probabilities, save_logit_models,
-    standardize_apply, standardize_fit,
+    FEATURE_ORDER, FeatureConfig, _sigmoid, feature_matrix, fit_household,
+    fit_logistic, kkt_residual, load_logit_models, logistic_objective,
+    member_probabilities, save_logit_models, standardize_apply, standardize_fit,
 )
 
 from conftest import DAY, DAY0, anon_event, event
@@ -31,6 +31,11 @@ from conftest import DAY, DAY0, anon_event, event
 
 def only(letters, lambda1=0.01):
     return FeatureConfig.from_letters(letters, lambda1)
+
+
+def build_features(ev, config, model=None, binning=None):
+    """feature_matrix's row for one event."""
+    return feature_matrix([ev], config, model, binning)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,29 +387,35 @@ def test_budget_spent_above_tolerance_is_logged(caplog):
 
 
 # ---------------------------------------------------------------------------
-# logit_prob
+# Logit probabilities
 # ---------------------------------------------------------------------------
 
 def test_logit_prob_values():
-    assert logit_prob(np.zeros(3), np.ones(3)) == 0.5
-    assert logit_prob(np.array([40.0]), np.array([1.0])) > 1 - 1e-12
+    assert _sigmoid(np.zeros(3) @ np.ones(3)) == 0.5
+    assert _sigmoid(np.array([40.0]))[0] > 1 - 1e-12
     # extreme scores must not overflow in either direction
-    assert logit_prob(np.array([900.0]), np.array([1.0])) <= 1.0
-    assert logit_prob(np.array([-900.0]), np.array([1.0])) >= 0.0
+    assert _sigmoid(np.array([900.0]))[0] <= 1.0
+    assert _sigmoid(np.array([-900.0]))[0] >= 0.0
 
 
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=6))
 @settings(max_examples=80)
 def test_logit_prob_symmetry(values):
-    theta = np.array(values)
-    x = np.ones_like(theta)
-    total = logit_prob(theta, x) + logit_prob(-theta, x)
+    u = np.array([sum(values)])
+    total = _sigmoid(u)[0] + _sigmoid(-u)[0]
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # Household fitting and classification
 # ---------------------------------------------------------------------------
+
+def classify_logistic(models, household, events):
+    """The unified classifier's decisions on one household's events."""
+    fitted = FittedPipeline(PipelineConfig("unified"), {household.id: household},
+                            None, logit_models={household.id: models})
+    return classify_events(fitted, events)[0]
+
 
 def _separable_household(n_each=30):
     household = Household(0, (0, 1))
@@ -430,8 +441,8 @@ def test_labels_are_complementary():
 def test_separable_day_feature_classifies_training_perfectly():
     household, train = _separable_household()
     models = fit_household(train, household, only("a", 0.05))
-    for ev in train:
-        assert classify_logistic(models, ev) == ev.user
+    best = member_probabilities(models, train).argmax(axis=1)
+    assert np.array(list(models))[best].tolist() == [ev.user for ev in train]
 
 
 def test_classify_tie_breaks_to_smaller_id():
@@ -441,8 +452,8 @@ def test_classify_tie_breaks_to_smaller_id():
     models = fit_household(train, household, only("a", 1e6))
     probe = anon_event(0, 50, day=0)
     probs = member_probabilities(models, [probe])[0]
-    assert probs[2] == probs[4] == 0.5  # both thetas are exactly zero
-    assert classify_logistic(models, probe) == 2
+    assert probs.tolist() == [0.5, 0.5]  # both thetas are exactly zero
+    assert classify_logistic(models, household, [probe]) == [2]
 
 
 def test_member_probabilities_equal_one_event_scoring(planted_dataset):
@@ -450,24 +461,20 @@ def test_member_probabilities_equal_one_event_scoring(planted_dataset):
     binning = derive_binning(planted_dataset.train, 5)
     models = fit_household(planted_dataset.train, household, only("abde", 0.1),
                            binning=binning)
-    stats = models[household.members[0]].standardization
     events = [ev for ev in planted_dataset.test if ev.household == household.id]
-    want = []
-    for ev in events:
-        x = standardize_apply(stats, build_features(ev, only("abde", 0.1),
-                                                    binning=binning))
-        want.append({m: logit_prob(models[m].theta, x) for m in household.members})
+    want = [member_probabilities(models, [ev], binning=binning)[0].tolist()
+            for ev in events]
     assert len(events) > 1
-    assert member_probabilities(models, events, binning=binning) == want
+    assert member_probabilities(models, events, binning=binning).tolist() == want
 
 
 def test_classifier_depends_only_on_probability_order():
     household, train = _separable_household()
     models = fit_household(train, household, only("ab", 0.1))
     probe = anon_event(0, 50, day=0, hour=20)
-    probs = member_probabilities(models, [probe])[0]
-    assert classify_logistic(models, probe) == max(
-        sorted(probs), key=lambda member: (probs[member], -member))
+    probs = dict(zip(models, member_probabilities(models, [probe])[0]))
+    assert classify_logistic(models, household, [probe]) == [max(
+        sorted(probs), key=lambda member: (probs[member], -member))]
 
 
 def test_feature_set_monotonicity_day_plus_hour_helps():
@@ -483,11 +490,10 @@ def test_feature_set_monotonicity_day_plus_hour_helps():
             for hid, household in dataset.households.items():
                 models = fit_household(dataset.train, household,
                                        only(letters, 0.1))
-                for ev in dataset.test:
-                    if ev.household != hid:
-                        continue
-                    total += 1
-                    wrong += classify_logistic(models, ev) != ev.true_user
+                events = [ev for ev in dataset.test if ev.household == hid]
+                total += len(events)
+                wrong += sum(pred != ev.true_user for pred, ev in zip(
+                    classify_logistic(models, household, events), events))
             sink.append(wrong / total)
     assert np.mean(errors_ab) <= np.mean(errors_a)
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,15 +10,23 @@ from hhattrib.corpus import (
     SECONDS_PER_WEEK, Binning, DuplicateError, Household, RatingEvent, SynthConfig,
     bin_of, derive_binning, synth_generate, weekday_of,
 )
+from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.temporal import (
-    UndefinedProfileError, classify_prior, day_profile, fit_priors,
-    household_tv, prior_value, tv_distance, tv_histogram, weekday_histogram,
+    UndefinedProfileError, day_profile, fit_priors, household_tv, prior_matrix,
+    tv_distance, tv_histogram, weekday_histogram,
 )
 
 from conftest import DAY, DAY0, anon_event, event, rng_for
 
 
 BINNING = Binning(4, 0, 10 ** 10)
+DAYS = 1 + BINNING.bin_count   # the first weekday condition of BINNING's priors
+
+
+def share(priors, hid, member, condition):
+    """Member's probability under a condition: 0, a bin 1..T or T+1+weekday."""
+    h = priors.households.index(hid)
+    return priors.shares[h, condition, priors.members[h].tolist().index(member)]
 
 
 def test_day_profile_all_sunday():
@@ -106,32 +115,35 @@ def test_tv_distance_equals_half_l1_form():
 
 def test_prior_counts(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
-    assert priors.prior[0] == pytest.approx(0.75)
-    assert priors.prior[1] == pytest.approx(0.25)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    assert share(priors, 0, 0, 0) == pytest.approx(0.75)
+    assert share(priors, 0, 1, 0) == pytest.approx(0.25)
 
 
 def test_prior_day_conditional(pair_household):
     train = [event(0, m, day=0) for m in range(4)] + [event(1, 9, day=2)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
-    assert priors.by_day[(0, 0)] == 1.0
-    assert priors.by_day[(1, 0)] == 0.0
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    assert share(priors, 0, 0, DAYS) == 1.0
+    assert share(priors, 0, 1, DAYS) == 0.0
 
 
 def test_prior_smoothing_on_empty_conditional(pair_household):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=1.0)[0]
-    assert priors.by_day[(0, 1)] == pytest.approx(0.5)  # no Monday events
-    assert priors.by_day[(1, 1)] == pytest.approx(0.5)
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=1.0)
+    assert share(priors, 0, 0, DAYS + 1) == pytest.approx(0.5)  # no Monday events
+    assert share(priors, 0, 1, DAYS + 1) == pytest.approx(0.5)
 
 
-def test_prior_epsilon_zero_flags_undefined(pair_household):
+def test_prior_epsilon_zero_flags_undefined(pair_household, caplog):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
-    assert math.isnan(priors.by_day[(0, 1)])
-    # classification falls back to the unconditional prior
-    probe = anon_event(0, 5, day=1)
-    assert prior_value(priors, 0, "day", probe) == priors.prior[0]
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    assert math.isnan(share(priors, 0, 0, DAYS + 1))
+    # scoring falls back to the unconditional prior, one record per member
+    stamps = np.array([anon_event(0, 5, day=1).timestamp, anon_event(0, 5).timestamp])
+    with caplog.at_level(logging.DEBUG, logger="hhattrib.temporal"):
+        scores = prior_matrix(priors, "day", np.array([0, 0]), stamps)
+    np.testing.assert_array_equal(scores, priors.shares[0, [0, DAYS]])
+    assert sum("undefined" in r.msg for r in caplog.records) == 2
 
 
 def test_prior_epsilon_zero_rejects_household_without_events():
@@ -139,7 +151,7 @@ def test_prior_epsilon_zero_rejects_household_without_events():
     train = [event(0, 0), event(1, 1)]
     with pytest.raises(UndefinedProfileError, match="household 5 has no training"):
         fit_priors(train, households, BINNING, epsilon=0.0)
-    assert set(fit_priors(train, households, BINNING, epsilon=0.5)) == {0, 5}
+    assert fit_priors(train, households, BINNING, epsilon=0.5).households == (0, 5)
 
 
 def test_priors_reject_user_in_two_households():
@@ -161,21 +173,19 @@ def test_priors_match_brute_force_counting(assignments):
     events = [event(user, idx, day=day, week=week * 2)
               for idx, (user, day, week) in enumerate(assignments)]
     binning = derive_binning(events, 3)
-    fitted = fit_priors(events, households, binning, epsilon=0.0)
-    assert set(fitted) == set(households)
-    from hhattrib.corpus import bin_of, weekday_of
+    priors = fit_priors(events, households, binning, epsilon=0.0)
+    assert priors.households == (0, 7)
+    np.testing.assert_array_equal(priors.members, [[0, 1, -1], [4, 2, 3]])
     for hid, hh in households.items():
-        priors = fitted[hid]
-        assert priors.household == hid and priors.members == hh.members
         ours = [e for e in events if e.user in hh.members]
         for member in hh.members:
             mine = sum(e.user == member for e in ours)
-            assert priors.prior[member] == pytest.approx(mine / len(ours))
+            assert share(priors, hid, member, 0) == pytest.approx(mine / len(ours))
             for d in range(7):
                 denom = sum(weekday_of(e.timestamp) == d for e in ours)
                 numer = sum(e.user == member and weekday_of(e.timestamp) == d
                             for e in ours)
-                got = priors.by_day[(member, d)]
+                got = share(priors, hid, member, 4 + d)
                 if denom == 0:
                     assert math.isnan(got)
                 else:
@@ -184,7 +194,7 @@ def test_priors_match_brute_force_counting(assignments):
                 denom = sum(bin_of(e.timestamp, binning) == b for e in ours)
                 numer = sum(e.user == member and bin_of(e.timestamp, binning) == b
                             for e in ours)
-                got = priors.by_bin[(member, b)]
+                got = share(priors, hid, member, b)
                 if denom == 0:
                     assert math.isnan(got)
                 else:
@@ -192,7 +202,7 @@ def test_priors_match_brute_force_counting(assignments):
 
 
 def _reference_priors(train, household, binning, epsilon):
-    """One household's (prior, by_bin, by_day) from per-event bin_of/weekday_of."""
+    """One household's share table from per-event bin_of/weekday_of."""
     T = binning.bin_count
     counts = np.zeros((1 + T + 7, household.size))
     for ev in train:
@@ -202,12 +212,8 @@ def _reference_priors(train, household, binning, epsilon):
             counts[bin_of(ev.timestamp, binning, clamp=True), k] += 1
             counts[T + 1 + weekday_of(ev.timestamp), k] += 1
     with np.errstate(invalid="ignore"):
-        shares = (counts + epsilon) / (counts.sum(axis=1, keepdims=True)
-                                       + epsilon * household.size)
-    members = household.members
-    return (dict(zip(members, shares[0])),
-            {(m, b): shares[b, k] for b in range(1, T + 1) for k, m in enumerate(members)},
-            {(m, d): shares[T + 1 + d, k] for d in range(7) for k, m in enumerate(members)})
+        return (counts + epsilon) / (counts.sum(axis=1, keepdims=True)
+                                     + epsilon * household.size)
 
 
 @pytest.mark.parametrize("binning", [
@@ -227,68 +233,71 @@ def test_priors_equal_per_event_reference(binning, count, epsilon):
                   rng.integers(0, 8, count), rng.integers(0, 24, count)))]
     events += [event(0, count), event(4, count)]   # every household has events
     fitted = fit_priors(events, households, binning, epsilon)
-    for hid, hh in households.items():
+    for h, hh in enumerate(households.values()):
         want = _reference_priors(events, hh, binning, epsilon)
-        got = (fitted[hid].prior, fitted[hid].by_bin, fitted[hid].by_day)
-        for ours, theirs in zip(got, want):
-            assert list(ours) == list(theirs)
-            assert all(ours[key] == theirs[key]
-                       or (math.isnan(ours[key]) and math.isnan(theirs[key]))
-                       for key in theirs)
+        np.testing.assert_array_equal(fitted.shares[h, :, :hh.size], want)
+        assert not fitted.shares[h, :, hh.size:].any()   # padded slots
     if count == 15 and epsilon == 0.0:
-        assert any(math.isnan(value) for value in fitted[7].by_bin.values())
+        assert np.isnan(fitted.shares[1, 1:binning.bin_count + 1]).any()
 
 
 # ---------------------------------------------------------------------------
 # Prior classifier
 # ---------------------------------------------------------------------------
 
+def classify_prior(priors, mode, ev, household):
+    fitted = FittedPipeline(PipelineConfig(f"prior-{mode}"), {household.id: household},
+                            priors.binning, priors=priors)
+    return classify_events(fitted, [ev])[0][0]
+
+
 def test_classify_prior_uniform(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)[0]
-    assert classify_prior(priors, "uniform", anon_event(0, 50)) == 0
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    assert classify_prior(priors, "uniform", anon_event(0, 50), pair_household) == 0
 
 
 def test_classify_prior_day(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + \
             [event(1, m + 10, day=4) for m in range(5)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
-    assert classify_prior(priors, "day", anon_event(0, 50, day=0)) == 0
-    assert classify_prior(priors, "day", anon_event(0, 50, day=4)) == 1
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
+    assert classify_prior(priors, "day", anon_event(0, 50, day=0), pair_household) == 0
+    assert classify_prior(priors, "day", anon_event(0, 50, day=4), pair_household) == 1
 
 
 def test_classify_prior_tie_breaks_to_smaller_id():
     household = Household(0, (7, 3))
     train = [event(7, 0), event(3, 1)]
-    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.5)[0]
-    assert priors.prior[7] == priors.prior[3]
-    assert classify_prior(priors, "uniform", anon_event(0, 50)) == 3
+    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.5)
+    assert share(priors, 0, 7, 0) == share(priors, 0, 3, 0)
+    assert classify_prior(priors, "uniform", anon_event(0, 50), household) == 3
 
 
 def test_classify_prior_ignores_rating(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + [event(1, 9, day=4)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
     low = anon_event(0, 50, rating=1.0, day=0)
     high = anon_event(0, 50, rating=99.0, day=0)
-    assert classify_prior(priors, "day", low) == classify_prior(priors, "day", high)
+    assert classify_prior(priors, "day", low, pair_household) == \
+        classify_prior(priors, "day", high, pair_household)
 
 
 def test_classify_prior_weekly_shift_invariance(pair_household):
     train = [event(0, m, day=m % 3) for m in range(5)] + \
             [event(1, m + 10, day=3 + m % 3) for m in range(7)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
     for day in range(7):
         probe = anon_event(0, 50, day=day)
         shifted = anon_event(0, 50, day=day, week=21)  # +147 days = 21 weeks
-        assert classify_prior(priors, "day", probe) == \
-            classify_prior(priors, "day", shifted)
+        assert classify_prior(priors, "day", probe, pair_household) == \
+            classify_prior(priors, "day", shifted, pair_household)
 
 
 def test_classify_prior_bad_mode(pair_household):
     train = [event(0, 0), event(1, 1)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)[0]
+    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
     with pytest.raises(ValueError):
-        classify_prior(priors, "hourly", anon_event(0, 5))
+        prior_matrix(priors, "hourly", np.array([0]), np.array([DAY0]))
 
 
 # ---------------------------------------------------------------------------
