@@ -145,21 +145,37 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _read_predictions(path, test_events):
-    predictions = []
+def _read_rows(path, width: int, convert, comments=False):
+    """The rows of a tab-separated dump after its header, blank lines (and
+    ``#`` lines with ``comments``) skipped, each converted from its
+    ``width`` fields by ``convert``. A malformed row is a usage error
+    naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    if lines and lines[0].startswith("household"):
+        lines = [(no, ln) for no, ln in enumerate(fh.read().split("\n"), start=1)
+                 if ln and not (comments and ln.startswith("#"))]
+    if lines and lines[0][1].startswith("household"):
         lines = lines[1:]
-    if len(lines) != len(test_events):
+    rows = []
+    for line_no, line in lines:
+        fields = line.split("\t")
+        try:
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            rows.append(convert(fields))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
+    return rows
+
+
+def _read_predictions(path, test_events):
+    rows = _read_rows(path, 4, lambda fields: tuple(map(int, fields)), comments=True)
+    if len(rows) != len(test_events):
         raise ConfigError(
-            f"{path}: {len(lines)} predictions for {len(test_events)} test events")
-    for line, ev in zip(lines, test_events):
-        hid, movie, stamp, predicted = line.split("\t")
-        if (int(hid), int(movie), int(stamp)) != (ev.household, ev.movie, ev.timestamp):
+            f"{path}: {len(rows)} predictions for {len(test_events)} test events")
+    for (hid, movie, stamp, _), ev in zip(rows, test_events):
+        if (hid, movie, stamp) != (ev.household, ev.movie, ev.timestamp):
             raise ConfigError(f"{path}: prediction row does not match test file order")
-        predictions.append(int(predicted))
-    return predictions
+    return [row[3] for row in rows]
 
 
 def _read_posteriors(path, test_events, households):
@@ -167,19 +183,15 @@ def _read_posteriors(path, test_events, households):
 
     Each event must carry exactly its household's members.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if lines and lines[0].startswith("household"):
-        lines = lines[1:]
     posteriors = [dict() for _ in test_events]
     keys = {(ev.household, ev.movie, ev.timestamp): idx
             for idx, ev in enumerate(test_events)}
-    for line in lines:
-        hid, movie, stamp, member, value = line.split("\t")
-        idx = keys.get((int(hid), int(movie), int(stamp)))
+    rows = _read_rows(path, 5, lambda fields: (*map(int, fields[:4]), float(fields[4])))
+    for hid, movie, stamp, member, value in rows:
+        idx = keys.get((hid, movie, stamp))
         if idx is None:
             raise ConfigError(f"{path}: posterior row matches no test event")
-        posteriors[idx][int(member)] = float(value)
+        posteriors[idx][member] = value
     for ev, post in zip(test_events, posteriors):
         members = households[ev.household].members if ev.household in households else ()
         if set(post) != set(members):
@@ -188,6 +200,13 @@ def _read_posteriors(path, test_events, households):
                 f"timestamp {ev.timestamp}) has posteriors for members {sorted(post)}, "
                 f"not {sorted(members)}")
     return posteriors
+
+
+def _check_households(test_events, households, path) -> None:
+    """A usage error naming ``path`` if a test event's household is not in it."""
+    for ev in test_events:
+        if ev.household not in households:
+            raise ConfigError(f"{path}: no household {ev.household}, which has test events")
 
 
 def cmd_evaluate(args) -> int:
@@ -241,6 +260,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --test, --predictions and --out "
                           "(or one of --cv / --export-histograms)")
     test = parse_test_events(args.test)
+    _check_households(test, households, args.households)
     predictions = _read_predictions(args.predictions, test)
     posteriors = None
     if args.posteriors:
@@ -259,6 +279,7 @@ def cmd_roc(args) -> int:
         model = _load_factor_model(args, pipeline)
         households = parse_households(args.households)
         test = parse_test_events(args.test)
+        _check_households(test, households, args.households)
         if args.alpha_grid:
             grid = _parse_grid(args.alpha_grid)
         else:

@@ -32,35 +32,30 @@ SYNTH_ORIGIN = 1_262_476_800
 SYNTH_WEEKS = 52
 
 
-class ParseError(ValueError):
+class _LocatedError(ValueError):
+    """An error that names its file and line when it has them."""
+
+    def __init__(self, message, path=None, line_no=None):
+        self.path = None if path is None else str(path)
+        self.line_no = line_no
+        if path is not None:
+            message = f"{path}:{line_no}: {message}"
+        super().__init__(message)
+
+
+class ParseError(_LocatedError):
     """A line that cannot be decoded into the expected record."""
 
     def __init__(self, path, line_no, message):
-        self.path = str(path)
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+        super().__init__(message, path, line_no)
 
 
-class RangeError(ValueError):
+class RangeError(_LocatedError):
     """A numeric value outside its allowed range."""
 
-    def __init__(self, message, path=None, line_no=None):
-        self.path = None if path is None else str(path)
-        self.line_no = line_no
-        if path is not None:
-            message = f"{path}:{line_no}: {message}"
-        super().__init__(message)
 
-
-class StructureError(ValueError):
+class StructureError(_LocatedError):
     """A household record with an unsupported member count."""
-
-    def __init__(self, message, path=None, line_no=None):
-        self.path = None if path is None else str(path)
-        self.line_no = line_no
-        if path is not None:
-            message = f"{path}:{line_no}: {message}"
-        super().__init__(message)
 
 
 class DuplicateError(ValueError):
@@ -114,7 +109,10 @@ class TestEvent:
 
 
 def event_column(events, name: str, dtype) -> np.ndarray:
-    """Field ``name`` of every event as one array, in event order."""
+    """Field ``name`` of every event as one array, in event order; of
+    ``EventColumns``, the column (``timestamp`` is ``stamp``)."""
+    if isinstance(events, EventColumns):
+        return getattr(events, "stamp" if name == "timestamp" else name).astype(dtype, copy=False)
     return np.fromiter(map(attrgetter(name), events), dtype, len(events))
 
 
@@ -137,6 +135,16 @@ class EventColumns:
                    event_column(events, "movie", np.intp),
                    event_column(events, "rating", np.float64),
                    event_column(events, "timestamp", np.int64))
+
+    def __getitem__(self, index) -> "EventColumns":
+        """The events at ``index`` (a bool mask, indices or a slice), in order."""
+        return EventColumns(self.user[index], self.movie[index], self.rating[index],
+                            self.stamp[index])
+
+    def events(self) -> tuple[RatingEvent, ...]:
+        """The events as RatingEvent objects."""
+        return tuple(map(RatingEvent, self.user.tolist(), self.movie.tolist(),
+                         self.rating.tolist(), self.stamp.tolist()))
 
 
 @dataclass(frozen=True)
@@ -173,20 +181,30 @@ def member_table(households: dict[int, Household]) -> np.ndarray:
 @dataclass(frozen=True)
 class Dataset:
     """Training events, households, test events and ``member_of`` (member ->
-    household). The train columns are kept by a Dataset; a split reads its
-    parent's through its keep mask."""
+    household).
 
-    train: tuple[RatingEvent, ...]
+    The train is kept as columns, given as ``EventColumns`` or as rating
+    events; a split reads its parent's through its keep mask. RatingEvent
+    objects are built only when ``.train`` is read, once per Dataset, and
+    a split's are its unsplit dataset's own.
+    """
+
+    train: tuple[RatingEvent, ...] | EventColumns
     households: dict[int, Household]
     test: tuple[TestEvent, ...]
     user_count: int
     movie_count: int
     _keep = None   # a split's bool mask over the events of _columns
+    _root = None   # a split's unsplit dataset
 
     def __post_init__(self):
-        object.__setattr__(self, "train", tuple(self.train))
+        if isinstance(self.train, EventColumns):
+            object.__setattr__(self, "_columns", self.train)
+            object.__delattr__(self, "train")   # built on first read
+        else:
+            object.__setattr__(self, "train", tuple(self.train))
+            object.__setattr__(self, "_columns", EventColumns.of(self.train))
         object.__setattr__(self, "test", tuple(self.test))
-        object.__setattr__(self, "_columns", EventColumns.of(self.train))
         users, movies = self.columns.user, self.columns.movie
         # keys span the largest movie: one beyond movie_count is not a repeat
         key = users * max(self.movie_count, int(movies.max(initial=-1)) + 1) + movies
@@ -195,7 +213,7 @@ class Dataset:
         bad = repeat | (users >= self.user_count) | (movies >= self.movie_count)
         if bad.any():
             first = bad.argmax()
-            ev = self.train[first]
+            ev = self.columns[first:first + 1].events()[0]
             if repeat[first]:
                 raise DuplicateError(f"duplicate train pair {(ev.user, ev.movie)}")
             raise ValueError(f"event {ev!r} exceeds declared dimensions")
@@ -214,20 +232,36 @@ class Dataset:
             if ev.true_user is not None and owner.get(ev.true_user) != ev.household:
                 raise ValueError(f"true_user {ev.true_user} not in household {ev.household}")
 
+    def __getattr__(self, name):
+        # reached only for a train not read yet
+        if name != "train" or "_columns" not in vars(self):
+            raise AttributeError(name)
+        if self._root is None:
+            train = self._columns.events()
+        else:
+            train = tuple(itertools.compress(self._root.train, self._keep.tolist()))
+        object.__setattr__(self, "train", train)
+        return train
+
     @property
     def columns(self) -> EventColumns:
         """The train events' columns, in event order."""
         columns, keep = self._columns, self._keep
-        if keep is None:
-            return columns
-        return EventColumns(columns.user[keep], columns.movie[keep],
-                            columns.rating[keep], columns.stamp[keep])
+        return columns if keep is None else columns[keep]
+
+    def household_rows(self) -> np.ndarray:
+        """Each train event's household as its row in map order; -1 for the
+        events of users in no household."""
+        row_of = {hid: row for row, hid in enumerate(self.households)}
+        lookup = np.full(max(self.user_count, max(self.member_of, default=-1) + 1), -1)
+        lookup[list(self.member_of)] = [row_of[hid] for hid in self.member_of.values()]
+        return lookup[self.columns.user]
 
     def _subset(self, keep: np.ndarray, test: tuple) -> "Dataset":
         """The train events where ``keep`` is set and ``test``, not validated again."""
         split = object.__new__(type(self))
-        vars(split).update(vars(self), test=test,
-                           train=tuple(itertools.compress(self.train, keep.tolist())))
+        vars(split).update(vars(self), test=test, _root=self._root or self)
+        vars(split).pop("train", None)
         if self._keep is not None:   # a split of a split: one mask over the same columns
             keep, inner = self._keep.copy(), keep
             keep[self._keep] = inner
@@ -324,6 +358,9 @@ def bin_column(stamps, binning: Binning) -> np.ndarray:
 # File ingestion
 # ---------------------------------------------------------------------------
 
+_CHUNK = 1 << 16   # parse_ratings reads about this many characters at a time
+
+
 def _fields(line: str) -> list[str]:
     # Delimiter auto-detection: tab, comma and space all normalize to space.
     return line.replace("\t", " ").replace(",", " ").split()
@@ -346,69 +383,103 @@ def _parse_float(token: str, path, line_no, what: str) -> float:
     return value
 
 
-def parse_ratings(path) -> list[RatingEvent]:
-    """Read a 4-column ratings file, in file order."""
-    events = []
+def _lines(path):
+    """(line number, fields) of each non-blank line of a file."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            fields = _fields(raw)
-            if not fields:
-                continue
-            if len(fields) != 4:
-                raise ParseError(path, line_no, f"expected 4 fields, got {len(fields)}")
-            user = _parse_int(fields[0], path, line_no, "user id")
-            movie = _parse_int(fields[1], path, line_no, "movie id")
-            rating = _parse_float(fields[2], path, line_no, "rating")
-            stamp = _parse_int(fields[3], path, line_no, "timestamp")
-            if not 0.0 <= rating <= 100.0:
-                raise RangeError(f"rating {rating} outside [0, 100]", path, line_no)
-            events.append(RatingEvent(user, movie, rating, stamp))
-    return events
+            if fields := _fields(raw):
+                yield line_no, fields
+
+
+def _event_fields(fields, path, line_no, id_name: str) -> tuple:
+    """The id, movie, rating and timestamp of a ratings or test line."""
+    values = (_parse_int(fields[0], path, line_no, id_name),
+              _parse_int(fields[1], path, line_no, "movie id"),
+              _parse_float(fields[2], path, line_no, "rating"),
+              _parse_int(fields[3], path, line_no, "timestamp"))
+    if not 0.0 <= values[2] <= 100.0:
+        raise RangeError(f"rating {values[2]} outside [0, 100]", path, line_no)
+    return values
+
+
+def parse_ratings(path) -> EventColumns:
+    """Read a 4-column ratings file into columns, in file order.
+
+    The file is read in chunks of lines. A chunk's lines, split at newlines
+    only as file iteration splits them, must have 4 fields or none; each
+    column is converted by the same ``int`` and ``float`` as the per-line
+    parser, then range-checked as an array. If anything fails, the file is
+    parsed again line by line, which raises the error with its line number.
+    """
+    try:
+        return _parse_ratings_chunks(path)
+    except (ValueError, OverflowError):
+        pass
+    return _parse_ratings_lines(path)
+
+
+def _parse_ratings_chunks(path) -> EventColumns:
+    # per column, an empty array of its dtype, then one array per chunk
+    parts = [[np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.float64, np.int64)]
+    with open(path, "r", encoding="utf-8") as fh:
+        while lines := fh.readlines(_CHUNK):
+            text = "".join(lines).replace("\t", " ").replace(",", " ")
+            if not set(map(len, map(str.split, text.split("\n")))) <= {0, 4}:
+                raise ValueError("a line without 4 fields")
+            tokens = text.split()
+            for k, part in enumerate(parts):
+                part.append(np.fromiter(map(float if k == 2 else int, tokens[k::4]),
+                                        part[0].dtype, len(tokens) // 4))
+    for part in parts:   # one column at a time, freeing its chunks
+        part[:] = [np.concatenate(part)]
+    columns = EventColumns(*(part[0] for part in parts))
+    if (min(columns.user.min(initial=0), columns.movie.min(initial=0),
+            columns.stamp.min(initial=0)) < 0
+            or not ((columns.rating >= 0.0) & (columns.rating <= 100.0)).all()):
+        raise ValueError("a value out of range")
+    return columns
+
+
+def _parse_ratings_lines(path) -> EventColumns:
+    # one line at a time: the error path of parse_ratings
+    events = []
+    for line_no, fields in _lines(path):
+        if len(fields) != 4:
+            raise ParseError(path, line_no, f"expected 4 fields, got {len(fields)}")
+        events.append(RatingEvent(*_event_fields(fields, path, line_no, "user id")))
+    return EventColumns.of(events)
 
 
 def parse_households(path) -> dict[int, Household]:
     """Read a households file into a map household id -> Household."""
     out: dict[int, Household] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            fields = _fields(raw)
-            if not fields:
-                continue
-            if not 3 <= len(fields) <= 5:
-                raise StructureError(
-                    f"household line has {len(fields) - 1} members, need 2-4",
-                    path, line_no,
-                )
-            hid = _parse_int(fields[0], path, line_no, "household id")
-            members = tuple(
-                _parse_int(tok, path, line_no, "member id") for tok in fields[1:]
+    for line_no, fields in _lines(path):
+        if not 3 <= len(fields) <= 5:
+            raise StructureError(
+                f"household line has {len(fields) - 1} members, need 2-4",
+                path, line_no,
             )
-            if hid in out:
-                raise DuplicateError(f"{path}:{line_no}: duplicate household {hid}")
-            out[hid] = Household(hid, members)
+        hid = _parse_int(fields[0], path, line_no, "household id")
+        members = tuple(
+            _parse_int(tok, path, line_no, "member id") for tok in fields[1:]
+        )
+        if hid in out:
+            raise DuplicateError(f"{path}:{line_no}: duplicate household {hid}")
+        out[hid] = Household(hid, members)
     return out
 
 
 def parse_test_events(path) -> list[TestEvent]:
     """Read a 4- or 5-column test file (5th column = true user, optional)."""
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            fields = _fields(raw)
-            if not fields:
-                continue
-            if len(fields) not in (4, 5):
-                raise ParseError(path, line_no, f"expected 4-5 fields, got {len(fields)}")
-            hid = _parse_int(fields[0], path, line_no, "household id")
-            movie = _parse_int(fields[1], path, line_no, "movie id")
-            rating = _parse_float(fields[2], path, line_no, "rating")
-            stamp = _parse_int(fields[3], path, line_no, "timestamp")
-            if not 0.0 <= rating <= 100.0:
-                raise RangeError(f"rating {rating} outside [0, 100]", path, line_no)
-            truth = None
-            if len(fields) == 5:
-                truth = _parse_int(fields[4], path, line_no, "true user id")
-            events.append(TestEvent(hid, movie, rating, stamp, truth))
+    for line_no, fields in _lines(path):
+        if len(fields) not in (4, 5):
+            raise ParseError(path, line_no, f"expected 4-5 fields, got {len(fields)}")
+        values = _event_fields(fields, path, line_no, "household id")
+        truth = None
+        if len(fields) == 5:
+            truth = _parse_int(fields[4], path, line_no, "true user id")
+        events.append(TestEvent(*values, truth))
     return events
 
 
@@ -440,17 +511,17 @@ def write_test_events(events, path) -> None:
 
 
 def make_dataset(train, households, test=()) -> Dataset:
-    """Assemble a Dataset, deriving user/movie counts from the data."""
-    users = [ev.user for ev in train]
-    users += [m for hh in households.values() for m in hh.members]
-    users += [ev.true_user for ev in test if ev.true_user is not None]
-    movies = [ev.movie for ev in train] + [ev.movie for ev in test]
+    """Assemble a Dataset, deriving user/movie counts from the data; the
+    train (rating events or columns) is kept as columns."""
+    columns, test = EventColumns.of(train), tuple(test)
+    members = [m for hh in households.values() for m in hh.members]
+    truths = [ev.true_user for ev in test if ev.true_user is not None]
     return Dataset(
-        train=tuple(train),
+        train=columns,
         households=dict(households),
-        test=tuple(test),
-        user_count=max(users, default=-1) + 1,
-        movie_count=max(movies, default=-1) + 1,
+        test=test,
+        user_count=max([int(columns.user.max(initial=-1)), *members, *truths]) + 1,
+        movie_count=max([int(columns.movie.max(initial=-1)), *(ev.movie for ev in test)]) + 1,
     )
 
 
@@ -488,27 +559,25 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
 
     The k member events take one ``rng.random(k)`` draw in train order and
     other events none: one ``rng.random()`` per member event, as the
-    per-event loop drew. Kept events are the dataset's own objects.
+    per-event loop drew. The hidden events are built from the dataset's
+    columns; the kept ones are read through the keep mask.
 
     The split is not validated again: its train is a subset of a validated
     train, and each hidden event is built from a validated event whose owner
-    is a member of the household. It reads the dataset's columns through
-    its keep mask.
+    is a member of the household.
     """
     if not dataset.households:
         raise ValueError("cv_split needs a dataset with households")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction {fraction} outside (0, 1)")
     rng = np.random.default_rng(seed)
-    member_of = dataset.member_of
-    household_of = np.full(max(dataset.user_count, max(member_of) + 1), -1)
-    household_of[list(member_of)] = list(member_of.values())
-    household = household_of[dataset.columns.user]
-    hide = household >= 0   # member events, then the hidden ones among them
+    rows = dataset.household_rows()
+    hide = rows >= 0   # member events, then the hidden ones among them
     hide[hide] = rng.random(int(hide.sum())) < fraction
-    hidden = [TestEvent(hid, ev.movie, ev.rating, ev.timestamp, ev.user)
-              for ev, hid in zip(itertools.compress(dataset.train, hide.tolist()),
-                                 household[hide].tolist())]
+    hids = np.fromiter(dataset.households, np.intp, len(dataset.households))
+    moved = dataset.columns[hide]
+    hidden = map(TestEvent, hids[rows[hide]].tolist(), moved.movie.tolist(),
+                 moved.rating.tolist(), moved.stamp.tolist(), moved.user.tolist())
     return dataset._subset(~hide, tuple(hidden))
 
 

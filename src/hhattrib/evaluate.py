@@ -187,30 +187,38 @@ class RocPoint:
     tpr_rest: float
 
 
-def _household_arrays(test_events, households):
-    """Per household: indices, first-member truth mask."""
-    return [(hid, idxs, np.array([test_events[i].true_user == households[hid].members[0]
-                                  for i in idxs]))
-            for hid, idxs in _by_household(test_events)]
+def _roc_points(parameters, decide_first, truth_first, rows) -> list[RocPoint]:
+    """Average per-household (TPR_first, TPR_rest) over a parameter grid.
+
+    ``decide_first`` is (parameters x events): whether the first member is
+    chosen. ``truth_first`` marks first-member events and ``rows`` gives
+    each event's household in id order. Each side averages, per parameter,
+    the households with events on that side, in id order.
+    """
+    grid, width = len(parameters), int(rows.max(initial=-1)) + 1
+    slots = np.arange(grid)[:, None] * width + rows
+
+    def tpr(hit, side):
+        counts = np.bincount(rows[side], minlength=width)
+        hits = np.bincount(slots[:, side].ravel(), hit[:, side].ravel(),
+                           grid * width).reshape(grid, width)
+        if not counts.any():
+            return np.full(grid, math.nan)
+        # compress keeps rows contiguous, so each mean sums as np.mean of a list
+        return (np.compress(counts > 0, hits, axis=1) / counts[counts > 0]).mean(axis=1)
+
+    firsts, rests = tpr(decide_first, truth_first), tpr(~decide_first, ~truth_first)
+    return [RocPoint(float(value), float(first), float(rest))
+            for value, first, rest in zip(parameters, firsts, rests)]
 
 
-def _roc_points(parameters, decide_first, grouped):
-    """Average per-household (TPR_first, TPR_rest) over a parameter grid."""
-    points = []
-    for value in parameters:
-        firsts, rests = [], []
-        for hid, idxs, truth_first in grouped:
-            chose_first = decide_first(value, idxs)
-            if truth_first.any():
-                firsts.append(float(np.mean(chose_first[truth_first])))
-            if (~truth_first).any():
-                rests.append(float(np.mean(~chose_first[~truth_first])))
-        points.append(RocPoint(
-            float(value),
-            float(np.mean(firsts)) if firsts else math.nan,
-            float(np.mean(rests)) if rests else math.nan,
-        ))
-    return points
+def _roc_truth(test_events, households):
+    """Each event's first-member truth, and its household's row in id order."""
+    firsts = {hid: hh.members[0] for hid, hh in households.items()}
+    truth = np.fromiter((ev.true_user == firsts[ev.household] for ev in test_events),
+                        bool, len(test_events))
+    ids = event_column(test_events, "household", np.intp)
+    return truth, np.unique(ids, return_inverse=True)[1]
 
 
 def roc_sweep(model, households, test_events, alphas) -> list[RocPoint]:
@@ -222,13 +230,9 @@ def roc_sweep(model, households, test_events, alphas) -> list[RocPoint]:
     """
     test_events = tuple(test_events)
     gaps = _gap_matrix(model, _member_rows(households, test_events)[1], test_events)
-    gaps_first, gaps_rest = gaps[:, 0], gaps[:, 1:].min(axis=1)
-    grouped = _household_arrays(test_events, households)
-
-    def decide_first(alpha, idxs):
-        return alpha * gaps_first[idxs] < gaps_rest[idxs]
-
-    return _roc_points(alphas, decide_first, grouped)
+    alphas = np.asarray(alphas, dtype=np.float64)[:, None]
+    decide_first = alphas * gaps[:, 0] < gaps[:, 1:].min(axis=1)
+    return _roc_points(alphas[:, 0], decide_first, *_roc_truth(test_events, households))
 
 
 def roc_sweep_posterior(test_events, posteriors, households,
@@ -239,12 +243,9 @@ def roc_sweep_posterior(test_events, posteriors, households,
         posteriors[i][households[ev.household].members[0]]
         for i, ev in enumerate(test_events)
     ])
-    grouped = _household_arrays(test_events, households)
-
-    def decide_first(threshold, idxs):
-        return p_first[idxs] >= threshold
-
-    return _roc_points(thresholds, decide_first, grouped)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    decide_first = p_first >= thresholds[:, None]
+    return _roc_points(thresholds, decide_first, *_roc_truth(test_events, households))
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +293,12 @@ class FittedPipeline:
 
 def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
                  model: factorize.TemporalFactorModel | None = None) -> FittedPipeline:
-    """Fit the pipeline's family on dataset.train.
+    """Fit the pipeline's family on the dataset's train columns.
 
     A pre-fitted factor model is used as given, binning included;
     otherwise one is fitted when the family needs it.
     """
-    train, households = dataset.train, dataset.households
-    columns = dataset.columns
+    households, columns = dataset.households, dataset.columns
     name = pipeline.classifier
     binning = (model.binning if model is not None
                else derive_binning(columns, pipeline.factor_params.bin_count))
@@ -314,14 +314,14 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
     if name.startswith("gen-"):
         sigma_model = generative.estimate_sigma(columns, model, pipeline.sigma_scope)
     if name == "unified":
-        events_of = {hid: [] for hid in households}
-        for ev in train:
-            if ev.user in dataset.member_of:
-                events_of[dataset.member_of[ev.user]].append(ev)
+        # each household's events in train order
+        rows = dataset.household_rows()
+        order = np.argsort(rows, kind="stable")
+        bounds = np.searchsorted(rows[order], np.arange(len(households) + 1))
         logit_models = {
-            hid: logistic.fit_household(events_of[hid], hh, pipeline.features,
+            hid: logistic.fit_household(columns[order[lo:hi]], hh, pipeline.features,
                                         model=model, binning=binning)
-            for hid, hh in households.items()
+            for (hid, hh), lo, hi in zip(households.items(), bounds, bounds[1:])
         }
     return FittedPipeline(pipeline, households, binning, model, priors,
                           sigma_model, logit_models)
@@ -404,7 +404,7 @@ def classify_events(fitted: FittedPipeline, test_events):
 
 
 def fit_and_classify(dataset: Dataset, pipeline: PipelineConfig):
-    """Fit the pipeline on dataset.train and classify dataset.test."""
+    """Fit the pipeline on the dataset's train and classify dataset.test."""
     return classify_events(fit_pipeline(dataset, pipeline), dataset.test)
 
 

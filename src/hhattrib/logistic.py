@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (
-    SECONDS_PER_DAY, Binning, Household, bin_column, event_column, weekday_column,
+    SECONDS_PER_DAY, Binning, EventColumns, Household, bin_column, event_column,
+    weekday_column,
 )
 from .factorize import TemporalFactorModel
 
@@ -103,10 +104,11 @@ def feature_matrix(events, config: FeatureConfig,
                    binning: Binning | None = None) -> np.ndarray:
     """Concatenated feature rows, one per rating event, in event order.
 
-    Events only need movie / rating / timestamp fields, so both train and
-    test events work. The movie-vector block needs a fitted model; the bin
-    block needs a binning (taken from the model when not given). A movie
-    the model has never seen yields a zero movie-vector block.
+    Events only need movie / rating / timestamp fields, so train columns
+    and train or test events all work. The movie-vector block needs a
+    fitted model; the bin block needs a binning (taken from the model when
+    not given). A movie the model has never seen yields a zero movie-vector
+    block.
     """
     stamps = event_column(events, "timestamp", np.int64)
     blocks = []
@@ -355,14 +357,14 @@ def fit_household(train, household: Household, config: FeatureConfig,
     zero or all one are still fit (the L1 term keeps theta bounded). In a
     two-member household the second member's theta is the first's negated.
     """
-    member_set = set(household.members)
-    events = [ev for ev in train if ev.user in member_set]
-    if len(events) < 2:
+    train = EventColumns.of(train)
+    events = train[np.isin(train.user, household.members)]
+    if len(events.user) < 2:
         raise ValueError(f"household {household.id} needs >= 2 training events")
     rows = feature_matrix(events, config, model, binning)
     stats = standardize_fit(rows)
     scaled = standardize_apply(stats, rows)
-    raters = event_column(events, "user", np.intp)
+    raters = events.user
     fitted = {}
     for member in household.members:
         labels = (raters == member).astype(float)

@@ -398,3 +398,63 @@ def test_classify_truncated_model_is_usage_error(workspace, capsys):
                  "--model", str(model), "--out", str(workspace / "p.tsv")])
     assert code == 2
     assert f"{model}: missing field 'U'" in capsys.readouterr().err
+
+
+def _drop_last_household(workspace):
+    """A copy of the households file without its last line; returns (path, id)."""
+    lines = (workspace / "data" / "households.tsv").read_text().splitlines()
+    path = workspace / "fewer_households.tsv"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    return path, lines[-1].split("\t")[0]
+
+
+def test_evaluate_household_missing_from_file_is_usage_error(workspace, capsys):
+    preds = workspace / "preds.tsv"
+    assert main(["classify", *data_args(workspace), "--classifier", "prior-day",
+                 "--bins", "4", "--out", str(preds)]) == 0
+    households, missing = _drop_last_household(workspace)
+    code = main(["evaluate", "--households", str(households),
+                 "--test", str(workspace / "data" / "test.tsv"),
+                 "--predictions", str(preds), "--out", str(workspace / "report.tsv")])
+    assert code == 2
+    assert f"{households}: no household {missing}," in capsys.readouterr().err
+
+
+def test_roc_household_missing_from_file_is_usage_error(workspace, capsys):
+    model = fit_model(workspace)
+    households, missing = _drop_last_household(workspace)
+    code = main(["roc", "--households", str(households),
+                 "--test", str(workspace / "data" / "test.tsv"),
+                 "--classifier", "residual", "--model", str(model),
+                 "--out", str(workspace / "roc.tsv")])
+    assert code == 2
+    assert f"{households}: no household {missing}," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dump, row, message", [
+    ("predictions", 2, "expected 4 fields, got 3"),
+    ("predictions", 3, "invalid literal for int() with base 10: 'x'"),
+    ("posteriors", 2, "expected 5 fields, got 4"),
+    ("posteriors", 4, "could not convert string to float: 'x'"),
+])
+def test_evaluate_malformed_dump_row_names_file_and_line(workspace, capsys, dump, row,
+                                                         message):
+    preds, post = workspace / "preds.tsv", workspace / "post.tsv"
+    assert main(["classify", *data_args(workspace), "--classifier", "gen-day",
+                 "--model", str(fit_model(workspace)), "--out", str(preds),
+                 "--dump-posteriors", str(post)]) == 0
+    path = preds if dump == "predictions" else post
+    lines = path.read_text().splitlines()
+    fields = lines[row - 1].split("\t")
+    if "'x'" in message:
+        fields[-1] = "x"
+    else:
+        del fields[1]
+    lines[row - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--households", str(workspace / "data" / "households.tsv"),
+                 "--test", str(workspace / "data" / "test.tsv"),
+                 "--predictions", str(preds), "--posteriors", str(post),
+                 "--out", str(workspace / "report.tsv")])
+    assert code == 2
+    assert f"error: {path}:{row}: {message}" in capsys.readouterr().err

@@ -6,15 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhattrib import temporal
+from hhattrib import corpus, temporal
 from hhattrib.corpus import (
     Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, ParseError,
-    RangeError, RatingEvent, StructureError, SynthConfig, TestEvent, bin_column,
-    bin_of, cv_split, derive_binning, load_dataset, make_dataset, parse_households,
-    parse_ratings, parse_test_events, read_synth_config, synth_generate,
+    RangeError, RatingEvent, StructureError, SynthConfig, TestEvent, _fields, _parse_float,
+    _parse_int, bin_column, bin_of, cv_split, derive_binning, load_dataset, make_dataset,
+    parse_households, parse_ratings, parse_test_events, read_synth_config, synth_generate,
     weekday_of, write_dataset, write_households, write_ratings,
     write_test_events,
 )
@@ -26,16 +28,25 @@ from conftest import DAY0, event
 # Parsing
 # ---------------------------------------------------------------------------
 
+def assert_same_columns(got, want):
+    """Equal columns, dtypes and bits included (-0.0 is not 0.0)."""
+    for field in dataclasses.fields(EventColumns):
+        ours, theirs = getattr(got, field.name), getattr(want, field.name)
+        assert ours.dtype == theirs.dtype, field.name
+        assert ours.tobytes() == theirs.tobytes(), field.name
+
+
 def test_parse_ratings_basic(tmp_path):
     path = tmp_path / "r.txt"
     path.write_text("7 12 85 1288000000\n")
-    assert parse_ratings(path) == [RatingEvent(7, 12, 85.0, 1288000000)]
+    assert_same_columns(parse_ratings(path),
+                        EventColumns.of([RatingEvent(7, 12, 85.0, 1288000000)]))
 
 
 def test_parse_ratings_empty_file(tmp_path):
     path = tmp_path / "r.txt"
     path.write_text("")
-    assert parse_ratings(path) == []
+    assert_same_columns(parse_ratings(path), EventColumns.of([]))
 
 
 def test_parse_ratings_out_of_range(tmp_path):
@@ -49,7 +60,7 @@ def test_parse_ratings_out_of_range(tmp_path):
 def test_parse_ratings_delimiters(tmp_path, delim):
     path = tmp_path / "r.txt"
     path.write_text(delim.join(["3", "4", "72", "1000"]) + "\n")
-    assert parse_ratings(path) == [RatingEvent(3, 4, 72.0, 1000)]
+    assert_same_columns(parse_ratings(path), EventColumns.of([RatingEvent(3, 4, 72.0, 1000)]))
 
 
 def test_parse_ratings_malformed_line_number(tmp_path):
@@ -58,6 +69,122 @@ def test_parse_ratings_malformed_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_ratings(path)
     assert err.value.line_no == 2
+
+
+def per_line_parse_ratings(path):
+    """The per-line ratings parser, as columns: the oracle of parse_ratings."""
+    events = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            fields = _fields(raw)
+            if not fields:
+                continue
+            if len(fields) != 4:
+                raise ParseError(path, line_no, f"expected 4 fields, got {len(fields)}")
+            user = _parse_int(fields[0], path, line_no, "user id")
+            movie = _parse_int(fields[1], path, line_no, "movie id")
+            rating = _parse_float(fields[2], path, line_no, "rating")
+            stamp = _parse_int(fields[3], path, line_no, "timestamp")
+            if not 0.0 <= rating <= 100.0:
+                raise RangeError(f"rating {rating} outside [0, 100]", path, line_no)
+            events.append(RatingEvent(user, movie, rating, stamp))
+    return EventColumns.of(events)
+
+
+def outcome(parse, path):
+    """Columns, or the class, message and line number of the error raised."""
+    try:
+        return parse(path)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+TOKENS = ["0", "7", "42", "100", "50.5", "1e2", "-0", "+3", "1_0", "\u0663", " 8",
+          "nan", "inf", "-1", "101", str(2 ** 70), "x", "2.5"]
+SEPARATORS = [" ", "\t", ",", "  ", " ,\t", "\x0c", "\u2028", "\x1c", "\x85"]
+
+
+@st.composite
+def ratings_files(draw):
+    """Text of a ratings file: mostly good lines, some bad tokens, separators
+    and field counts, blank lines, mixed line endings."""
+    good = st.builds(lambda u, m, r, t: [str(u), str(m), r, str(t)],
+                     st.integers(0, 99), st.integers(0, 99),
+                     st.sampled_from(["0", "12", "50.5", "100", "7.25"]),
+                     st.integers(0, 2 * 10 ** 9))
+    odd = st.lists(st.sampled_from(TOKENS), min_size=0, max_size=6)
+    one_odd = st.builds(lambda fields, k, token: fields[:k] + [token] + fields[k + 1:],
+                        good, st.integers(0, 3), st.sampled_from(TOKENS))
+    lines = draw(st.lists(st.one_of(good, good, good, one_odd, odd), max_size=25))
+    text = ""
+    for fields in lines:
+        seps = [draw(st.sampled_from(SEPARATORS[:5])) for _ in fields[1:]]
+        if seps and draw(st.integers(0, 9)) == 0:   # a separator that is not a delimiter
+            seps[draw(st.integers(0, len(seps) - 1))] = draw(st.sampled_from(SEPARATORS))
+        line = fields[0] if fields else draw(st.sampled_from(["", " ", "\t"]))
+        line += "".join(sep + field for sep, field in zip(seps, fields[1:]))
+        text += line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")   # no final newline
+    return text
+
+
+@given(ratings_files(), st.integers(1, 80))
+@example("1 2 3\n4 5 6 7 8\n", 1024)
+@example("1 2 3 4\x0c5 6 7 8\n", 1024)
+@example("1 2 3 4\u20285 6 7 8\n", 1024)
+@example("1 2 50 4\n1 2 50 4", 1)
+@example(f"1 {2 ** 70} 50 4\n", 1024)
+@example("1 2 50 4\n\n3 4 101 5\n", 8)
+@example("1 2 50 4\n-1 2 50 4\n", 1024)
+@example("1 -2 50 4\n", 1024)
+@example("1 2 50 -4\n", 1024)
+@settings(max_examples=200, deadline=None)
+def test_parse_ratings_matches_per_line_parser(tmp_path_factory, text, chunk):
+    """The chunked parser returns the per-line parser's columns or raises its
+    error, whatever the chunk size."""
+    path = tmp_path_factory.mktemp("parse") / "r.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(per_line_parse_ratings, path)
+    with mock.patch.object(corpus, "_CHUNK", chunk):
+        got = outcome(parse_ratings, path)
+    if isinstance(want, EventColumns):
+        assert isinstance(got, EventColumns), got
+        assert_same_columns(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2 50 100\n3 4 50\n5 6 50 100 9\n", ":2: expected 4 fields, got 3"),
+    ("1 2 50 100\n5 6 50 100 9\n3 4 50\n", ":2: expected 4 fields, got 5"),
+    ("1 2 3 4\x0c5 6 7 8\n", ":1: expected 4 fields, got 8"),
+])
+def test_parse_ratings_counts_fields_per_line(tmp_path, text, message):
+    """Lines whose field counts sum to a multiple of 4 still fail, at their line."""
+    path = tmp_path / "r.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        parse_ratings(path)
+
+
+def test_parse_ratings_memory_is_chunked(tmp_path):
+    """Parsing holds the columns and one chunk of text at a time, not one
+    RatingEvent per line: its peak is at most half the per-line parser's."""
+    path = tmp_path / "r.txt"
+    path.write_text("".join(f"{k % 500}\t{k // 500}\t{k % 101}\t{10 ** 9 + k}\n"
+                            for k in range(20_000)))
+    peaks = []
+    for parse in (parse_ratings, per_line_parse_ratings):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(corpus, "_CHUNK", 1 << 12):
+                assert len(parse(path).user) == 20_000
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.5 * peaks[1], peaks
 
 
 def test_parse_households_basic(tmp_path):
@@ -155,7 +282,7 @@ def test_round_trip_arbitrary_ratings(tmp_path_factory, rows):
     events = [RatingEvent(u, m, r, t) for u, m, r, t in rows]
     path = tmp_path_factory.mktemp("rt") / "r.tsv"
     write_ratings(events, path)
-    assert parse_ratings(path) == events
+    assert_same_columns(parse_ratings(path), EventColumns.of(events))
 
 
 def _reparsed(parse, write, directory, text):

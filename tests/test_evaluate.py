@@ -12,9 +12,9 @@ from hhattrib.corpus import (
     synth_generate, weekday_of,
 )
 from hhattrib.evaluate import (
-    CLASSIFIERS, PipelineConfig, aggregate, auc_from_scores,
-    auc_report, build_report, classify_events, fit_and_classify, fit_pipeline,
-    format_cv, random_baseline, roc_sweep, roc_sweep_posterior, run_cv,
+    CLASSIFIERS, PipelineConfig, RocPoint, _gap_matrix, _member_rows, aggregate,
+    auc_from_scores, auc_report, build_report, classify_events, fit_and_classify,
+    fit_pipeline, format_cv, random_baseline, roc_sweep, roc_sweep_posterior, run_cv,
     summary_line, write_report,
 )
 from hhattrib.factorize import FactorParams, TemporalFactorModel
@@ -186,6 +186,118 @@ def test_roc_posterior_threshold_sweep():
     assert points[0].tpr_first == 1.0 and points[0].tpr_rest == 0.0
     assert points[1].tpr_first == 1.0 and points[1].tpr_rest == 1.0
     assert points[2].tpr_first == 0.0 and points[2].tpr_rest == 1.0
+
+
+def reference_roc_points(parameters, decide_first, test_events, households):
+    """The per-household loop over a parameter grid that the array sweep replaced."""
+    grouped = {}
+    for idx, ev in enumerate(test_events):
+        grouped.setdefault(ev.household, []).append(idx)
+    grouped = [(idxs, np.array([test_events[i].true_user == households[hid].members[0]
+                                for i in idxs]))
+               for hid, idxs in sorted(grouped.items())]
+    points = []
+    for value in parameters:
+        firsts, rests = [], []
+        for idxs, truth_first in grouped:
+            chose_first = decide_first(value, idxs)
+            if truth_first.any():
+                firsts.append(float(np.mean(chose_first[truth_first])))
+            if (~truth_first).any():
+                rests.append(float(np.mean(~chose_first[~truth_first])))
+        points.append(RocPoint(
+            float(value),
+            float(np.mean(firsts)) if firsts else math.nan,
+            float(np.mean(rests)) if rests else math.nan,
+        ))
+    return points
+
+
+def reference_roc_sweep(model, households, test_events, alphas):
+    test_events = tuple(test_events)
+    gaps = _gap_matrix(model, _member_rows(households, test_events)[1], test_events)
+    gaps_first, gaps_rest = gaps[:, 0], gaps[:, 1:].min(axis=1)
+    return reference_roc_points(
+        alphas, lambda alpha, idxs: alpha * gaps_first[idxs] < gaps_rest[idxs],
+        test_events, households)
+
+
+def reference_roc_sweep_posterior(test_events, posteriors, households, thresholds):
+    p_first = np.array([posteriors[i][households[ev.household].members[0]]
+                        for i, ev in enumerate(test_events)])
+    return reference_roc_points(
+        thresholds, lambda threshold, idxs: p_first[idxs] >= threshold,
+        test_events, households)
+
+
+def assert_same_points(got, want):
+    """Equal by repr, as roc.tsv writes them; nan equals nan."""
+    assert [tuple(map(repr, (p.parameter, p.tpr_first, p.tpr_rest))) for p in got] \
+        == [tuple(map(repr, (p.parameter, p.tpr_first, p.tpr_rest))) for p in want]
+
+
+def test_roc_sweeps_match_reference_on_criterion_8_corpus():
+    dataset = synth_generate(SynthConfig(
+        households_size2=44, households_size3=4, households_size4=2,
+        events_per_user=200, overlap=0.1, rank=3, noise_sigma=10.0, seed=20))
+    pipeline = PipelineConfig(
+        classifier="gen-day",
+        factor_params=FactorParams(rank=4, bin_count=1, iterations=12, seed=7))
+    fitted = fit_pipeline(dataset, pipeline)
+    _, posteriors = classify_events(fitted, dataset.test)
+    alphas = [0.0] + list(np.geomspace(1e-3, 1e4, 49))
+    assert_same_points(
+        roc_sweep(fitted.model, dataset.households, dataset.test, alphas),
+        reference_roc_sweep(fitted.model, dataset.households, dataset.test, alphas))
+    thresholds = list(np.linspace(0.0, 1.0, 50))
+    assert_same_points(
+        roc_sweep_posterior(dataset.test, posteriors, dataset.households, thresholds),
+        reference_roc_sweep_posterior(dataset.test, posteriors, dataset.households,
+                                      thresholds))
+
+
+@st.composite
+def roc_cases(draw):
+    """Households of 2-4 members, test events (some households with no first-
+    member event or only first-member events), posteriors and a bias model."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+    users = draw(st.permutations(range(sum(sizes))))
+    hids = draw(st.lists(st.integers(0, 60), min_size=len(sizes), max_size=len(sizes),
+                         unique=True))
+    households, start = {}, 0
+    for hid, size in zip(hids, sizes):
+        households[hid] = Household(hid, tuple(users[start:start + size]))
+        start += size
+    events, posteriors = [], []
+    levels = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0)
+    for hid in hids:
+        members = households[hid].members
+        truths = draw(st.sampled_from([members, members[:1], members[1:], (None,), ()]))
+        for _ in range(draw(st.integers(0, 6)) if truths else 0):
+            true_user = draw(st.sampled_from(truths))
+            events.append(anon_event(hid, len(events) % 40, rating=draw(levels) * 100,
+                                     true_user=true_user))
+            weights = [draw(levels) + 1e-3 for _ in members]
+            posteriors.append({m: w / sum(weights) for m, w in zip(members, weights)})
+    order = draw(st.permutations(range(len(events))))
+    events, posteriors = [events[i] for i in order], [posteriors[i] for i in order]
+    biases = np.array([draw(st.sampled_from([10.0, 40.0, 55.0, 90.0])) for _ in users])
+    model = TemporalFactorModel(np.zeros((1, len(users), 1)), np.zeros((1, 40, 1)),
+                                biases[None, :], Binning(1, 0, 10 ** 10),
+                                FactorParams(rank=1, bin_count=1, iterations=1))
+    grid = draw(st.lists(levels, min_size=1, max_size=6))
+    return households, events, posteriors, model, grid
+
+
+@given(roc_cases())
+@settings(max_examples=100, deadline=None)
+def test_roc_sweeps_match_reference(case):
+    households, events, posteriors, model, grid = case
+    alphas = [4.0 * value for value in grid]
+    assert_same_points(roc_sweep(model, households, events, alphas),
+                       reference_roc_sweep(model, households, events, alphas))
+    assert_same_points(roc_sweep_posterior(events, posteriors, households, grid),
+                       reference_roc_sweep_posterior(events, posteriors, households, grid))
 
 
 # ---------------------------------------------------------------------------
