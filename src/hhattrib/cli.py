@@ -6,6 +6,7 @@ deterministic given identical inputs and seeds.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -311,7 +312,9 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="hhattrib",
         description="Attribute anonymous household ratings to household members.",
@@ -322,13 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit the time-dependent factor model")
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
     _add_factor_flags(p)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("classify", help="attribute test events to members")
     p.add_argument("--train", required=True)
@@ -341,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-posteriors", default=None, dest="dump_posteriors")
     p.add_argument("--dump-logit", default=None, dest="dump_logit")
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="score predictions or run cross-validation")
     p.add_argument("--households", required=True)
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="histograms", dest="out_dir")
     p.add_argument("--annotate", action="append", default=None)
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("roc", help="sweep a decision parameter into an ROC table")
     p.add_argument("--households", required=True)
@@ -371,13 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", default=None, dest="alpha_grid")
     p.add_argument("--grid-size", type=int, default=50, dest="grid_size")
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("baseline", help="expected error of random guessing")
     p.add_argument("--size2", type=int, default=0)
     p.add_argument("--size3", type=int, default=0)
     p.add_argument("--size4", type=int, default=0)
-    p.set_defaults(func=cmd_baseline)
 
     return parser
 
@@ -389,7 +386,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        # looked up per call, so a wrapped cmd_* (a tracer's) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,13 @@
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hhattrib import evaluate, factorize, logistic
+from hhattrib import cli, evaluate, factorize, logistic
 from hhattrib.cli import main
 from hhattrib.corpus import load_dataset
 
@@ -239,6 +242,32 @@ def test_baseline_value(capsys):
                  "--size4", "4"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(0.51149, abs=5e-4)
+
+
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # main reuses one parser per process; each call must still answer as a
+    # process of its own would
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (["baseline", "--size2", "272", "--size3", "14"],
+                 ["evaluate", "--cv"],   # usage error: --households is missing
+                 ["baseline", "--size4", "3"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "hhattrib.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120, check=False)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_main_looks_up_the_command_per_call(monkeypatch):
+    # a tracer replaces cli.cmd_* between calls; the shared parser must not
+    # keep running the function it saw first
+    assert main(["baseline", "--size2", "2"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_baseline", lambda args: seen.append(args.size2) or 0)
+    assert main(["baseline", "--size2", "7"]) == 0
+    assert seen == [7]
 
 
 def test_evaluate_requires_flag_combination(workspace):
