@@ -294,20 +294,10 @@ class Binning:
             raise ValueError("weekday binning requires bin_count == 7")
 
 
-def weekday_of(timestamp: int) -> int:
-    """UTC weekday of an epoch timestamp, 0 = Sunday ... 6 = Saturday."""
-    # 1970-01-01 was a Thursday, index 4 when Sunday is 0.
-    return (int(timestamp) // SECONDS_PER_DAY + 4) % 7
-
-
 def weekday_column(stamps) -> np.ndarray:
-    """``weekday_of`` of each stamp of an int64 array."""
+    """UTC weekday of each stamp of an int64 array, 0 = Sunday ... 6 = Saturday."""
+    # 1970-01-01 was a Thursday, index 4 when Sunday is 0.
     return (np.asarray(stamps, dtype=np.int64) // SECONDS_PER_DAY + 4) % 7
-
-
-def hour_of(timestamp: int) -> int:
-    """UTC hour of day in 0..23."""
-    return (int(timestamp) % SECONDS_PER_DAY) // 3_600
 
 
 def derive_binning(events, bin_count: int, kind: str = "span") -> Binning:
@@ -322,30 +312,14 @@ def derive_binning(events, bin_count: int, kind: str = "span") -> Binning:
     return Binning(bin_count, origin, span)
 
 
-def bin_of(timestamp: int, binning: Binning, clamp: bool = False) -> int:
-    """Bin index in 1..T for a timestamp.
-
-    The right edge (timestamp == origin + span) belongs to bin T. Outside
-    the covered range this raises RangeError unless ``clamp`` is set, in
-    which case the nearest bin is returned (the behaviour classification
-    paths use for test events that slightly postdate training).
-    """
-    t = int(timestamp)
-    if binning.kind == "weekday":
-        return weekday_of(t) + 1
-    lo, hi = binning.origin, binning.origin + binning.span
-    if not lo <= t <= hi:
-        if not clamp:
-            raise RangeError(
-                f"timestamp {t} outside binning range [{lo}, {hi}]"
-            )
-        return 1 if t < lo else binning.bin_count
-    idx = 1 + (binning.bin_count * (t - lo)) // binning.span
-    return min(max(idx, 1), binning.bin_count)
-
-
 def bin_column(stamps, binning: Binning) -> np.ndarray:
-    """``bin_of(t, binning, clamp=True) - 1`` for each t of an int64 array."""
+    """Zero-based bin index in 0..T-1 of each stamp of an int64 array.
+
+    The right edge (origin + span) belongs to the last bin. Stamps outside
+    the covered range are clamped to the nearest bin on either side, as
+    classification needs for test events that slightly postdate training.
+    A weekday binning keys the bin to ``weekday_column``.
+    """
     t = np.asarray(stamps, dtype=np.int64)
     if binning.kind == "weekday":
         return weekday_column(t)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .corpus import Binning, EventColumns, bin_column, derive_binning
@@ -123,34 +122,17 @@ class TemporalFactorModel:
 # Ridge block solvers
 # ---------------------------------------------------------------------------
 
-def _spd_solve(gram: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (gram + alpha I) w = rhs via Cholesky, pseudo-inverse on failure.
+def ridge_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve (grams[k] + alpha I) w_k = rhs[k] for every system of a (k, r, r) stack.
 
-    The pseudo-inverse branch returns the minimum-norm solution; it is only
-    reachable when alpha == 0 leaves the Gram matrix (numerically)
-    singular, which the factor's pivots detect even when the LAPACK
-    routine itself does not raise. Its cutoff is the pivot test's 1e-12:
-    smaller eigenvalues are rounding noise, and inverting them raises the cost.
-    """
-    system = gram.copy()
-    system[np.diag_indices_from(system)] += alpha
-    try:
-        factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
-        pivots = np.diagonal(factor[0]) ** 2
-        scale = max(float(np.max(np.diagonal(system), initial=0.0)), 1e-300)
-        if float(np.min(pivots, initial=scale)) <= 1e-12 * scale:
-            raise scipy.linalg.LinAlgError("numerically singular system")
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return np.linalg.pinv(system, rcond=1e-12, hermitian=True) @ rhs
-
-
-def _stacked_spd_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
-    """_spd_solve over a (k, r, r) stack: one Cholesky, one solve.
-
-    Systems whose pivots fail _spd_solve's singularity test go through
-    _spd_solve one by one, and so does the whole stack if the stacked
-    factorization raises (in practice only with alpha == 0).
+    One stacked Cholesky reads the pivots and one solve answers the systems
+    that pass; a single system is a stack of one. A system whose smallest
+    squared pivot is at most 1e-12 of its largest diagonal entry is
+    numerically singular, even when LAPACK does not raise; it is reachable
+    only when alpha == 0. Those systems, or the whole stack if the stacked
+    factorization raises, take one batched pseudo-inverse and so the
+    minimum-norm solution. Its cutoff is the pivot test's 1e-12: smaller
+    eigenvalues are rounding noise, and inverting them raises the cost.
     """
     systems = grams + alpha * np.eye(grams.shape[-1])
     try:
@@ -163,33 +145,10 @@ def _stacked_spd_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.n
     out = np.empty_like(rhs)
     strong = ~weak
     out[strong] = np.linalg.solve(systems[strong], rhs[strong, :, None])[..., 0]
-    for k in np.flatnonzero(weak):
-        out[k] = _spd_solve(grams[k], rhs[k], alpha)
+    if weak.any():
+        inverse = np.linalg.pinv(systems[weak], rcond=1e-12, hermitian=True)
+        out[weak] = (inverse @ rhs[weak, :, None])[..., 0]
     return out
-
-
-def ridge_solve(A: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
-    """Minimizer of 0.5||A^T w - x||^2 + (alpha/2)||w||^2.
-
-    A has one row per latent coordinate and one column per observation,
-    so the solution is (A A^T + alpha I)^-1 A x.
-    """
-    return smoothed_ridge_solve(A, x, None, alpha, 0.0)
-
-
-def smoothed_ridge_solve(A, x, y, alpha: float, beta: float) -> np.ndarray:
-    """(A A^T + alpha I)^-1 (A x + beta y): a ridge solve pulled toward y.
-
-    With beta == 0, y is ignored and this is ridge_solve(A, x, alpha).
-    This is the one-row reference for the stacked block updates.
-    """
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rhs = A @ x
-    if beta != 0.0:
-        rhs = rhs + beta * np.asarray(y, dtype=float)
-    gram = A @ A.T
-    return _spd_solve(gram, rhs, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +188,7 @@ def _refresh(tensor, b, grams, rhs, active, base_shift, xi):
     if grams.ndim == 1:
         tensor[b, active] = rhs[active] / (grams[active] + shift)
     else:
-        tensor[b, active] = _stacked_spd_solve(grams[active], rhs[active], shift)
-
-
-def fit_lowrank(train, params: FactorParams, user_count=None, movie_count=None,
-                block_hook=None, progress=None) -> TemporalFactorModel:
-    """The time-independent fit: fit_lowrank_temporal with bin_count == 1."""
-    if params.bin_count != 1:
-        raise ValueError("fit_lowrank requires bin_count == 1")
-    return fit_lowrank_temporal(train, params, user_count, movie_count,
-                                block_hook=block_hook, progress=progress)
+        tensor[b, active] = ridge_solve(grams[active], rhs[active], shift)
 
 
 def fit_lowrank_temporal(train, params: FactorParams, user_count=None,

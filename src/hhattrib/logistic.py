@@ -259,7 +259,8 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
     With signs held fixed the restricted problem is smooth, so damped
     Newton steps (clipped to zero at sign crossings) converge quadratically
     to machine precision. Zero coordinates whose gradient violates the L1
-    condition are pulled into the support between rounds.
+    condition are pulled into the support between rounds. Returns theta and
+    its KKT residual.
     """
     theta = theta.copy()
     for _ in range(rounds):
@@ -269,7 +270,7 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
         grad = rows.T @ (_sigmoid(u, e) - labels)
         active = (theta != 0.0) | (np.abs(grad) > lambda1)
         if not active.any():
-            return theta
+            return theta, 0.0   # theta = 0 and |grad| <= lambda1: optimal
         signs = np.where(theta[active] != 0.0,
                          np.sign(theta[active]), -np.sign(grad[active]))
         sub = rows[:, active]
@@ -309,20 +310,24 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
                 scale *= 0.5
             if not improved:
                 break
-        if kkt_residual(theta, rows, labels, lambda1) <= kkt_tol:
-            return theta
-    return theta
+        residual = kkt_residual(theta, rows, labels, lambda1)
+        if residual <= kkt_tol:
+            break
+    return theta, residual
 
 
 def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
-                 max_iter: int = 50_000, kkt_tol: float = 1e-8) -> np.ndarray:
+                 max_iter: int = 50_000, kkt_tol: float = 1e-10) -> np.ndarray:
     """Minimize the L1-regularized logistic loss from a zero start.
 
     Two phases, both deterministic: projected L-BFGS on the split form
     until its projected gradient is at most 1e-3, which settles the
     support, then sign-fixed Newton polish on that support to drive the
-    KKT residual to ``kkt_tol``. Alternates, at most eight rounds and
-    ``max_iter`` L-BFGS iterations, if the support was not yet settled.
+    KKT residual to ``kkt_tol``. If the polish stops short (a support that
+    was not yet settled, or a near-separable design whose Newton steps
+    stall), the phases alternate, at most eight rounds and ``max_iter``
+    L-BFGS iterations, and each later L-BFGS phase runs to a projected
+    gradient of ``kkt_tol``.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -337,18 +342,18 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
     budget = max_iter
     # The L-BFGS phase only needs to get close and settle the support;
     # the Newton polish does the final descent, so hand over early.
-    handover_tol = max(kkt_tol, _HANDOVER_PG)
+    pg_tol = max(kkt_tol, _HANDOVER_PG)
     for _ in range(8):
         phase = min(budget, 600)
         theta = _split_descend(rows, labels, lambda1, theta, max_iter=phase,
-                               pg_tol=handover_tol)
+                               pg_tol=pg_tol)
         budget -= phase
         if kkt_residual(theta, rows, labels, lambda1) <= kkt_tol:
             return theta
-        theta = _polish_active_set(rows, labels, lambda1, theta, kkt_tol)
-        residual = kkt_residual(theta, rows, labels, lambda1)
+        theta, residual = _polish_active_set(rows, labels, lambda1, theta, kkt_tol)
         if residual <= kkt_tol or budget <= 0:
             break
+        pg_tol = kkt_tol
     if residual > kkt_tol:
         log.debug("L1-logistic fit stopped short: KKT residual %.3g > tolerance %.3g",
                   residual, kkt_tol)

@@ -2,11 +2,12 @@
 
 Household members tend to rate movies on different days of the week; the
 empirical weekday distribution of each member therefore carries a strong
-identity signal. This module builds those profiles, measures how well
-separated a household's members are (average pairwise total variation),
-and scores anonymized ratings by the empirical probability that each
-member produced a rating -- unconditionally, given the time bin, or given
-the weekday. None of the prior scores looks at the rating value.
+identity signal. This module counts those profiles, measures how well
+separated each household's members are (``tv_histogram``: average pairwise
+total variation), and scores anonymized ratings by the empirical
+probability that each member produced a rating -- unconditionally, given
+the time bin, or given the weekday. None of the prior scores looks at the
+rating value.
 """
 
 import logging
@@ -25,21 +26,7 @@ MODES = ("uniform", "bin", "day")
 
 
 class UndefinedProfileError(ValueError):
-    """Raised when a profile is requested for a user with no events."""
-
-
-@dataclass(frozen=True, eq=False)
-class DayProfile:
-    """A user's empirical distribution over the 7 weekdays (Sunday first)."""
-
-    user: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.shape != (7,):
-            raise ValueError("weights must have length 7")
-        if np.any(self.weights < 0) or abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be a probability vector")
+    """Raised when a profile or prior is requested for members with no events."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,13 +49,6 @@ class TemporalPriors:
     epsilon: float
 
 
-def day_profile(train, user: int) -> DayProfile:
-    """Fraction of the user's rating events falling on each weekday."""
-    columns = EventColumns.of(train)
-    counts = np.bincount(weekday_column(columns.stamp[columns.user == user]), minlength=7)
-    return DayProfile(user, _weights(user, counts))
-
-
 def _weights(user: int, counts: np.ndarray) -> np.ndarray:
     """Weekday counts as fractions of their total."""
     total = counts.sum()
@@ -86,18 +66,12 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 1.0 - float(np.minimum(np.asarray(p), np.asarray(q)).sum())
 
 
-def household_tv(train, household: Household) -> float:
-    """Average pairwise total variation between member weekday profiles.
-
-    Averages over ordered pairs i != i' (equivalently, unordered pairs by
-    symmetry). 1 means no two members ever rated on the same weekday; 0
-    means identical weekday habits.
-    """
-    return _average_tv([day_profile(train, member).weights
-                        for member in household.members])
-
-
 def _average_tv(profiles) -> float:
+    """Average total variation over ordered pairs i != i' of weekday profiles.
+
+    Equivalently over unordered pairs, by symmetry. 1 means no two members
+    ever rated on the same weekday; 0 means identical weekday habits.
+    """
     size = len(profiles)
     total = 0.0
     for a in range(size):
@@ -116,9 +90,8 @@ def fit_priors(train, households: dict[int, Household], binning: Binning,
     (member's matching count + epsilon) divided by (household's matching
     count + epsilon * household size); epsilon = 0 reproduces raw
     frequency ratios, with never-observed conditionals flagged as NaN.
-    Events of users outside every household are ignored. Cells use
-    ``bin_column`` and ``weekday_column``, so every count equals a
-    per-event ``bin_of``/``weekday_of`` loop's.
+    Events of users outside every household are ignored. Each event's cell
+    is its ``bin_column`` and ``weekday_column`` value.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon {epsilon} must be >= 0")
@@ -198,8 +171,9 @@ def weekday_histogram(train, households: dict[int, Household]):
 def tv_histogram(train, households: dict[int, Household]):
     """Rows (household, average total variation) across all households.
 
-    Every member's weekday profile comes from weekday_histogram's one
-    counting pass; the values equal household_tv's.
+    Every member's weekday profile, the fraction of the member's events on
+    each weekday, comes from weekday_histogram's one counting pass. A member
+    with no training events raises UndefinedProfileError.
     """
     counts = {member: np.array(row, dtype=float)
               for _, member, *row in weekday_histogram(train, households)}

@@ -60,3 +60,32 @@ def as_rating_events(test_events):
 
 def rng_for(test_seed):
     return np.random.default_rng(test_seed)
+
+
+# Scalar forms of the time rules, the oracles of corpus.weekday_column and
+# corpus.bin_column.
+
+def weekday_of(timestamp: int) -> int:
+    """UTC weekday of an epoch timestamp, 0 = Sunday ... 6 = Saturday."""
+    # 1970-01-01 was a Thursday, index 4 when Sunday is 0.
+    return (int(timestamp) // DAY + 4) % 7
+
+
+def hour_of(timestamp: int) -> int:
+    """UTC hour of day in 0..23."""
+    return (int(timestamp) % DAY) // 3_600
+
+
+def bin_of(timestamp: int, binning) -> int:
+    """Bin index in 1..T of a timestamp.
+
+    The right edge (timestamp == origin + span) belongs to bin T; outside
+    the covered range the nearest bin is returned.
+    """
+    t = int(timestamp)
+    if binning.kind == "weekday":
+        return weekday_of(t) + 1
+    lo, hi = binning.origin, binning.origin + binning.span
+    if not lo <= t <= hi:
+        return 1 if t < lo else binning.bin_count
+    return min(1 + (binning.bin_count * (t - lo)) // binning.span, binning.bin_count)

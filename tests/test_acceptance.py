@@ -6,6 +6,7 @@ the failure report). Run the whole gate with:
     pytest tests/test_acceptance.py -v
 """
 
+import dataclasses
 import math
 import time
 
@@ -36,7 +37,12 @@ def _random_events(rng, m, n, per_user):
 
 
 def test_criterion_01_solver_correctness():
-    """ridge and smoothed solves vs an independent least-squares oracle."""
+    """ridge_solve on one-system stacks vs an independent least-squares oracle.
+
+    Each trial solves min ||A^T w - x||^2 + alpha ||w||^2, plain and pulled
+    toward y with weight beta (right-hand side A x + beta y), as the fit's
+    block updates do.
+    """
     rng = np.random.default_rng(100)
     start = time.monotonic()
     for trial in range(100):
@@ -53,10 +59,11 @@ def test_criterion_01_solver_correctness():
         pulled = np.linalg.lstsq(
             design, np.concatenate([x, (beta / np.sqrt(alpha)) * y]),
             rcond=None)[0]
-        np.testing.assert_allclose(factorize.ridge_solve(A, x, alpha), plain,
-                                   atol=1e-6)
+        gram = (A @ A.T)[None]
         np.testing.assert_allclose(
-            factorize.smoothed_ridge_solve(A, x, y, alpha, beta), pulled,
+            factorize.ridge_solve(gram, (A @ x)[None], alpha)[0], plain, atol=1e-6)
+        np.testing.assert_allclose(
+            factorize.ridge_solve(gram, (A @ x + beta * y)[None], alpha)[0], pulled,
             atol=1e-6)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
@@ -88,18 +95,21 @@ def test_criterion_02_als_monotone_and_cost_oracle():
 
 
 def test_criterion_03_t1_reduction_exact():
+    # With one bin there is no neighbor to pull toward, so xi must not move
+    # a single bit of the fit: the flat model is the temporal model at T = 1.
     rng = np.random.default_rng(300)
     events = _random_events(rng, 12, 10, per_user=6)
     for seed in range(5):
         params = factorize.FactorParams(rank=3, bin_count=1, iterations=5,
-                                        seed=seed)
-        flat = factorize.fit_lowrank(events, params, 12, 10)
-        temporal_fit = factorize.fit_lowrank_temporal(events, params, 12, 10)
-        assert np.array_equal(flat.user_factors, temporal_fit.user_factors)
-        assert np.array_equal(flat.movie_factors, temporal_fit.movie_factors)
-        assert np.array_equal(flat.user_bias, temporal_fit.user_bias)
-    print("[criterion 3] PASS bin_count=1 temporal fit equals the flat fit "
-          "exactly for 5 seeds")
+                                        seed=seed, xi_u=0.0, xi_v=0.0, xi_z=0.0)
+        flat = factorize.fit_lowrank_temporal(events, params, 12, 10)
+        smoothed = factorize.fit_lowrank_temporal(events, dataclasses.replace(
+            params, xi_u=1e6, xi_v=1e6, xi_z=1e6), 12, 10)
+        assert np.array_equal(flat.user_factors, smoothed.user_factors)
+        assert np.array_equal(flat.movie_factors, smoothed.movie_factors)
+        assert np.array_equal(flat.user_bias, smoothed.user_bias)
+    print("[criterion 3] PASS bin_count=1 fit is bit-identical for xi = 0 and "
+          "xi = 1e6, 5 seeds")
 
 
 def test_criterion_04_large_xi_flattens():
@@ -144,13 +154,14 @@ def test_criterion_06_tv_extremes():
     disjoint = synth_generate(SynthConfig(
         households_size2=10, households_size3=2, households_size4=1,
         events_per_user=50, overlap=0.0, rank=2, noise_sigma=8.0, seed=60))
-    for household in disjoint.households.values():
-        assert temporal.household_tv(disjoint.train, household) == 1.0
+    rows = temporal.tv_histogram(disjoint.train, disjoint.households)
+    assert [hid for hid, _ in rows] == list(disjoint.households)
+    assert all(value == 1.0 for _, value in rows)
     shared = synth_generate(SynthConfig(
         households_size2=10, households_size3=2, households_size4=1,
         events_per_user=300, overlap=1.0, rank=2, noise_sigma=8.0, seed=61))
-    worst = max(temporal.household_tv(shared.train, hh)
-                for hh in shared.households.values())
+    worst = max(value for _, value in temporal.tv_histogram(shared.train,
+                                                            shared.households))
     assert worst < 0.15
     print(f"[criterion 6] PASS overlap=0 gives tv separation exactly 1 "
           f"everywhere; overlap=1 max {worst:.3f} < 0.15")

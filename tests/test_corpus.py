@@ -15,13 +15,12 @@ from hhattrib import corpus, temporal
 from hhattrib.corpus import (
     Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, ParseError,
     RangeError, RatingEvent, StructureError, SynthConfig, TestEvent, _fields, _parse_float,
-    _parse_int, bin_column, bin_of, cv_split, derive_binning, load_dataset, make_dataset,
+    _parse_int, bin_column, cv_split, derive_binning, load_dataset, make_dataset,
     parse_households, parse_ratings, parse_test_events, read_synth_config, synth_generate,
-    weekday_of, write_dataset, write_households, write_ratings,
-    write_test_events,
+    weekday_column, write_dataset, write_households, write_ratings, write_test_events,
 )
 
-from conftest import DAY0, event
+from conftest import DAY0, bin_of, event, weekday_of
 
 
 # ---------------------------------------------------------------------------
@@ -334,36 +333,33 @@ def test_round_trip_arbitrary_test_events(tmp_path_factory, rows, sep):
 # ---------------------------------------------------------------------------
 
 def test_weekday_known_values():
-    assert weekday_of(0) == 4          # 1970-01-01 was a Thursday
-    assert weekday_of(345_600) == 1    # four days later: Monday
-    assert weekday_of(DAY0) == 0       # 2010-01-03: Sunday
+    stamps = [0, 345_600, DAY0]
+    # 1970-01-01 was a Thursday; four days later a Monday; 2010-01-03 a Sunday
+    assert [weekday_of(t) for t in stamps] == [4, 1, 0]
+    assert weekday_column(np.array(stamps)).tolist() == [4, 1, 0]
 
 
 @given(st.integers(0, 2 ** 33), st.integers(0, 50))
 def test_weekday_weekly_periodicity(stamp, weeks):
     assert weekday_of(stamp) == weekday_of(stamp + weeks * 7 * 86_400)
+    assert (weekday_column([stamp, stamp + weeks * 7 * 86_400]) == weekday_of(stamp)).all()
 
 
 def test_weekday_against_civil_calendar():
     rng = np.random.default_rng(42)
-    for stamp in rng.integers(0, 2_000_000_000, size=1000):
-        civil = datetime.datetime.fromtimestamp(int(stamp), tz=datetime.timezone.utc)
-        assert weekday_of(int(stamp)) == (civil.weekday() + 1) % 7
+    stamps = rng.integers(0, 2_000_000_000, size=1000)
+    civil = [(datetime.datetime.fromtimestamp(int(stamp), tz=datetime.timezone.utc)
+              .weekday() + 1) % 7 for stamp in stamps]
+    assert [weekday_of(int(stamp)) for stamp in stamps] == civil
+    assert weekday_column(stamps).tolist() == civil
 
 
 def test_bin_of_edges():
+    # the right edge belongs to the last bin; outside the range, the nearest bin
     binning = Binning(12, 0, 1200)
-    assert bin_of(0, binning) == 1
-    assert bin_of(1200, binning) == 12
-    assert bin_of(650, binning) == 7  # 1 + floor(12 * 650 / 1200)
-
-
-def test_bin_of_out_of_range():
-    binning = Binning(4, 100, 400)
-    with pytest.raises(RangeError):
-        bin_of(50, binning)
-    assert bin_of(50, binning, clamp=True) == 1
-    assert bin_of(10_000, binning, clamp=True) == 4
+    stamps = [0, 1200, 650, -50, 10_000]   # 650: 1 + floor(12 * 650 / 1200)
+    assert [bin_of(t, binning) for t in stamps] == [1, 12, 7, 1, 12]
+    assert bin_column(np.array(stamps), binning).tolist() == [0, 11, 6, 0, 11]
 
 
 @given(st.integers(1, 20), st.integers(0, 10 ** 6), st.integers(1, 10 ** 6),
@@ -371,17 +367,20 @@ def test_bin_of_out_of_range():
 @settings(max_examples=60)
 def test_bin_of_monotone(bins, origin, span, data):
     binning = Binning(bins, origin, span)
-    a = data.draw(st.integers(origin, origin + span))
-    b = data.draw(st.integers(origin, origin + span))
+    a = data.draw(st.integers(origin - span, origin + 2 * span))
+    b = data.draw(st.integers(origin - span, origin + 2 * span))
     if a > b:
         a, b = b, a
     assert bin_of(a, binning) <= bin_of(b, binning)
+    low, high = bin_column(np.array([a, b]), binning).tolist()
+    assert low <= high
 
 
 def test_bin_of_surjective_when_covered():
     binning = Binning(7, 0, 700)
-    hit = {bin_of(t, binning) for t in range(0, 701)}
-    assert hit == set(range(1, 8))
+    hit = bin_column(np.arange(0, 701), binning)
+    assert set(hit.tolist()) == set(range(7))
+    assert hit.tolist() == [bin_of(t, binning) - 1 for t in range(0, 701)]
 
 
 @given(st.sampled_from(["span", "weekday"]), st.integers(1, 20),
@@ -398,22 +397,22 @@ def test_bin_column_matches_bin_of(kind, bins, origin, span, offsets):
     # the left and right edges, one second outside each, then arbitrary stamps
     stamps = [origin, origin + span, origin - 1, origin + span + 1,
               *(origin + d for d in offsets)]
-    expected = [bin_of(t, binning, clamp=True) - 1 for t in stamps]
+    expected = [bin_of(t, binning) - 1 for t in stamps]
     assert bin_column(np.array(stamps, dtype=np.int64), binning).tolist() == expected
 
 
 def test_weekday_binning():
     binning = Binning(7, 0, 1, kind="weekday")
-    assert bin_of(DAY0, binning) == 1
-    assert bin_of(DAY0 + 86_400, binning) == 2
+    assert bin_column(np.array([DAY0, DAY0 + 86_400]), binning).tolist() == [0, 1]
     with pytest.raises(ValueError):
         Binning(12, 0, 1, kind="weekday")
 
 
 def test_derive_binning_covers_events(small_dataset):
     binning = derive_binning(small_dataset.train, 5)
-    for ev in small_dataset.train:
-        assert 1 <= bin_of(ev.timestamp, binning) <= 5
+    stamps = np.array([ev.timestamp for ev in small_dataset.train])
+    assert stamps.min() == binning.origin and stamps.max() == binning.origin + binning.span
+    assert set(bin_column(stamps, binning).tolist()) <= set(range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +563,9 @@ def test_synth_disjoint_days_gives_unit_tv():
                          households_size4=1, events_per_user=40,
                          overlap=0.0, rank=2, noise_sigma=5.0, seed=3)
     dataset = synth_generate(config)
-    for household in dataset.households.values():
-        assert temporal.household_tv(dataset.train, household) == 1.0
+    rows = temporal.tv_histogram(dataset.train, dataset.households)
+    assert len(rows) == len(dataset.households)
+    assert all(value == 1.0 for _, value in rows)
 
 
 def test_synth_full_overlap_gives_small_tv():
@@ -573,8 +573,8 @@ def test_synth_full_overlap_gives_small_tv():
                          households_size4=1, events_per_user=300,
                          overlap=1.0, rank=2, noise_sigma=5.0, seed=14)
     dataset = synth_generate(config)
-    values = [temporal.household_tv(dataset.train, hh)
-              for hh in dataset.households.values()]
+    values = [value for _, value in temporal.tv_histogram(dataset.train,
+                                                            dataset.households)]
     assert max(values) < 0.15
 
 

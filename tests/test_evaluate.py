@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, bin_of, derive_binning, make_dataset,
-    synth_generate, weekday_of,
+    Binning, Household, SynthConfig, derive_binning, make_dataset, synth_generate,
 )
 from hhattrib.evaluate import (
     CLASSIFIERS, PipelineConfig, RocPoint, _gap_matrix, _member_rows, aggregate,
@@ -21,7 +20,7 @@ from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.generative import SCOPES
 from hhattrib.logistic import FeatureConfig, feature_matrix
 
-from conftest import anon_event, event
+from conftest import anon_event, bin_of, event, weekday_of
 
 
 HOUSEHOLDS = {0: Household(0, (0, 1)), 1: Household(1, (2, 3, 4))}
@@ -418,7 +417,7 @@ def debug_counts():
 
 
 def reference_predict(model, user, ev):
-    b = bin_of(ev.timestamp, model.binning, clamp=True) - 1
+    b = bin_of(ev.timestamp, model.binning) - 1
     if ev.movie >= model.movie_count:
         return float(model.user_bias[b, user])
     return float(model.user_bias[b, user]
@@ -428,10 +427,10 @@ def reference_predict(model, user, ev):
 def reference_priors(train, household, mode, ev, binning, epsilon, counts):
     """Each member's smoothed share of the household's matching train events."""
     ours = [e for e in train if e.user in household.members]
-    b, d = bin_of(ev.timestamp, binning, clamp=True), weekday_of(ev.timestamp)
+    b, d = bin_of(ev.timestamp, binning), weekday_of(ev.timestamp)
     matches = {
         "uniform": lambda e: True,
-        "bin": lambda e: bin_of(e.timestamp, binning, clamp=True) == b,
+        "bin": lambda e: bin_of(e.timestamp, binning) == b,
         "day": lambda e: weekday_of(e.timestamp) == d,
     }
 

@@ -2,32 +2,30 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    Binning, Household, RatingEvent, bin_of, derive_binning, make_dataset,
+    Binning, Household, RatingEvent, derive_binning, make_dataset,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.factorize import (
     FactorParams, TemporalFactorModel, Xorshift64Star, _init_factors,
-    cost, fit_lowrank, fit_lowrank_temporal, load_model,
-    predict, residuals, ridge_solve, save_model,
-    smoothed_ridge_solve,
+    cost, fit_lowrank_temporal, load_model, predict, residuals, ridge_solve,
+    save_model,
 )
 
-from conftest import DAY0, anon_event, event
+from conftest import DAY0, anon_event, bin_of, event
 
 
 def naive_cost(model, train):
     """Independent double-loop evaluation of the training objective."""
-    from hhattrib.corpus import bin_of
-
     U, V, Z = model.user_factors, model.movie_factors, model.user_bias
     total = 0.0
     for ev in train:
-        b = bin_of(ev.timestamp, model.binning, clamp=True) - 1
+        b = bin_of(ev.timestamp, model.binning) - 1
         pred = Z[b][ev.user]
         for ell in range(model.rank):
             pred += U[b][ev.user][ell] * V[b][ev.movie][ell]
@@ -45,6 +43,44 @@ def naive_cost(model, train):
             for value in diff.ravel():
                 total += 0.5 * xi * value * value
     return total
+
+
+def spd_solve(gram, rhs, alpha):
+    """(gram + alpha I)^-1 rhs for one system, the oracle of ridge_solve.
+
+    scipy's Cholesky, or the minimum-norm answer by pseudo-inverse when the
+    factorization raises or a squared pivot is at most 1e-12 of the largest
+    diagonal entry (ridge_solve's singularity test and cutoff).
+    """
+    system = gram + alpha * np.eye(len(gram))
+    scale = max(float(np.max(np.diagonal(system), initial=0.0)), 1e-300)
+    try:
+        factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        factor = None
+    if factor is None or np.min(np.diagonal(factor[0]) ** 2, initial=scale) <= 1e-12 * scale:
+        return np.linalg.pinv(system, rcond=1e-12, hermitian=True) @ rhs
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
+def _normal_equations(A, x, y, beta):
+    """Gram matrix A A^T and right-hand side A x + beta y of one ridge row."""
+    A, x = np.asarray(A, dtype=float), np.asarray(x, dtype=float)
+    rhs = A @ x if beta == 0.0 else A @ x + beta * np.asarray(y, dtype=float)
+    return A @ A.T, rhs
+
+
+def smoothed_ridge_solve(A, x, y, alpha, beta):
+    """(A A^T + alpha I)^-1 (A x + beta y), the minimizer of
+    0.5||A^T w - x||^2 + (alpha/2)||w||^2 - beta y.w: one row of a block update
+    pulled toward y, solved by spd_solve."""
+    return spd_solve(*_normal_equations(A, x, y, beta), alpha)
+
+
+def stack_solve(A, x, alpha, y=None, beta=0.0):
+    """The same system through ridge_solve, as a stack of one."""
+    gram, rhs = _normal_equations(A, x, y, beta)
+    return ridge_solve(gram[None], rhs[None], alpha)[0]
 
 
 def reference_block(U, V, Z, kind, b, events, bins, params):
@@ -94,7 +130,7 @@ def reference_fit(events, params, m, n):
     T = params.bin_count
     binning = derive_binning(events, T)
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
-    bins = [bin_of(ev.timestamp, binning, clamp=True) - 1 for ev in events]
+    bins = [bin_of(ev.timestamp, binning) - 1 for ev in events]
     for _ in range(params.iterations):
         for b in range(T):
             for kind in "uvz":
@@ -122,12 +158,12 @@ def random_instance(rng, max_users=12, max_movies=10, bins=3):
 # ---------------------------------------------------------------------------
 
 def test_ridge_identity():
-    np.testing.assert_allclose(ridge_solve(np.eye(2), [3.0, 4.0], 0.0), [3.0, 4.0])
+    np.testing.assert_allclose(stack_solve(np.eye(2), [3.0, 4.0], 0.0), [3.0, 4.0])
 
 
 def test_ridge_row_of_ones_is_mean():
     x = np.array([2.0, 8.0, 5.0])
-    out = ridge_solve(np.ones((1, 3)), x, 0.0)
+    out = stack_solve(np.ones((1, 3)), x, 0.0)
     np.testing.assert_allclose(out, [x.mean()])
 
 
@@ -142,7 +178,7 @@ def test_ridge_matches_augmented_least_squares():
         design = np.vstack([A.T, np.sqrt(alpha) * np.eye(r)])
         target = np.concatenate([x, np.zeros(r)])
         expected = np.linalg.lstsq(design, target, rcond=None)[0]
-        np.testing.assert_allclose(ridge_solve(A, x, alpha), expected, atol=1e-6)
+        np.testing.assert_allclose(stack_solve(A, x, alpha), expected, atol=1e-6)
 
 
 def test_ridge_matches_derivative_free_minimizer():
@@ -158,32 +194,37 @@ def test_ridge_matches_derivative_free_minimizer():
         objective, np.zeros(3), method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20_000},
     )
-    np.testing.assert_allclose(ridge_solve(A, x, alpha), oracle.x, atol=1e-6)
+    np.testing.assert_allclose(stack_solve(A, x, alpha), oracle.x, atol=1e-6)
 
 
 def test_ridge_singular_falls_back_to_pseudo_inverse():
     A = np.zeros((3, 2))
-    out = ridge_solve(A, np.ones(2), 0.0)
+    out = stack_solve(A, np.ones(2), 0.0)
     np.testing.assert_allclose(out, np.zeros(3))
     # rank-deficient with a consistent system: minimum-norm solution
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = ridge_solve(A, np.array([1.0, 1.0]), 0.0)
+    out = stack_solve(A, np.array([1.0, 1.0]), 0.0)
     np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
 
 def test_smoothed_reduces_to_ridge_bitwise():
+    # beta = 0 leaves the plain ridge answer, and solving the 20 systems as
+    # one stack changes no bit of any system's answer
     rng = np.random.default_rng(3)
+    grams, rhs, plain = [], [], []
     for _ in range(20):
         A = rng.normal(size=(4, 7))
         x = rng.normal(size=7)
         y = rng.normal(size=4)
-        plain = ridge_solve(A, x, 0.9)
-        smoothed = smoothed_ridge_solve(A, x, y, 0.9, 0.0)
-        assert np.array_equal(plain, smoothed)
+        plain.append(stack_solve(A, x, 0.9))
+        assert np.array_equal(plain[-1], stack_solve(A, x, 0.9, y, 0.0))
+        grams.append(A @ A.T)
+        rhs.append(A @ x)
+    assert np.array_equal(ridge_solve(np.array(grams), np.array(rhs), 0.9), plain)
 
 
 def test_smoothed_pure_neighbor_pull():
-    out = smoothed_ridge_solve(np.zeros((2, 1)), np.zeros(1), [5.0, 6.0], 1.0, 1.0)
+    out = stack_solve(np.zeros((2, 1)), np.zeros(1), 1.0, [5.0, 6.0], 1.0)
     np.testing.assert_allclose(out, [5.0, 6.0])
 
 
@@ -199,8 +240,57 @@ def test_smoothed_matches_independent_linear_solve():
         design = np.vstack([A.T, np.sqrt(alpha) * np.eye(r)])
         target = np.concatenate([x, (beta / np.sqrt(alpha)) * y])
         expected = np.linalg.lstsq(design, target, rcond=None)[0]
-        got = smoothed_ridge_solve(A, x, y, alpha, beta)
-        np.testing.assert_allclose(got, expected, atol=1e-6)
+        np.testing.assert_allclose(stack_solve(A, x, alpha, y, beta), expected, atol=1e-6)
+        np.testing.assert_allclose(smoothed_ridge_solve(A, x, y, alpha, beta), expected,
+                                   atol=1e-6)
+
+
+def _mixed_stacks():
+    """(name, grams, rhs, alpha, factorization raises) stacks mixing strong
+    and weak systems."""
+    rng = np.random.default_rng(31)
+    strong = [(lambda A: A @ A.T)(rng.normal(size=(3, 6))) for _ in range(4)]
+    ones = np.ones((3, 3)) / 3.0   # rank 1: rhs along (1, 1, 1) is consistent
+    # a squared pivot of 1e-14: the factorization succeeds, the pivot test fails
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    return [
+        ("zero grams next to strong systems",
+         np.array([strong[0], np.zeros((3, 3)), strong[1], np.zeros((3, 3)), strong[2]]),
+         rng.normal(size=(5, 3)), 0.0, True),
+        ("rank-deficient grams, consistent right-hand sides",
+         np.array([strong[3], ones, 2.0 * ones, strong[0]]),
+         np.array([rng.normal(size=3), np.ones(3), np.full(3, 4.0), rng.normal(size=3)]),
+         0.0, True),
+        ("weak pivots next to strong systems",
+         np.array([near, np.eye(2), 3.0 * near, np.array([[2.0, 1.0], [1.0, 2.0]])]),
+         np.array([[1.0, 1.0], [2.0, -1.0], [3.0, 3.0], [1.0, -2.0]]), 0.0, False),
+        ("an indefinite system",
+         np.array([strong[1], np.diag([1.0, -1e-3, 2.0]), strong[2]]),
+         rng.normal(size=(3, 3)), 0.0, True),
+        ("alpha lifts every system",
+         np.array([strong[0], np.zeros((3, 3)), ones]), rng.normal(size=(3, 3)), 0.5,
+         False),
+    ]
+
+
+@pytest.mark.parametrize("name, grams, rhs, alpha, raises", _mixed_stacks(),
+                         ids=[case[0] for case in _mixed_stacks()])
+def test_stacked_fallback_matches_scalar_oracle(name, grams, rhs, alpha, raises):
+    # each system of a mixed stack agrees with spd_solve on its own: strong
+    # systems through solve, weak ones (or the whole stack, when the stacked
+    # factorization raises) through the pseudo-inverse's minimum-norm answer
+    systems = grams + alpha * np.eye(grams.shape[-1])
+    if raises:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(systems)
+    else:
+        np.linalg.cholesky(systems)
+    got = ridge_solve(grams, rhs, alpha)
+    want = np.array([spd_solve(g, x, alpha) for g, x in zip(grams, rhs)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    if name == "weak pivots next to strong systems":
+        # solve would answer (1, 0) and (1, 0); the minimum norm is (0.5, 0.5)
+        np.testing.assert_allclose(got[[0, 2]], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +300,7 @@ def test_smoothed_matches_independent_linear_solve():
 def test_single_event_interpolation():
     train = [event(0, 0, rating=80.0)]
     params = FactorParams(rank=1, reg_lambda=0.0, bin_count=1, iterations=40, seed=2)
-    model = fit_lowrank(train, params)
+    model = fit_lowrank_temporal(train, params)
     assert predict(model, 0, 0, train[0].timestamp) == pytest.approx(80.0, abs=1e-9)
     assert cost(model, train) == pytest.approx(0.0, abs=1e-12)
 
@@ -227,7 +317,7 @@ def test_rank1_completion_recovers_heldout():
              for i in range(10) for j in range(8) if mask[i, j]]
     params = FactorParams(rank=1, reg_lambda=1e-6, bin_count=1,
                           iterations=100, seed=1)
-    model = fit_lowrank(train, params, user_count=10, movie_count=8)
+    model = fit_lowrank_temporal(train, params, user_count=10, movie_count=8)
     heldout = [(i, j) for i in range(10) for j in range(8) if not mask[i, j]]
     errors = [truth[i, j] - predict(model, i, j, DAY0) for i, j in heldout]
     rmse = float(np.sqrt(np.mean(np.square(errors))))
@@ -239,7 +329,7 @@ def test_cost_non_increasing_every_block_lowrank():
     m, n, events = random_instance(rng)
     params = FactorParams(rank=2, bin_count=1, iterations=4, seed=3)
     seen = []
-    fit_lowrank(events, params, m, n,
+    fit_lowrank_temporal(events, params, m, n,
                 block_hook=lambda tag, b, mod: seen.append(cost(mod, events)))
     diffs = np.diff(seen)
     assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(seen[:-1])))
@@ -281,12 +371,17 @@ def test_cost_non_increasing_every_block_with_pseudo_inverse():
 
 
 def test_t1_temporal_equals_lowrank_exactly():
+    # one bin has no neighbor, so the smoothing weights change no bit of the
+    # fit: the flat model is the temporal model at T = 1
     rng = np.random.default_rng(10)
     m, n, events = random_instance(rng)
     for seed in (0, 1):
-        params = FactorParams(rank=3, bin_count=1, iterations=5, seed=seed)
-        a = fit_lowrank(events, params, m, n)
-        b = fit_lowrank_temporal(events, params, m, n)
+        params = FactorParams(rank=3, bin_count=1, iterations=5, seed=seed,
+                              xi_u=0.0, xi_v=0.0, xi_z=0.0)
+        a = fit_lowrank_temporal(events, params, m, n)
+        b = fit_lowrank_temporal(events, FactorParams(rank=3, bin_count=1, iterations=5,
+                                                      seed=seed, xi_u=5e5, xi_v=2e6,
+                                                      xi_z=1e6), m, n)
         assert np.array_equal(a.user_factors, b.user_factors)
         assert np.array_equal(a.movie_factors, b.movie_factors)
         assert np.array_equal(a.user_bias, b.user_bias)
@@ -346,7 +441,7 @@ def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambd
     model = fit_lowrank_temporal(
         events, params, 7, 6, block_hook=lambda kind, b, mod: after.append((kind, b, (
             mod.user_factors.copy(), mod.movie_factors.copy(), mod.user_bias.copy()))))
-    event_bins = [bin_of(ev.timestamp, model.binning, clamp=True) - 1 for ev in events]
+    event_bins = [bin_of(ev.timestamp, model.binning) - 1 for ev in events]
     state = _init_factors(7, 6, rank, bins, seed)
     for kind, b, tensors in after:
         U, V, Z = (t.copy() for t in state)
@@ -371,7 +466,7 @@ def test_movie_without_events_in_a_bin(xi_v):
             before_v.append(mod.movie_factors.copy())
 
     model = fit_lowrank_temporal(events, params, 3, 5, block_hook=hook)
-    assert {bin_of(ev.timestamp, model.binning, clamp=True)
+    assert {bin_of(ev.timestamp, model.binning)
             for ev in events if ev.movie == 3} == {1, 3}
     init_v = _init_factors(3, 5, 2, 3, params.seed)[1]
     V = model.movie_factors
@@ -443,15 +538,13 @@ def test_fit_deterministic():
 def test_user_without_events_keeps_initialization():
     events = [event(0, m, rating=60.0, day=m % 7) for m in range(6)]
     params = FactorParams(rank=2, bin_count=1, iterations=3, seed=5)
-    model = fit_lowrank(events, params, user_count=3, movie_count=6)
+    model = fit_lowrank_temporal(events, params, user_count=3, movie_count=6)
     assert model.user_bias[0, 2] == 50.0  # user 2 never rated anything
 
 
 def test_fit_rejects_bad_input():
     with pytest.raises(ValueError):
-        fit_lowrank([], FactorParams(bin_count=1))
-    with pytest.raises(ValueError):
-        fit_lowrank([event(0, 0)], FactorParams(bin_count=4))
+        fit_lowrank_temporal([], FactorParams(bin_count=1))
     with pytest.raises(ValueError):
         FactorParams(iterations=0)
 
@@ -516,7 +609,7 @@ def test_predict_unknown_movie_is_bin_bias(caplog):
     params = FactorParams(rank=2, bin_count=3, iterations=2, seed=4)
     model = fit_lowrank_temporal(events, params, m, n)
     for ev in events:
-        b = bin_of(ev.timestamp, model.binning, clamp=True) - 1
+        b = bin_of(ev.timestamp, model.binning) - 1
         for movie in (n, n + 7):
             assert predict(model, ev.user, movie, ev.timestamp) == model.user_bias[b, ev.user]
     with pytest.raises(ValueError, match="movie"):

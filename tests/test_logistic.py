@@ -11,13 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhattrib import logistic
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, bin_of, cv_split, derive_binning, hour_of,
-    synth_generate, weekday_of,
+    Binning, Household, SynthConfig, cv_split, derive_binning, synth_generate,
 )
 from hhattrib.evaluate import (
     FittedPipeline, PipelineConfig, classify_events, fit_and_classify,
@@ -29,7 +28,7 @@ from hhattrib.logistic import (
     member_probabilities, save_logit_models, standardize_apply, standardize_fit,
 )
 
-from conftest import DAY, DAY0, anon_event, event
+from conftest import DAY, DAY0, anon_event, bin_of, event, hour_of, weekday_of
 
 
 def only(letters, lambda1=0.01):
@@ -99,7 +98,7 @@ def _reference_features(event, config, model=None, binning=None):
     if config.hour:
         parts.append(one_hot(24, hour_of(event.timestamp)))
     if config.movie_vector:
-        b = bin_of(event.timestamp, model.binning, clamp=True) - 1
+        b = bin_of(event.timestamp, model.binning) - 1
         if event.movie < model.movie_count:
             parts.append(np.array(model.movie_factors[b, event.movie]))
         else:
@@ -107,7 +106,7 @@ def _reference_features(event, config, model=None, binning=None):
     if config.bin:
         binning = binning or model.binning
         parts.append(one_hot(binning.bin_count,
-                             bin_of(event.timestamp, binning, clamp=True) - 1))
+                             bin_of(event.timestamp, binning) - 1))
     if config.rating:
         parts.append(np.array([1.0 + 4.0 * event.rating / 100.0]))
     return np.concatenate(parts)
@@ -354,7 +353,7 @@ def test_unified_fit_never_imports_scipy_optimize():
         from hhattrib.corpus import SynthConfig, synth_generate
         data = synth_generate(SynthConfig(households_size2=1, households_size3=0,
                                           households_size4=0, events_per_user=30))
-        model = factorize.fit_lowrank(data.train, factorize.FactorParams(
+        model = factorize.fit_lowrank_temporal(data.train, factorize.FactorParams(
             rank=2, bin_count=1, iterations=2))
         logistic.fit_household(data.train, data.households[0],
                                logistic.FeatureConfig(lambda1=0.1), model)
@@ -432,14 +431,11 @@ def oracle_fit_logistic(rows, labels, lambda1):
         return fit_logistic(rows, labels, lambda1)
 
 
-@st.composite
-def household_designs(draw):
+def household_design(seed, n, bins, rank, sides, lam):
     """Standardized rows shaped like fit_household's: weekday, hour and bin
     one-hot blocks (rank-deficient without an intercept), movie-vector and
     rating columns; labels with member habits, or one-sided."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(12, 200))
-    bins, rank = draw(st.sampled_from([1, 3, 4])), draw(st.integers(0, 4))
+    rng = np.random.default_rng(seed)
     member = rng.random(n) < rng.uniform(0.2, 0.8)
     day = np.where(member, rng.integers(0, 4, n), rng.integers(2, 7, n))
     hour = np.where(member, rng.integers(6, 14, n), rng.integers(10, 24, n))
@@ -448,14 +444,27 @@ def household_designs(draw):
                           np.eye(bins)[rng.integers(0, bins, n)],
                           rng.uniform(1.0, 5.0, (n, 1))), axis=1)
     rows = standardize_apply(standardize_fit(raw), raw)
-    sides = draw(st.sampled_from(["members", "members", "noisy", "zeros", "ones"]))
     labels = {"members": member, "noisy": member ^ (rng.random(n) < 0.2),
               "zeros": np.zeros(n), "ones": np.ones(n)}[sides].astype(float)
-    return rows, labels, draw(st.sampled_from([0.01, 0.1, 1.0]))
+    return rows, labels, lam
+
+
+@st.composite
+def household_designs(draw):
+    seed, n = draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(12, 200))
+    bins, rank = draw(st.sampled_from([1, 3, 4])), draw(st.integers(0, 4))
+    sides = draw(st.sampled_from(["members", "members", "noisy", "zeros", "ones"]))
+    return household_design(seed, n, bins, rank, sides,
+                            draw(st.sampled_from([0.01, 0.1, 1.0])))
 
 
 @given(household_designs())
 @settings(max_examples=60, deadline=None)
+# a KKT tolerance of 1e-8 leaves this fit 3.8e-10 above the optimum
+@example(household_design(2, 64, 4, 2, "members", 0.01))
+# near-separable: the oracle's polish stalls at KKT 3.7e-6, and only L-BFGS
+# rounds run past the handover tolerance reach the optimum from there
+@example(household_design(28, 28, 1, 0, "noisy", 0.01))
 def test_split_descend_matches_oracle(design):
     rows, labels, lam = design
     theta = fit_logistic(rows, labels, lam)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from hhattrib.corpus import (
     SECONDS_PER_WEEK, Binning, DuplicateError, Household, RatingEvent, SynthConfig,
-    bin_of, derive_binning, synth_generate, weekday_of,
+    derive_binning, synth_generate,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.temporal import (
-    UndefinedProfileError, day_profile, fit_priors, household_tv, prior_matrix,
-    tv_distance, tv_histogram, weekday_histogram,
+    UndefinedProfileError, fit_priors, prior_matrix, tv_distance, tv_histogram,
+    weekday_histogram,
 )
 
-from conftest import DAY, DAY0, anon_event, event, rng_for
+from conftest import DAY, DAY0, anon_event, bin_of, event, rng_for, weekday_of
 
 
 BINNING = Binning(4, 0, 10 ** 10)
@@ -29,26 +29,61 @@ def share(priors, hid, member, condition):
     return priors.shares[h, condition, priors.members[h].tolist().index(member)]
 
 
+def day_profile(train, user):
+    """Fraction of the user's events on each weekday, from a per-event loop."""
+    counts = np.zeros(7)
+    for ev in train:
+        if ev.user == user:
+            counts[weekday_of(ev.timestamp)] += 1
+    if not counts.sum():
+        raise UndefinedProfileError(f"user {user} has no training events")
+    return counts / counts.sum()
+
+
+def reference_tv(train, household):
+    """Average tv_distance over ordered member pairs of day_profile's profiles."""
+    profiles = [day_profile(train, member) for member in household.members]
+    size = len(profiles)
+    pairs = [(a, b) for a in range(size) for b in range(size) if a != b]
+    return sum(tv_distance(profiles[a], profiles[b]) for a, b in pairs) / len(pairs)
+
+
+def household_tv(train, household):
+    """tv_histogram's value for one household."""
+    [(_, value)] = tv_histogram(train, {household.id: household})
+    return value
+
+
+def library_profile(train, user):
+    """A member's weekday profile as tv_histogram reads it: weekday_histogram's
+    counts over their total (the second member, user + 1000, is a filler)."""
+    (_, _, *counts), _ = weekday_histogram(train, {0: Household(0, (user, user + 1000))})
+    return np.array(counts) / sum(counts)
+
+
 def test_day_profile_all_sunday():
     train = [event(0, m, day=0) for m in range(3)]
-    np.testing.assert_allclose(day_profile(train, 0).weights,
-                               [1, 0, 0, 0, 0, 0, 0])
+    for profile in (day_profile, library_profile):
+        np.testing.assert_allclose(profile(train, 0), [1, 0, 0, 0, 0, 0, 0])
 
 
 def test_day_profile_uniform_week():
     train = [event(0, m, day=m) for m in range(7)]
-    np.testing.assert_allclose(day_profile(train, 0).weights, np.full(7, 1 / 7))
+    for profile in (day_profile, library_profile):
+        np.testing.assert_allclose(profile(train, 0), np.full(7, 1 / 7))
 
 
 def test_day_profile_mixed_days():
     train = [event(0, 0, day=0), event(0, 1, day=0), event(0, 2, day=3)]
-    np.testing.assert_allclose(day_profile(train, 0).weights,
-                               [2 / 3, 0, 0, 1 / 3, 0, 0, 0])
+    for profile in (day_profile, library_profile):
+        np.testing.assert_allclose(profile(train, 0), [2 / 3, 0, 0, 1 / 3, 0, 0, 0])
 
 
 def test_day_profile_requires_events():
     with pytest.raises(UndefinedProfileError):
         day_profile([event(1, 0)], user=0)
+    with pytest.raises(UndefinedProfileError, match="user 0 has no training events"):
+        household_tv([event(1, 0)], Household(0, (0, 1)))
 
 
 def test_household_tv_extremes(pair_household):
@@ -89,7 +124,7 @@ def test_household_tv_bounds(assignments):
               for idx, (user, day) in enumerate(assignments)]
     value = household_tv(events, Household(0, (0, 1)))
     assert 0.0 <= value <= 1.0
-    profiles = [day_profile(events, u).weights for u in (0, 1)]
+    profiles = [day_profile(events, u) for u in (0, 1)]
     disjoint = not np.any((profiles[0] > 0) & (profiles[1] > 0))
     assert (value == 1.0) == disjoint
 
@@ -209,7 +244,7 @@ def _reference_priors(train, household, binning, epsilon):
         if ev.user in household.members:
             k = household.members.index(ev.user)
             counts[0, k] += 1
-            counts[bin_of(ev.timestamp, binning, clamp=True), k] += 1
+            counts[bin_of(ev.timestamp, binning), k] += 1
             counts[T + 1 + weekday_of(ev.timestamp), k] += 1
     with np.errstate(invalid="ignore"):
         return (counts + epsilon) / (counts.sum(axis=1, keepdims=True)
@@ -338,7 +373,7 @@ def test_tv_histogram_matches_household_tv_on_many_households():
     rows = tv_histogram(dataset.train, dataset.households)
     assert [hid for hid, _ in rows] == list(dataset.households)
     for hid, value in rows:
-        assert value == household_tv(dataset.train, dataset.households[hid])
+        assert value == reference_tv(dataset.train, dataset.households[hid])
 
 
 def test_tv_histogram_member_without_events(small_dataset):
