@@ -121,13 +121,15 @@ def cmd_classify(args) -> int:
         raise ConfigError("--dump-logit only applies to the unified classifier")
     if args.dump_posteriors and args.classifier == "residual":
         raise ConfigError("the residual classifier has no posteriors to dump")
+    if args.alpha_grid and args.classifier != "residual":
+        raise ConfigError("--alpha-grid only applies to the residual classifier")
     pipeline = _pipeline_from_args(args, alpha=args.alpha)
     model = _load_factor_model(args, pipeline)
     dataset = load_dataset(args.train, args.households, args.test)
     fitted = evaluate.fit_pipeline(dataset, pipeline, model=model)
     test = dataset.test
 
-    if args.classifier == "residual" and args.alpha_grid:
+    if args.alpha_grid:
         out = Path(args.out)
         for idx, alpha in enumerate(_parse_grid(args.alpha_grid)):
             predictions, _ = evaluate.classify_events(

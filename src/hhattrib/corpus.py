@@ -10,12 +10,12 @@ Ratings are scores in [0, 100]; timestamps are UTC epoch seconds. All
 values in this module are immutable after construction and safe to share
 across threads.
 
-Behind the file edge, array code reads an event list as `EventColumns`:
-user, movie, rating and stamp arrays in event order, kept by a Dataset; a
-split reads its parent's through its keep mask.
+Behind the file edge, a rating-event list is `EventColumns`: user, movie,
+rating and stamp arrays in event order. A Dataset keeps its train in this
+form, and a split slices its parent's columns once.
 """
 
-import itertools
+import copy
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -141,10 +141,8 @@ class EventColumns:
         return EventColumns(self.user[index], self.movie[index], self.rating[index],
                             self.stamp[index])
 
-    def events(self) -> tuple[RatingEvent, ...]:
-        """The events as RatingEvent objects."""
-        return tuple(map(RatingEvent, self.user.tolist(), self.movie.tolist(),
-                         self.rating.tolist(), self.stamp.tolist()))
+    def __len__(self) -> int:
+        return len(self.user)
 
 
 @dataclass(frozen=True)
@@ -178,34 +176,25 @@ def member_table(households: dict[int, Household]) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Training events, households, test events and ``member_of`` (member ->
     household).
 
-    The train is kept as columns, given as ``EventColumns`` or as rating
-    events; a split reads its parent's through its keep mask. RatingEvent
-    objects are built only when ``.train`` is read, once per Dataset, and
-    a split's are its unsplit dataset's own.
+    The train is given as ``EventColumns`` or as rating events and kept as
+    columns; a split keeps its own slice of its parent's.
     """
 
-    train: tuple[RatingEvent, ...] | EventColumns
+    train: EventColumns
     households: dict[int, Household]
     test: tuple[TestEvent, ...]
     user_count: int
     movie_count: int
-    _keep = None   # a split's bool mask over the events of _columns
-    _root = None   # a split's unsplit dataset
 
     def __post_init__(self):
-        if isinstance(self.train, EventColumns):
-            object.__setattr__(self, "_columns", self.train)
-            object.__delattr__(self, "train")   # built on first read
-        else:
-            object.__setattr__(self, "train", tuple(self.train))
-            object.__setattr__(self, "_columns", EventColumns.of(self.train))
+        object.__setattr__(self, "train", EventColumns.of(self.train))
         object.__setattr__(self, "test", tuple(self.test))
-        users, movies = self.columns.user, self.columns.movie
+        users, movies = self.train.user, self.train.movie
         # keys span the largest movie: one beyond movie_count is not a repeat
         key = users * max(self.movie_count, int(movies.max(initial=-1)) + 1) + movies
         repeat = np.ones(len(key), dtype=bool)
@@ -213,7 +202,8 @@ class Dataset:
         bad = repeat | (users >= self.user_count) | (movies >= self.movie_count)
         if bad.any():
             first = bad.argmax()
-            ev = self.columns[first:first + 1].events()[0]
+            ev = RatingEvent(int(users[first]), int(movies[first]),
+                             float(self.train.rating[first]), int(self.train.stamp[first]))
             if repeat[first]:
                 raise DuplicateError(f"duplicate train pair {(ev.user, ev.movie)}")
             raise ValueError(f"event {ev!r} exceeds declared dimensions")
@@ -232,41 +222,13 @@ class Dataset:
             if ev.true_user is not None and owner.get(ev.true_user) != ev.household:
                 raise ValueError(f"true_user {ev.true_user} not in household {ev.household}")
 
-    def __getattr__(self, name):
-        # reached only for a train not read yet
-        if name != "train" or "_columns" not in vars(self):
-            raise AttributeError(name)
-        if self._root is None:
-            train = self._columns.events()
-        else:
-            train = tuple(itertools.compress(self._root.train, self._keep.tolist()))
-        object.__setattr__(self, "train", train)
-        return train
-
-    @property
-    def columns(self) -> EventColumns:
-        """The train events' columns, in event order."""
-        columns, keep = self._columns, self._keep
-        return columns if keep is None else columns[keep]
-
     def household_rows(self) -> np.ndarray:
         """Each train event's household as its row in map order; -1 for the
         events of users in no household."""
         row_of = {hid: row for row, hid in enumerate(self.households)}
         lookup = np.full(max(self.user_count, max(self.member_of, default=-1) + 1), -1)
         lookup[list(self.member_of)] = [row_of[hid] for hid in self.member_of.values()]
-        return lookup[self.columns.user]
-
-    def _subset(self, keep: np.ndarray, test: tuple) -> "Dataset":
-        """The train events where ``keep`` is set and ``test``, not validated again."""
-        split = object.__new__(type(self))
-        vars(split).update(vars(self), test=test, _root=self._root or self)
-        vars(split).pop("train", None)
-        if self._keep is not None:   # a split of a split: one mask over the same columns
-            keep, inner = self._keep.copy(), keep
-            keep[self._keep] = inner
-        vars(split)["_keep"] = keep
-        return split
+        return lookup[self.train.user]
 
 
 @dataclass(frozen=True)
@@ -342,9 +304,12 @@ def _fields(line: str) -> list[str]:
 
 def _parse_int(token: str, path, line_no, what: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(path, line_no, f"bad {what} {token!r}") from None
+    if not -2 ** 63 <= value < 2 ** 63:   # what an int64 column holds
+        raise RangeError(f"{what} {value} outside the int64 range", path, line_no)
+    return value
 
 
 def _parse_float(token: str, path, line_no, what: str) -> float:
@@ -463,9 +428,13 @@ def _format_rating(rating: float) -> str:
 
 
 def write_ratings(events, path) -> None:
+    """Write rating events or columns, one line per event in order."""
+    columns = EventColumns.of(events)
+    rows = zip(columns.user.tolist(), columns.movie.tolist(),
+               map(_format_rating, columns.rating.tolist()), columns.stamp.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(f"{ev.user}\t{ev.movie}\t{_format_rating(ev.rating)}\t{ev.timestamp}\n")
+        fh.writelines(f"{user}\t{movie}\t{rating}\t{stamp}\n"
+                      for user, movie, rating, stamp in rows)
 
 
 def write_households(households: dict[int, Household], path) -> None:
@@ -534,7 +503,7 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     The k member events take one ``rng.random(k)`` draw in train order and
     other events none: one ``rng.random()`` per member event, as the
     per-event loop drew. The hidden events are built from the dataset's
-    columns; the kept ones are read through the keep mask.
+    columns, and the split's train is the kept rows of those columns.
 
     The split is not validated again: its train is a subset of a validated
     train, and each hidden event is built from a validated event whose owner
@@ -549,10 +518,12 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     hide = rows >= 0   # member events, then the hidden ones among them
     hide[hide] = rng.random(int(hide.sum())) < fraction
     hids = np.fromiter(dataset.households, np.intp, len(dataset.households))
-    moved = dataset.columns[hide]
+    moved = dataset.train[hide]
     hidden = map(TestEvent, hids[rows[hide]].tolist(), moved.movie.tolist(),
                  moved.rating.tolist(), moved.stamp.tolist(), moved.user.tolist())
-    return dataset._subset(~hide, tuple(hidden))
+    split = copy.copy(dataset)   # no __post_init__: not validated again
+    vars(split).update(train=dataset.train[~hide], test=tuple(hidden))
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +643,7 @@ def synth_generate(config: SynthConfig, seed: int | None = None) -> Dataset:
     gamma = 0.5 * (1.0 - config.overlap)
     half = SYNTH_WEEKS // 2
 
-    train: list[RatingEvent] = []
+    train = ([], [], [])   # per member, its first events_per_user movies, ratings, stamps
     test: list[TestEvent] = []
     for user, hid, pos, home_day, home_hour in member_rows:
         p_day = _mixture(7, home_day, config.overlap)
@@ -703,17 +674,17 @@ def synth_generate(config: SynthConfig, seed: int | None = None) -> Dataset:
         ratings = profile[movies] @ taste[user] + bias[user] + noise
         ratings = np.clip(np.rint(ratings), 0.0, 100.0)
 
-        for k in range(config.events_per_user):
-            train.append(
-                RatingEvent(user, int(movies[k]), float(ratings[k]), int(stamps[k]))
-            )
-        for k in range(config.events_per_user, total_per_user):
-            test.append(
-                TestEvent(hid, int(movies[k]), float(ratings[k]), int(stamps[k]), user)
-            )
+        k = config.events_per_user
+        for column, values in zip(train, (movies, ratings, stamps)):
+            column.append(values[:k])
+        test.extend(map(TestEvent, [hid] * test_per_user, movies[k:].tolist(),
+                        ratings[k:].tolist(), stamps[k:].tolist(), [user] * test_per_user))
 
+    # member_rows runs over users 0 .. user_count - 1 in order
+    users = np.repeat(np.arange(user_count, dtype=np.intp), config.events_per_user)
+    movies, ratings, stamps = map(np.concatenate, train)
     return Dataset(
-        train=tuple(train),
+        train=EventColumns(users, movies.astype(np.intp, copy=False), ratings, stamps),
         households=households,
         test=tuple(test),
         user_count=user_count,

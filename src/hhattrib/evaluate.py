@@ -298,7 +298,7 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
     A pre-fitted factor model is used as given, binning included;
     otherwise one is fitted when the family needs it.
     """
-    households, columns = dataset.households, dataset.columns
+    households, columns = dataset.households, dataset.train
     name = pipeline.classifier
     binning = (model.binning if model is not None
                else derive_binning(columns, pipeline.factor_params.bin_count))

@@ -50,6 +50,13 @@ def planted_dataset():
     return synth_generate(config)
 
 
+def rating_events(columns):
+    """Train columns as RatingEvent objects, in order: the form the scalar
+    oracles read."""
+    return [RatingEvent(*row) for row in zip(columns.user.tolist(), columns.movie.tolist(),
+                                             columns.rating.tolist(), columns.stamp.tolist())]
+
+
 def as_rating_events(test_events):
     """Map evaluation events back to plain rating events via the true user."""
     return [

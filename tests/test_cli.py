@@ -118,6 +118,15 @@ def test_classify_residual_alpha_grid(workspace):
     assert produced == ["preds.alpha0.tsv", "preds.alpha1.tsv", "preds.alpha2.tsv"]
 
 
+def test_classify_alpha_grid_needs_residual(workspace, capsys):
+    out = workspace / "preds.tsv"
+    code = main(["classify", *data_args(workspace), "--classifier", "prior-day",
+                 "--bins", "4", "--alpha-grid", "0.5,1", "--out", str(out)])
+    assert code == 2
+    assert "--alpha-grid only applies to the residual classifier" in capsys.readouterr().err
+    assert not list(workspace.glob("preds*"))
+
+
 def test_classify_residual_requires_model(workspace):
     code = main(["classify", *data_args(workspace), "--classifier", "residual",
                  "--out", str(workspace / "p.tsv")])
@@ -487,3 +496,27 @@ def test_evaluate_malformed_dump_row_names_file_and_line(workspace, capsys, dump
                  "--out", str(workspace / "report.tsv")])
     assert code == 2
     assert f"error: {path}:{row}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, field", [("train.tsv", 3), ("train.tsv", 0),
+                                         ("test.tsv", 3), ("test.tsv", 4),
+                                         ("households.tsv", 1)])
+def test_integer_beyond_int64_names_file_and_line(workspace, capsys, name, field):
+    """An id or timestamp that int64 cannot hold is a range error at its line."""
+    path = workspace / "data" / name
+    lines = path.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[field] = "99999999999999999999"
+    lines[1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    out = workspace / "out.tsv"
+    if name == "train.tsv":
+        argv = ["fit", "--train", str(path), "--out", str(out)]
+    else:
+        argv = ["classify", *data_args(workspace), "--classifier", "prior-day",
+                "--bins", "4", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ")
+    assert "99999999999999999999 outside the int64 range" in err
+    assert not out.exists()

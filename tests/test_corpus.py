@@ -1,7 +1,7 @@
 import dataclasses
 import datetime
 import gc
-import sys
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -20,7 +20,7 @@ from hhattrib.corpus import (
     weekday_column, write_dataset, write_households, write_ratings, write_test_events,
 )
 
-from conftest import DAY0, bin_of, event, weekday_of
+from conftest import DAY0, bin_of, event, rating_events, weekday_of
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,14 @@ def test_parse_ratings_delimiters(tmp_path, delim):
     path = tmp_path / "r.txt"
     path.write_text(delim.join(["3", "4", "72", "1000"]) + "\n")
     assert_same_columns(parse_ratings(path), EventColumns.of([RatingEvent(3, 4, 72.0, 1000)]))
+
+
+def test_parse_int_holds_int64_only():
+    for value in (2 ** 63 - 1, -2 ** 63):
+        assert _parse_int(str(value), "f", 1, "id") == value
+    for value in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(RangeError, match=f"^f:3: id {value} outside the int64 range$"):
+            _parse_int(str(value), "f", 3, "id")
 
 
 def test_parse_ratings_malformed_line_number(tmp_path):
@@ -265,7 +273,7 @@ def test_dataset_names_first_offending_event(train, error, message):
 def test_write_parse_round_trip(tmp_path, small_dataset):
     paths = write_dataset(small_dataset, tmp_path)
     again = load_dataset(*paths)
-    assert again.train == small_dataset.train
+    assert_same_columns(again.train, small_dataset.train)
     assert again.households == small_dataset.households
     assert again.test == small_dataset.test
 
@@ -410,7 +418,7 @@ def test_weekday_binning():
 
 def test_derive_binning_covers_events(small_dataset):
     binning = derive_binning(small_dataset.train, 5)
-    stamps = np.array([ev.timestamp for ev in small_dataset.train])
+    stamps = small_dataset.train.stamp
     assert stamps.min() == binning.origin and stamps.max() == binning.origin + binning.span
     assert set(bin_column(stamps, binning).tolist()) <= set(range(5))
 
@@ -419,28 +427,23 @@ def test_derive_binning_covers_events(small_dataset):
 # Cross-validation split
 # ---------------------------------------------------------------------------
 
-def _household_event_count(dataset):
-    members = set(dataset.member_of)
-    return sum(ev.user in members for ev in dataset.train)
-
-
 def test_cv_split_partition(small_dataset):
     split = cv_split(small_dataset, 0.3, seed=5)
     moved_back = [
         RatingEvent(ev.true_user, ev.movie, ev.rating, ev.timestamp)
         for ev in split.test
     ]
-    assert sorted(split.train + tuple(moved_back),
-                  key=lambda e: (e.user, e.movie)) == sorted(
-        small_dataset.train, key=lambda e: (e.user, e.movie))
-    assert not set(split.train) & set(moved_back) or len(split.test) == 0 \
-        or len(set(split.train) | set(moved_back)) == len(small_dataset.train)
+    kept = rating_events(split.train)
+    assert sorted(kept + moved_back, key=lambda e: (e.user, e.movie)) == sorted(
+        rating_events(small_dataset.train), key=lambda e: (e.user, e.movie))
+    assert not set(kept) & set(moved_back)
 
 
 def test_cv_split_deterministic(small_dataset):
     a = cv_split(small_dataset, 0.25, seed=9)
     b = cv_split(small_dataset, 0.25, seed=9)
-    assert a.train == b.train and a.test == b.test
+    assert_same_columns(a.train, b.train)
+    assert a.test == b.test
 
 
 def test_cv_split_true_user_kept(small_dataset):
@@ -453,7 +456,7 @@ def test_cv_split_true_user_kept(small_dataset):
 def test_cv_split_degenerate_fraction(small_dataset):
     split = cv_split(small_dataset, 1e-12, seed=0)
     assert split.test == ()
-    assert split.train == small_dataset.train
+    assert_same_columns(split.train, small_dataset.train)
 
 
 def test_cv_split_expected_size():
@@ -465,20 +468,11 @@ def test_cv_split_expected_size():
     assert 20 <= np.mean(sizes) <= 60
 
 
-def _assert_columns_extracted(dataset):
-    """Every field of dataset.columns equals a fresh extraction, dtype included."""
-    expected = EventColumns.of(dataset.train)
-    for field in dataclasses.fields(EventColumns):
-        ours, theirs = getattr(dataset.columns, field.name), getattr(expected, field.name)
-        assert ours.dtype == theirs.dtype
-        np.testing.assert_array_equal(ours, theirs)
-
-
 def _reference_cv_split(dataset, fraction, seed):
     """One rng.random() per household member's event, in train order."""
     rng = np.random.default_rng(seed)
     keep, hidden = [], []
-    for ev in dataset.train:
+    for ev in rating_events(dataset.train):
         hid = dataset.member_of.get(ev.user)
         if hid is not None and rng.random() < fraction:
             hidden.append(TestEvent(hid, ev.movie, ev.rating, ev.timestamp, ev.user))
@@ -498,60 +492,35 @@ def test_cv_split_matches_per_event_draws(seed, fraction):
                                     1: Household(1, (2, 3))})
     split = cv_split(dataset, fraction, seed)
     keep, hidden = _reference_cv_split(dataset, fraction, seed)
-    assert len(split.train) == len(keep)
-    assert all(ours is theirs for ours, theirs in zip(split.train, keep))
+    assert_same_columns(split.train, EventColumns.of(keep))
     assert split.test == tuple(hidden)
     assert (split.user_count, split.movie_count) == (dataset.user_count,
                                                      dataset.movie_count)
-    _assert_columns_extracted(split)
-    nested = cv_split(split, 0.5, seed + 1)   # masks compose over the same columns
+    nested = cv_split(split, 0.5, seed + 1)   # a split of a split
+    keep, hidden = _reference_cv_split(split, 0.5, seed + 1)
     assert len(nested.train) < len(split.train)
-    _assert_columns_extracted(nested)
+    assert_same_columns(nested.train, EventColumns.of(keep))
+    assert nested.test == tuple(hidden)
 
 
 def test_cv_split_ignores_outsiders():
     events = [event(0, m) for m in range(10)] + [event(9, m, day=2) for m in range(10)]
     dataset = make_dataset(events, {0: Household(0, (0, 1))})
     split = cv_split(dataset, 0.9, seed=3)
-    assert all(ev.user == 9 for ev in split.train if ev.user not in (0, 1))
-    assert sum(ev.user == 9 for ev in split.train) == 10
+    assert set(split.train.user.tolist()) <= {0, 1, 9}
+    assert (split.train.user == 9).sum() == 10
 
 
 def test_cv_split_replace_revalidates(small_dataset):
     split = cv_split(small_dataset, 0.3, seed=4)
     again = dataclasses.replace(split)   # full construction, checks included
-    assert again == split
-    _assert_columns_extracted(again)
-    subset = dataclasses.replace(split, train=split.train[::2])
-    _assert_columns_extracted(subset)
+    assert_same_columns(again.train, split.train)
+    assert (again.households, again.test, again.member_of) == (
+        split.households, split.test, split.member_of)
+    subset = dataclasses.replace(split, train=rating_events(split.train)[::2])
+    assert_same_columns(subset.train, split.train[::2])
     with pytest.raises(DuplicateError):
-        dataclasses.replace(split, train=split.train + split.train[:1])
-
-
-def test_cv_splits_hold_no_columns():
-    """Five live splits cost their train tuples, hidden events and keep masks.
-
-    Each split refers to its parent's columns through one bool mask (1 byte
-    per parent event); columns of its own would add 32 bytes per kept event,
-    about 3.3 MB over these splits against a budget of about 1.3 MB.
-    """
-    dataset = synth_generate(SynthConfig(
-        households_size2=44, households_size3=4, households_size4=2,
-        events_per_user=200, overlap=0.1, rank=3, noise_sigma=10.0, seed=20))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        splits = [cv_split(dataset, 0.04, seed) for seed in range(101, 106)]
-        gc.collect()
-        used = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    budget = sum(sys.getsizeof(split.train) + sys.getsizeof(split.test)
-                 + sum(map(sys.getsizeof, split.test)) + len(dataset.train)
-                 for split in splits)
-    # 10% for the Dataset objects, array headers and interpreter bookkeeping
-    assert used <= 1.1 * budget, (used, budget)
+        dataclasses.replace(split, train=split.train[np.r_[:len(split.train), 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +551,8 @@ def test_synth_deterministic(tmp_path):
     config = SynthConfig(households_size2=3, events_per_user=25, seed=8)
     a = synth_generate(config)
     b = synth_generate(config)
-    assert a.train == b.train and a.test == b.test
+    assert_same_columns(a.train, b.train)
+    assert a.test == b.test
     write_dataset(a, tmp_path / "a")
     write_dataset(b, tmp_path / "b")
     for name in ("train.tsv", "households.tsv", "test.tsv"):
@@ -601,6 +571,23 @@ def test_synth_respects_counts_and_truth():
         assert ev.true_user in dataset.households[ev.household].members
         per_user[ev.true_user] = per_user.get(ev.true_user, 0) + 1
     assert set(per_user.values()) == {2}  # 10% of 20 events held out each
+
+
+# sha256 of write_dataset's files for the criterion-8 corpus (seed 20), as the
+# per-event generator and writer wrote them before the columnar ones
+CRITERION8_SHA256 = {
+    "train.tsv": "13222f0602e47711a5927e430e6372114c6185962f807cda4e017145d675b0b4",
+    "households.tsv": "09583ee47f485e4b2987e363e956c7b3c979f7ee4ea3ac2c207f7cf6d833fb86",
+    "test.tsv": "856c45fd153bbb51efef4e6c2a380202e825feeb9a5e2c17c2e3856352e1c5bc",
+}
+
+
+def test_criterion8_corpus_files_are_pinned(tmp_path):
+    dataset = synth_generate(SynthConfig(
+        households_size2=44, households_size3=4, households_size4=2,
+        events_per_user=200, overlap=0.1, rank=3, noise_sigma=10.0, seed=20))
+    for path in write_dataset(dataset, tmp_path):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CRITERION8_SHA256[path.name]
 
 
 def test_synth_config_validation():

@@ -20,7 +20,7 @@ from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.generative import SCOPES
 from hhattrib.logistic import FeatureConfig, feature_matrix
 
-from conftest import anon_event, bin_of, event, weekday_of
+from conftest import anon_event, bin_of, event, rating_events, weekday_of
 
 
 HOUSEHOLDS = {0: Household(0, (0, 1)), 1: Household(1, (2, 3, 4))}
@@ -571,7 +571,7 @@ def test_score_matrices_match_per_event_reference(case):
     with debug_counts() as counts:
         predictions, posteriors = classify_events(fitted, dataset.test)
     want_predictions, want_posteriors, want_counts = reference_classify(
-        fitted, dataset.train, dataset.test)
+        fitted, rating_events(dataset.train), dataset.test)
     assert predictions == want_predictions
     assert counts == want_counts
     if want_posteriors is None:

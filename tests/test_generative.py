@@ -15,7 +15,7 @@ from hhattrib.generative import (
 )
 from hhattrib.temporal import fit_priors
 
-from conftest import anon_event, event
+from conftest import anon_event, event, rating_events
 
 
 BINNING = Binning(4, 0, 10 ** 10)
@@ -80,7 +80,7 @@ def test_sigma_per_user_equals_masked_reference(planted_dataset):
                                  planted_dataset.user_count,
                                  planted_dataset.movie_count)
     # users interleave in time order; 26 or 27 residuals each
-    train = sorted(planted_dataset.train[::3], key=lambda ev: ev.timestamp)
+    train = sorted(rating_events(planted_dataset.train[::3]), key=lambda ev: ev.timestamp)
     sigma = estimate_sigma(train, model, "per_user", min_residuals=27)
     errors = residuals(train, model)
     users = np.array([ev.user for ev in train])
@@ -303,8 +303,8 @@ def test_residual_histogram(planted_dataset):
                                  planted_dataset.movie_count)
     edges, counts = residual_histogram(planted_dataset.train, model, bins=30)
     assert len(edges) == 31 and counts.sum() == len(planted_dataset.train)
-    user = planted_dataset.train[0].user
+    user = int(planted_dataset.train.user[0])
     _, mine = residual_histogram(planted_dataset.train, model, bins=10, user=user)
-    assert mine.sum() == sum(ev.user == user for ev in planted_dataset.train)
+    assert mine.sum() == (planted_dataset.train.user == user).sum()
     errors = residuals(planted_dataset.train, model)
     assert len(errors) == len(planted_dataset.train)

@@ -28,7 +28,7 @@ from hhattrib.logistic import (
     member_probabilities, save_logit_models, standardize_apply, standardize_fit,
 )
 
-from conftest import DAY, DAY0, anon_event, bin_of, event, hour_of, weekday_of
+from conftest import DAY, DAY0, anon_event, bin_of, event, hour_of, rating_events, weekday_of
 
 
 def only(letters, lambda1=0.01):
@@ -322,7 +322,8 @@ def test_rank_deficient_household_design(planted_dataset, lam):
     # fit_household builds them: each block's columns are linearly dependent,
     # so theta is not unique and only objectives and KKT are compared.
     household = planted_dataset.households[0]
-    events = [ev for ev in planted_dataset.train if ev.user in household.members]
+    events = [ev for ev in rating_events(planted_dataset.train)
+              if ev.user in household.members]
     raw = feature_matrix(events, only("abd"), binning=derive_binning(events, 4))
     rows = standardize_apply(standardize_fit(raw), raw)
     labels = np.array([ev.user == household.members[0] for ev in events], dtype=float)

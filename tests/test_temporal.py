@@ -16,7 +16,7 @@ from hhattrib.temporal import (
     weekday_histogram,
 )
 
-from conftest import DAY, DAY0, anon_event, bin_of, event, rng_for, weekday_of
+from conftest import DAY, DAY0, anon_event, bin_of, event, rating_events, rng_for, weekday_of
 
 
 BINNING = Binning(4, 0, 10 ** 10)
@@ -350,7 +350,7 @@ def test_weekday_histogram_counts(small_dataset):
 def test_weekday_histogram_equals_per_event_counts(planted_dataset):
     # members 900 and 901 lie beyond every planted user; 900 has no events
     households = {**planted_dataset.households, 99: Household(99, (900, 901))}
-    train = planted_dataset.train[::2] + (event(901, 0, day=3),)
+    train = rating_events(planted_dataset.train[::2]) + [event(901, 0, day=3)]
     want = {(hid, m): [0] * 7 for hid, hh in households.items() for m in hh.members}
     member_of = {m: hid for hid, hh in households.items() for m in hh.members}
     for ev in train:
@@ -373,7 +373,7 @@ def test_tv_histogram_matches_household_tv_on_many_households():
     rows = tv_histogram(dataset.train, dataset.households)
     assert [hid for hid, _ in rows] == list(dataset.households)
     for hid, value in rows:
-        assert value == reference_tv(dataset.train, dataset.households[hid])
+        assert value == reference_tv(rating_events(dataset.train), dataset.households[hid])
 
 
 def test_tv_histogram_member_without_events(small_dataset):
