@@ -10,15 +10,16 @@ Ratings are scores in [0, 100]; timestamps are UTC epoch seconds. All
 values in this module are immutable after construction and safe to share
 across threads.
 
-Behind the file edge, a rating-event list is `EventColumns`: user, movie,
-rating and stamp arrays in event order. A Dataset keeps its train in this
-form, and a split slices its parent's columns once.
+Rating events exist only as `EventColumns`: user, movie, rating and stamp
+arrays in event order. Parsing builds them, every function that reads a
+train takes them, a Dataset keeps its train in this form, and a split
+slices its parent's columns once.
 """
 
 import copy
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -67,24 +68,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class RatingEvent:
-    """One observed rating: (user, movie, rating, timestamp)."""
-
-    user: int
-    movie: int
-    rating: float
-    timestamp: int
-
-    def __post_init__(self):
-        if self.user < 0 or self.movie < 0:
-            raise ValueError(f"negative id in event {self!r}")
-        if not (0.0 <= self.rating <= 100.0):
-            raise RangeError(f"rating {self.rating} outside [0, 100]")
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
-            raise RangeError(f"bad timestamp {self.timestamp}")
-
-
-@dataclass(frozen=True, slots=True)
 class TestEvent:
     """An anonymized rating known only at household level.
 
@@ -109,32 +92,24 @@ class TestEvent:
 
 
 def event_column(events, name: str, dtype) -> np.ndarray:
-    """Field ``name`` of every event as one array, in event order; of
-    ``EventColumns``, the column (``timestamp`` is ``stamp``)."""
-    if isinstance(events, EventColumns):
-        return getattr(events, "stamp" if name == "timestamp" else name).astype(dtype, copy=False)
+    """Field ``name`` of every test event as one array, in event order."""
     return np.fromiter(map(attrgetter(name), events), dtype, len(events))
 
 
 @dataclass(frozen=True, eq=False)
 class EventColumns:
-    """The fields of an event list as arrays, one entry per event, in order."""
+    """The fields of an event list as arrays, one entry per event, in order.
+
+    Indexing selects events; iteration raises TypeError, as there is no
+    per-event object to yield.
+    """
 
     user: np.ndarray    # intp
     movie: np.ndarray   # intp
     rating: np.ndarray  # float64
     stamp: np.ndarray   # int64
 
-    @classmethod
-    def of(cls, events) -> "EventColumns":
-        """Columns of an iterable of rating events; columns are returned as given."""
-        if isinstance(events, cls):
-            return events
-        events = tuple(events)
-        return cls(event_column(events, "user", np.intp),
-                   event_column(events, "movie", np.intp),
-                   event_column(events, "rating", np.float64),
-                   event_column(events, "timestamp", np.int64))
+    __iter__ = None   # no legacy iteration through __getitem__ and __len__
 
     def __getitem__(self, index) -> "EventColumns":
         """The events at ``index`` (a bool mask, indices or a slice), in order."""
@@ -181,8 +156,8 @@ class Dataset:
     """Training events, households, test events and ``member_of`` (member ->
     household).
 
-    The train is given as ``EventColumns`` or as rating events and kept as
-    columns; a split keeps its own slice of its parent's.
+    The train is ``EventColumns``; a split keeps its own slice of its
+    parent's.
     """
 
     train: EventColumns
@@ -192,7 +167,6 @@ class Dataset:
     movie_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "train", EventColumns.of(self.train))
         object.__setattr__(self, "test", tuple(self.test))
         users, movies = self.train.user, self.train.movie
         # keys span the largest movie: one beyond movie_count is not a repeat
@@ -202,11 +176,11 @@ class Dataset:
         bad = repeat | (users >= self.user_count) | (movies >= self.movie_count)
         if bad.any():
             first = bad.argmax()
-            ev = RatingEvent(int(users[first]), int(movies[first]),
-                             float(self.train.rating[first]), int(self.train.stamp[first]))
+            user, movie = int(users[first]), int(movies[first])
             if repeat[first]:
-                raise DuplicateError(f"duplicate train pair {(ev.user, ev.movie)}")
-            raise ValueError(f"event {ev!r} exceeds declared dimensions")
+                raise DuplicateError(f"duplicate train pair {(user, movie)}")
+            event = (user, movie, float(self.train.rating[first]), int(self.train.stamp[first]))
+            raise ValueError(f"event {event} exceeds declared dimensions")
         owner = {}
         for hid, hh in self.households.items():
             if hid != hh.id:
@@ -262,11 +236,11 @@ def weekday_column(stamps) -> np.ndarray:
     return (np.asarray(stamps, dtype=np.int64) // SECONDS_PER_DAY + 4) % 7
 
 
-def derive_binning(events, bin_count: int, kind: str = "span") -> Binning:
-    """Binning covering the min..max timestamp range of ``events``."""
+def derive_binning(train: EventColumns, bin_count: int, kind: str = "span") -> Binning:
+    """Binning covering the min..max timestamp range of ``train``."""
     if kind == "weekday":
         return Binning(bin_count, 0, SECONDS_PER_WEEK, kind="weekday")
-    stamps = EventColumns.of(events).stamp
+    stamps = train.stamp
     if not stamps.size:
         raise ValueError("cannot derive a binning from zero events")
     origin = int(stamps.min())
@@ -295,6 +269,7 @@ def bin_column(stamps, binning: Binning) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 16   # parse_ratings reads about this many characters at a time
+_DTYPES = (np.intp, np.intp, np.float64, np.int64)   # of the EventColumns fields
 
 
 def _fields(line: str) -> list[str]:
@@ -331,13 +306,18 @@ def _lines(path):
 
 
 def _event_fields(fields, path, line_no, id_name: str) -> tuple:
-    """The id, movie, rating and timestamp of a ratings or test line."""
+    """The id, movie, rating and timestamp of a ratings or test line: the one
+    per-line check of both files. Ids and the timestamp must be >= 0 and the
+    rating in [0, 100]; the first bad field in line order is the error."""
     values = (_parse_int(fields[0], path, line_no, id_name),
               _parse_int(fields[1], path, line_no, "movie id"),
               _parse_float(fields[2], path, line_no, "rating"),
               _parse_int(fields[3], path, line_no, "timestamp"))
-    if not 0.0 <= values[2] <= 100.0:
-        raise RangeError(f"rating {values[2]} outside [0, 100]", path, line_no)
+    for value, what in zip(values, (id_name, "movie id", "rating", "timestamp")):
+        if what == "rating" and not 0.0 <= value <= 100.0:
+            raise RangeError(f"rating {value} outside [0, 100]", path, line_no)
+        if value < 0:
+            raise RangeError(f"negative {what} {value}", path, line_no)
     return values
 
 
@@ -359,7 +339,7 @@ def parse_ratings(path) -> EventColumns:
 
 def _parse_ratings_chunks(path) -> EventColumns:
     # per column, an empty array of its dtype, then one array per chunk
-    parts = [[np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.float64, np.int64)]
+    parts = [[np.empty(0, dtype)] for dtype in _DTYPES]
     with open(path, "r", encoding="utf-8") as fh:
         while lines := fh.readlines(_CHUNK):
             text = "".join(lines).replace("\t", " ").replace(",", " ")
@@ -381,12 +361,13 @@ def _parse_ratings_chunks(path) -> EventColumns:
 
 def _parse_ratings_lines(path) -> EventColumns:
     # one line at a time: the error path of parse_ratings
-    events = []
+    rows = []
     for line_no, fields in _lines(path):
         if len(fields) != 4:
             raise ParseError(path, line_no, f"expected 4 fields, got {len(fields)}")
-        events.append(RatingEvent(*_event_fields(fields, path, line_no, "user id")))
-    return EventColumns.of(events)
+        rows.append(_event_fields(fields, path, line_no, "user id"))
+    return EventColumns(*(np.fromiter(map(itemgetter(k), rows), dtype, len(rows))
+                          for k, dtype in enumerate(_DTYPES)))
 
 
 def parse_households(path) -> dict[int, Household]:
@@ -427,9 +408,8 @@ def _format_rating(rating: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def write_ratings(events, path) -> None:
-    """Write rating events or columns, one line per event in order."""
-    columns = EventColumns.of(events)
+def write_ratings(columns: EventColumns, path) -> None:
+    """Write rating columns, one line per event in order."""
     rows = zip(columns.user.tolist(), columns.movie.tolist(),
                map(_format_rating, columns.rating.tolist()), columns.stamp.tolist())
     with open(path, "w", encoding="utf-8") as fh:
@@ -453,10 +433,9 @@ def write_test_events(events, path) -> None:
             fh.write(line + "\n")
 
 
-def make_dataset(train, households, test=()) -> Dataset:
-    """Assemble a Dataset, deriving user/movie counts from the data; the
-    train (rating events or columns) is kept as columns."""
-    columns, test = EventColumns.of(train), tuple(test)
+def make_dataset(columns: EventColumns, households, test=()) -> Dataset:
+    """Assemble a Dataset, deriving user/movie counts from the data."""
+    test = tuple(test)
     members = [m for hh in households.values() for m in hh.members]
     truths = [ev.true_user for ev in test if ev.true_user is not None]
     return Dataset(

@@ -58,7 +58,6 @@ class AttributionReport:
     per_event: tuple   # (event, predicted member, posterior dict | None)
     per_household: dict[int, HouseholdScore]
     aggregate: Aggregates
-    roc: tuple = ()
     auc_mean: float | None = None
     auc_per: dict = field(default_factory=dict)
     annotations: dict = field(default_factory=dict)
@@ -135,7 +134,7 @@ def auc_report(test_events, posteriors, households):
 
 
 def build_report(test_events, predictions, households, posteriors=None,
-                 roc=(), annotations=None) -> AttributionReport:
+                 annotations=None) -> AttributionReport:
     """Assemble per-event, per-household, and aggregate attribution metrics."""
     test_events = tuple(test_events)
     predictions = tuple(predictions)
@@ -169,7 +168,6 @@ def build_report(test_events, predictions, households, posteriors=None,
         per_event=per_event,
         per_household=scores,
         aggregate=aggregate(scores, households),
-        roc=tuple(roc),
         auc_mean=auc_mean,
         auc_per=auc_per,
         annotations=dict(annotations or {}),
@@ -381,16 +379,18 @@ def classify_events(fitted: FittedPipeline, test_events):
         rest = _argmax_members(-gaps[:, 1:], members[:, 1:])
         return np.where(first, members[:, 0], rest).tolist(), None
     log_space = False
+    stamps = event_column(test_events, "timestamp", np.int64)
     if name == "unified":
+        movies = event_column(test_events, "movie", np.intp)
+        ratings = event_column(test_events, "rating", np.float64)
         scores = np.zeros(members.shape)
         for row, (hid, hh) in enumerate(fitted.households.items()):
             mine = np.flatnonzero(rows == row)
             if len(mine):
                 scores[mine, :hh.size] = logistic.member_probabilities(
-                    fitted.logit_models[hid], [test_events[i] for i in mine],
+                    fitted.logit_models[hid], stamps[mine], movies[mine], ratings[mine],
                     fitted.model, fitted.binning)
     else:
-        stamps = event_column(test_events, "timestamp", np.int64)
         scores = temporal.prior_matrix(fitted.priors, name.partition("-")[2], rows, stamps)
         log_space = name.startswith("gen-") and fitted.sigma_model.log_space
         if log_space:
@@ -501,12 +501,6 @@ def write_report(report: AttributionReport, path) -> None:
         for key, value in (("P", agg.overall), ("P2", agg.size2),
                            ("P3", agg.size3), ("P4", agg.size4)):
             fh.write(f"{key}\t{_fmt(value)}\n")
-        if report.roc:
-            fh.write("# roc\n")
-            fh.write("parameter\ttpr_first\ttpr_rest\n")
-            for point in report.roc:
-                fh.write(f"{_fmt(point.parameter)}\t{_fmt(point.tpr_first)}\t"
-                         f"{_fmt(point.tpr_rest)}\n")
         if report.auc_mean is not None:
             fh.write("# auc\n")
             fh.write("household\tmember\tauc\n")

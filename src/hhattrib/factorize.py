@@ -191,7 +191,7 @@ def _refresh(tensor, b, grams, rhs, active, base_shift, xi):
         tensor[b, active] = ridge_solve(grams[active], rhs[active], shift)
 
 
-def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
+def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=None,
                          movie_count=None, binning=None, block_hook=None,
                          progress=None) -> TemporalFactorModel:
     """Time-dependent alternating minimization over bins 1..T.
@@ -214,16 +214,15 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
     After each iteration, progress (if given) receives the iteration
     number, the model and its training cost.
     """
-    columns = EventColumns.of(train)
-    if not columns.user.size:
+    if not train.user.size:
         raise ValueError("empty training set")
     T = params.bin_count
     if binning is None:
-        binning = derive_binning(columns, T)
+        binning = derive_binning(train, T)
     if binning.bin_count != T:
         raise ValueError("binning bin_count disagrees with params")
-    users, movies, ratings = columns.user, columns.movie, columns.rating
-    bins = bin_column(columns.stamp, binning)
+    users, movies, ratings = train.user, train.movie, train.rating
+    bins = bin_column(train.stamp, binning)
     m = user_count if user_count is not None else int(users.max()) + 1
     n = movie_count if movie_count is not None else int(movies.max()) + 1
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
@@ -251,20 +250,19 @@ def fit_lowrank_temporal(train, params: FactorParams, user_count=None,
                      0.0, params.xi_z)
             hook("z", b + 1, model)
         if progress:
-            progress(k + 1, model, cost(model, columns))
+            progress(k + 1, model, cost(model, train))
     return model
 
 
-def residuals(train, model: TemporalFactorModel) -> np.ndarray:
+def residuals(train: EventColumns, model: TemporalFactorModel) -> np.ndarray:
     """Observed minus predicted rating for every event, in order.
 
     Raises ValueError for a user or movie outside the model.
     """
-    columns = EventColumns.of(train)
-    unknown = columns.movie[columns.movie >= model.movie_count]
+    unknown = train.movie[train.movie >= model.movie_count]
     if len(unknown):
         raise ValueError(f"movie {unknown[0]} outside [0, {model.movie_count})")
-    return columns.rating - predict(model, columns.user, columns.movie, columns.stamp)
+    return train.rating - predict(model, train.user, train.movie, train.stamp)
 
 
 def cost(model: TemporalFactorModel, train) -> float:

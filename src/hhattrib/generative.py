@@ -67,7 +67,7 @@ class SigmaModel:
         return lookup[users]
 
 
-def estimate_sigma(train, model: TemporalFactorModel, scope: str,
+def estimate_sigma(train: EventColumns, model: TemporalFactorModel, scope: str,
                    floor: float = 0.5, min_residuals: int = 5) -> SigmaModel:
     """Population std of training residuals, overall and optionally per user.
 
@@ -76,18 +76,17 @@ def estimate_sigma(train, model: TemporalFactorModel, scope: str,
     """
     if scope not in SCOPES:
         raise ValueError(f"scope {scope!r} not in {SCOPES}")
-    columns = EventColumns.of(train)
-    if not columns.user.size:
+    if not train.user.size:
         raise ValueError("cannot estimate sigma from an empty training set")
     if scope == "infinite":
         return SigmaModel("infinite", math.inf, {}, floor)
-    errors = residuals(columns, model)
+    errors = residuals(train, model)
     sigma_all = max(floor, float(np.std(errors)))
     by_user: dict[int, float] = {}
     if scope == "per_user":
         # a stable sort keeps each user's residuals in event order
-        order = np.argsort(columns.user, kind="stable")
-        users, starts = np.unique(columns.user[order], return_index=True)
+        order = np.argsort(train.user, kind="stable")
+        users, starts = np.unique(train.user[order], return_index=True)
         for user, mine in zip(users.tolist(), np.split(errors[order], starts[1:])):
             if len(mine) < min_residuals:
                 by_user[user] = sigma_all
@@ -135,12 +134,11 @@ def normalize_rows(scores: np.ndarray, members: np.ndarray,
     return posterior
 
 
-def residual_histogram(train, model: TemporalFactorModel, bins: int = 50,
+def residual_histogram(train: EventColumns, model: TemporalFactorModel, bins: int = 50,
                        user: int | None = None):
     """Histogram (edges, counts) of training residuals, overall or per user."""
-    columns = EventColumns.of(train)
-    errors = residuals(columns, model)
+    errors = residuals(train, model)
     if user is not None:
-        errors = errors[columns.user == user]
+        errors = errors[train.user == user]
     counts, edges = np.histogram(errors, bins=bins)
     return edges, counts

@@ -35,8 +35,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .corpus import (
-    SECONDS_PER_DAY, Binning, EventColumns, Household, bin_column, event_column,
-    weekday_column,
+    SECONDS_PER_DAY, Binning, EventColumns, Household, bin_column, weekday_column,
 )
 from .factorize import TemporalFactorModel
 
@@ -99,18 +98,16 @@ class LogitModel:
     config: FeatureConfig
 
 
-def feature_matrix(events, config: FeatureConfig,
-                   model: TemporalFactorModel | None = None,
+def feature_matrix(stamps: np.ndarray, movies: np.ndarray, ratings: np.ndarray,
+                   config: FeatureConfig, model: TemporalFactorModel | None = None,
                    binning: Binning | None = None) -> np.ndarray:
-    """Concatenated feature rows, one per rating event, in event order.
+    """Concatenated feature rows, one per event of the stamp (int64), movie
+    (intp) and rating (float64) arrays, in event order.
 
-    Events only need movie / rating / timestamp fields, so train columns
-    and train or test events all work. The movie-vector block needs a
-    fitted model; the bin block needs a binning (taken from the model when
-    not given). A movie the model has never seen yields a zero movie-vector
-    block.
+    The movie-vector block needs a fitted model; the bin block needs a
+    binning (taken from the model when not given). A movie the model has
+    never seen yields a zero movie-vector block.
     """
-    stamps = event_column(events, "timestamp", np.int64)
     blocks = []
     if config.day:
         blocks.append(np.eye(7)[weekday_column(stamps)])
@@ -119,7 +116,6 @@ def feature_matrix(events, config: FeatureConfig,
     if config.movie_vector:
         if model is None:
             raise ValueError("movie-vector feature needs a fitted factor model")
-        movies = event_column(events, "movie", np.intp)
         bins = bin_column(stamps, model.binning)
         known = (movies >= 0) & (movies < model.movie_count)
         for movie in movies[~known]:
@@ -134,7 +130,6 @@ def feature_matrix(events, config: FeatureConfig,
             raise ValueError("bin feature needs a binning")
         blocks.append(np.eye(binning.bin_count)[bin_column(stamps, binning)])
     if config.rating:
-        ratings = event_column(events, "rating", np.float64)
         blocks.append((1.0 + 4.0 * ratings / 100.0)[:, None])
     return np.concatenate(blocks, axis=1)
 
@@ -364,7 +359,7 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
 # Household-level fitting and scoring
 # ---------------------------------------------------------------------------
 
-def fit_household(train, household: Household, config: FeatureConfig,
+def fit_household(train: EventColumns, household: Household, config: FeatureConfig,
                   model: TemporalFactorModel | None = None,
                   binning: Binning | None = None) -> dict[int, LogitModel]:
     """One logistic model per member, sharing rows and standardization.
@@ -374,11 +369,10 @@ def fit_household(train, household: Household, config: FeatureConfig,
     zero or all one are still fit (the L1 term keeps theta bounded). In a
     two-member household the second member's theta is the first's negated.
     """
-    train = EventColumns.of(train)
     events = train[np.isin(train.user, household.members)]
     if len(events.user) < 2:
         raise ValueError(f"household {household.id} needs >= 2 training events")
-    rows = feature_matrix(events, config, model, binning)
+    rows = feature_matrix(events.stamp, events.movie, events.rating, config, model, binning)
     stats = standardize_fit(rows)
     scaled = standardize_apply(stats, rows)
     raters = events.user
@@ -396,10 +390,12 @@ def fit_household(train, household: Household, config: FeatureConfig,
     return fitted
 
 
-def member_probabilities(models: dict[int, LogitModel], events,
+def member_probabilities(models: dict[int, LogitModel], stamps: np.ndarray,
+                         movies: np.ndarray, ratings: np.ndarray,
                          model: TemporalFactorModel | None = None,
                          binning: Binning | None = None) -> np.ndarray:
-    """Per-member logit probabilities (not normalized) of each event.
+    """Per-member logit probabilities (not normalized) of each event of the
+    stamp, movie and rating arrays (as ``feature_matrix`` reads them).
 
     One row per event, one column per member in the order of ``models``.
     """
@@ -407,7 +403,8 @@ def member_probabilities(models: dict[int, LogitModel], events,
         raise ValueError("no fitted member models")
     first = next(iter(models.values()))
     rows = standardize_apply(
-        first.standardization, feature_matrix(events, first.config, model, binning)
+        first.standardization,
+        feature_matrix(stamps, movies, ratings, first.config, model, binning),
     )
     thetas = np.array([lm.theta for lm in models.values()])
     # einsum sums in a fixed order, so a row's scores do not depend on its batch

@@ -81,7 +81,7 @@ def _average_tv(profiles) -> float:
     return total / (size * (size - 1))
 
 
-def fit_priors(train, households: dict[int, Household], binning: Binning,
+def fit_priors(train: EventColumns, households: dict[int, Household], binning: Binning,
                epsilon: float = 0.5) -> TemporalPriors:
     """Every household's member probabilities, smoothed by epsilon.
 
@@ -95,7 +95,6 @@ def fit_priors(train, households: dict[int, Household], binning: Binning,
     """
     if epsilon < 0:
         raise ValueError(f"epsilon {epsilon} must be >= 0")
-    columns = EventColumns.of(train)
     T = binning.bin_count
     table = member_table(households)
     real = table >= 0
@@ -103,10 +102,10 @@ def fit_priors(train, households: dict[int, Household], binning: Binning,
     if len(np.unique(members)) != len(members):
         raise DuplicateError("a user belongs to two households")
     place_of = np.full(max(int(members.max(initial=-1)),
-                           int(columns.user.max(initial=-1))) + 1, -1)
+                           int(train.user.max(initial=-1))) + 1, -1)
     place_of[members] = np.flatnonzero(real)   # row-major slot of each member
-    place = place_of[columns.user]
-    stamps = columns.stamp[place >= 0]
+    place = place_of[train.user]
+    stamps = train.stamp[place >= 0]
     cells = ((place[place >= 0] * T + bin_column(stamps, binning)) * 7
              + weekday_column(stamps))
     counts = np.bincount(cells, minlength=table.size * T * 7)
@@ -157,12 +156,11 @@ def prior_matrix(priors: TemporalPriors, mode: str, rows: np.ndarray,
 # Histogram exports (plot-ready tables)
 # ---------------------------------------------------------------------------
 
-def weekday_histogram(train, households: dict[int, Household]):
+def weekday_histogram(train: EventColumns, households: dict[int, Household]):
     """Rows (household, member, count_sun, ..., count_sat) for every member."""
-    columns = EventColumns.of(train)
     members = [member for hh in households.values() for member in hh.members]
-    size = max(members + [int(columns.user.max(initial=-1))]) + 1
-    counts = np.bincount(columns.user * 7 + weekday_column(columns.stamp),
+    size = max(members + [int(train.user.max(initial=-1))]) + 1
+    counts = np.bincount(train.user * 7 + weekday_column(train.stamp),
                          minlength=7 * size).reshape(size, 7)
     return [(hid, member, *counts[member].tolist())
             for hid, hh in households.items() for member in hh.members]

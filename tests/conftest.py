@@ -1,8 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from hhattrib.corpus import (
-    Household, RatingEvent, SynthConfig, TestEvent, make_dataset, synth_generate,
+    EventColumns, Household, SynthConfig, TestEvent, make_dataset, synth_generate,
 )
 
 # Sunday 2010-01-03 00:00:00 UTC; day k of the synthetic week is DAY0 + k days.
@@ -10,10 +12,28 @@ DAY0 = 1_262_476_800
 DAY = 86_400
 
 
+class Rating(NamedTuple):
+    """One train event: the per-event form the scalar oracles read."""
+
+    user: int
+    movie: int
+    rating: float
+    timestamp: int
+
+
+def as_columns(events) -> EventColumns:
+    """Rating records as EventColumns, in order: the form the library reads."""
+    events = list(events)
+    return EventColumns(*(np.array([getattr(ev, name) for ev in events], dtype)
+                          for name, dtype in (("user", np.intp), ("movie", np.intp),
+                                              ("rating", np.float64),
+                                              ("timestamp", np.int64))))
+
+
 def event(user, movie, rating=50.0, day=0, hour=12, week=0):
     """One rating event at a controlled weekday/hour, week offset in weeks."""
     stamp = DAY0 + week * 7 * DAY + day * DAY + hour * 3_600
-    return RatingEvent(user, movie, rating, stamp)
+    return Rating(user, movie, rating, stamp)
 
 
 def anon_event(household, movie, rating=50.0, day=0, hour=12, week=0, true_user=None):
@@ -37,7 +57,7 @@ def small_dataset():
                                 day=day, week=k % 8, hour=(user * 5) % 24))
             movie += 1
     households = {0: Household(0, (0, 1)), 1: Household(1, (2, 3))}
-    return make_dataset(events, households)
+    return make_dataset(as_columns(events), households)
 
 
 @pytest.fixture(scope="session")
@@ -51,16 +71,16 @@ def planted_dataset():
 
 
 def rating_events(columns):
-    """Train columns as RatingEvent objects, in order: the form the scalar
+    """Train columns as Rating records, in order: the form the scalar
     oracles read."""
-    return [RatingEvent(*row) for row in zip(columns.user.tolist(), columns.movie.tolist(),
-                                             columns.rating.tolist(), columns.stamp.tolist())]
+    return [Rating(*row) for row in zip(columns.user.tolist(), columns.movie.tolist(),
+                                        columns.rating.tolist(), columns.stamp.tolist())]
 
 
 def as_rating_events(test_events):
     """Map evaluation events back to plain rating events via the true user."""
     return [
-        RatingEvent(ev.true_user, ev.movie, ev.rating, ev.timestamp)
+        Rating(ev.true_user, ev.movie, ev.rating, ev.timestamp)
         for ev in test_events
     ]
 

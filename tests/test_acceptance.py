@@ -18,7 +18,7 @@ from hhattrib import evaluate, factorize, generative, logistic, temporal
 from hhattrib.cli import main
 from hhattrib.corpus import SynthConfig, cv_split, synth_generate
 
-from conftest import event
+from conftest import as_columns, event
 from test_factorize import naive_cost
 
 
@@ -82,13 +82,13 @@ def test_criterion_02_als_monotone_and_cost_oracle():
             xi_u=float(rng.uniform(0, 8)), xi_v=float(rng.uniform(0, 8)),
             xi_z=float(rng.uniform(0, 8)),
         )
-        seen = []
+        seen, train = [], as_columns(events)
         model = factorize.fit_lowrank_temporal(
-            events, params, m, n,
-            block_hook=lambda tag, b, mod: seen.append(factorize.cost(mod, events)))
+            train, params, m, n,
+            block_hook=lambda tag, b, mod: seen.append(factorize.cost(mod, train)))
         diffs = np.diff(seen)
         assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(seen[:-1])))
-        fast = factorize.cost(model, events)
+        fast = factorize.cost(model, train)
         assert fast == pytest.approx(naive_cost(model, events), rel=1e-9)
     print("[criterion 2] PASS cost non-increasing over every block update, "
           "naive-oracle match at 1e-9, 20 instances")
@@ -98,7 +98,7 @@ def test_criterion_03_t1_reduction_exact():
     # With one bin there is no neighbor to pull toward, so xi must not move
     # a single bit of the fit: the flat model is the temporal model at T = 1.
     rng = np.random.default_rng(300)
-    events = _random_events(rng, 12, 10, per_user=6)
+    events = as_columns(_random_events(rng, 12, 10, per_user=6))
     for seed in range(5):
         params = factorize.FactorParams(rank=3, bin_count=1, iterations=5,
                                         seed=seed, xi_u=0.0, xi_v=0.0, xi_z=0.0)
@@ -114,7 +114,7 @@ def test_criterion_03_t1_reduction_exact():
 
 def test_criterion_04_large_xi_flattens():
     rng = np.random.default_rng(400)
-    events = _random_events(rng, 14, 12, per_user=7)
+    events = as_columns(_random_events(rng, 14, 12, per_user=7))
     params = factorize.FactorParams(rank=3, xi_u=1e6, xi_v=1e6, xi_z=1e6,
                                     bin_count=6, iterations=50, seed=1)
     model = factorize.fit_lowrank_temporal(events, params, 14, 12)

@@ -520,3 +520,27 @@ def test_integer_beyond_int64_names_file_and_line(workspace, capsys, name, field
     assert err.startswith(f"error: {path}:2: ")
     assert "99999999999999999999 outside the int64 range" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, field, message", [
+    ("train.tsv", 0, "negative user id -3"), ("train.tsv", 3, "negative timestamp -3"),
+    ("test.tsv", 0, "negative household id -3"), ("test.tsv", 3, "negative timestamp -3"),
+])
+def test_negative_id_or_timestamp_names_file_and_line(workspace, capsys, name, field,
+                                                      message):
+    """A negative id or timestamp is a range error at its line, for fit and classify."""
+    path = workspace / "data" / name
+    lines = path.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[field] = "-3"
+    lines[1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    out = workspace / "out.tsv"
+    if name == "train.tsv":
+        argv = ["fit", "--train", str(path), "--out", str(out)]
+    else:
+        argv = ["classify", *data_args(workspace), "--classifier", "prior-day",
+                "--bins", "4", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+    assert not out.exists()

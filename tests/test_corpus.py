@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from hhattrib import corpus, temporal
 from hhattrib.corpus import (
     Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, ParseError,
-    RangeError, RatingEvent, StructureError, SynthConfig, TestEvent, _fields, _parse_float,
+    RangeError, StructureError, SynthConfig, TestEvent, _fields, _parse_float,
     _parse_int, bin_column, cv_split, derive_binning, load_dataset, make_dataset,
     parse_households, parse_ratings, parse_test_events, read_synth_config, synth_generate,
     weekday_column, write_dataset, write_households, write_ratings, write_test_events,
 )
 
-from conftest import DAY0, bin_of, event, rating_events, weekday_of
+from conftest import DAY0, Rating, as_columns, bin_of, event, rating_events, weekday_of
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +38,13 @@ def assert_same_columns(got, want):
 def test_parse_ratings_basic(tmp_path):
     path = tmp_path / "r.txt"
     path.write_text("7 12 85 1288000000\n")
-    assert_same_columns(parse_ratings(path),
-                        EventColumns.of([RatingEvent(7, 12, 85.0, 1288000000)]))
+    assert_same_columns(parse_ratings(path), as_columns([Rating(7, 12, 85.0, 1288000000)]))
 
 
 def test_parse_ratings_empty_file(tmp_path):
     path = tmp_path / "r.txt"
     path.write_text("")
-    assert_same_columns(parse_ratings(path), EventColumns.of([]))
+    assert_same_columns(parse_ratings(path), as_columns([]))
 
 
 def test_parse_ratings_out_of_range(tmp_path):
@@ -59,7 +58,7 @@ def test_parse_ratings_out_of_range(tmp_path):
 def test_parse_ratings_delimiters(tmp_path, delim):
     path = tmp_path / "r.txt"
     path.write_text(delim.join(["3", "4", "72", "1000"]) + "\n")
-    assert_same_columns(parse_ratings(path), EventColumns.of([RatingEvent(3, 4, 72.0, 1000)]))
+    assert_same_columns(parse_ratings(path), as_columns([Rating(3, 4, 72.0, 1000)]))
 
 
 def test_parse_int_holds_int64_only():
@@ -92,10 +91,16 @@ def per_line_parse_ratings(path):
             movie = _parse_int(fields[1], path, line_no, "movie id")
             rating = _parse_float(fields[2], path, line_no, "rating")
             stamp = _parse_int(fields[3], path, line_no, "timestamp")
+            if user < 0:
+                raise RangeError(f"negative user id {user}", path, line_no)
+            if movie < 0:
+                raise RangeError(f"negative movie id {movie}", path, line_no)
             if not 0.0 <= rating <= 100.0:
                 raise RangeError(f"rating {rating} outside [0, 100]", path, line_no)
-            events.append(RatingEvent(user, movie, rating, stamp))
-    return EventColumns.of(events)
+            if stamp < 0:
+                raise RangeError(f"negative timestamp {stamp}", path, line_no)
+            events.append(Rating(user, movie, rating, stamp))
+    return as_columns(events)
 
 
 def outcome(parse, path):
@@ -177,12 +182,13 @@ def test_parse_ratings_counts_fields_per_line(tmp_path, text, message):
 
 def test_parse_ratings_memory_is_chunked(tmp_path):
     """Parsing holds the columns and one chunk of text at a time, not one
-    RatingEvent per line: its peak is at most half the per-line parser's."""
+    parsed record per line: its peak is at most half that of the line-by-line
+    path it falls back to."""
     path = tmp_path / "r.txt"
     path.write_text("".join(f"{k % 500}\t{k // 500}\t{k % 101}\t{10 ** 9 + k}\n"
                             for k in range(20_000)))
     peaks = []
-    for parse in (parse_ratings, per_line_parse_ratings):
+    for parse in (parse_ratings, corpus._parse_ratings_lines):
         gc.collect()
         tracemalloc.start()
         try:
@@ -222,11 +228,39 @@ def test_parse_test_events_optional_truth(tmp_path):
     assert events[1].true_user == 10
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0 0 101 0", "rating 101.0 outside [0, 100]"),
+    ("0 0 50 -5", "negative timestamp -5"),
+    ("-3 0 50 0", "negative user id -3"),
+    ("0 -2 50 0", "negative movie id -2"),
+    ("-3 0 101 -5", "negative user id -3"),   # the first bad field in line order
+])
+def test_parse_ratings_checks_each_line(tmp_path, line, message):
+    path = tmp_path / "r.txt"
+    path.write_text(f"1 2 50 100\n{line}\n")
+    with pytest.raises(RangeError) as raised:
+        parse_ratings(path)
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0 0 50 -5 1", "negative timestamp -5"),
+    ("-1 0 50 0", "negative household id -1"),
+])
+def test_parse_test_events_checks_each_line(tmp_path, line, message):
+    path = tmp_path / "t.txt"
+    path.write_text(f"0 1 60 900\n{line}\n")
+    with pytest.raises(RangeError) as raised:
+        parse_test_events(path)
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+def test_event_columns_are_not_iterable(small_dataset):
+    with pytest.raises(TypeError):
+        list(small_dataset.train)
+
+
 def test_event_invariants():
-    with pytest.raises(RangeError):
-        RatingEvent(0, 0, 101.0, 0)
-    with pytest.raises(RangeError):
-        RatingEvent(0, 0, 50.0, -5)
     with pytest.raises(StructureError):
         Household(0, (1,))
     with pytest.raises(ValueError):
@@ -235,12 +269,12 @@ def test_event_invariants():
 
 def test_dataset_invariants():
     with pytest.raises(DuplicateError):
-        make_dataset([event(0, 0), event(0, 0, day=1)], {0: Household(0, (0, 1))})
+        make_dataset(as_columns([event(0, 0), event(0, 0, day=1)]), {0: Household(0, (0, 1))})
     with pytest.raises(DuplicateError):
-        make_dataset([event(0, 0)], {0: Household(0, (0, 1)),
-                                     1: Household(1, (1, 2))})
+        make_dataset(as_columns([event(0, 0)]), {0: Household(0, (0, 1)),
+                                                 1: Household(1, (1, 2))})
     with pytest.raises(ValueError):
-        make_dataset([event(0, 0)], {0: Household(0, (0, 1))},
+        make_dataset(as_columns([event(0, 0)]), {0: Household(0, (0, 1))},
                      [TestEvent(0, 0, 50.0, DAY0, true_user=9)])
 
 
@@ -249,20 +283,21 @@ def test_dataset_invariants():
     ([event(0, 0), event(0, 0, day=1), event(1, 7)], DuplicateError,
      r"duplicate train pair \(0, 0\)"),
     ([event(1, 7), event(0, 0), event(0, 0, day=1)], ValueError,
-     r"event RatingEvent\(user=1, movie=7, .*\) exceeds declared dimensions"),
+     r"event \(1, 7, 50.0, \d+\) exceeds declared dimensions"),
     # the repeat comes after the over-dimension event, its first copy before
     ([event(0, 0), event(1, 7), event(0, 0, day=1)], ValueError,
-     r"event RatingEvent\(user=1, movie=7, .*\) exceeds"),
+     r"event \(1, 7, 50.0, \d+\) exceeds"),
     # movie 5 of user 0 would share the key 0 * 5 + 5 of movie 0 of user 1
     ([event(1, 0), event(0, 5)], ValueError,
-     r"event RatingEvent\(user=0, movie=5, .*\) exceeds"),
+     r"event \(0, 5, 50.0, \d+\) exceeds"),
     # user 2 is beyond user_count 2 on its first event already
     ([event(0, 1), event(2, 3), event(2, 3, day=1)], ValueError,
-     r"event RatingEvent\(user=2, movie=3, .*\) exceeds"),
+     r"event \(2, 3, 50.0, \d+\) exceeds"),
 ])
 def test_dataset_names_first_offending_event(train, error, message):
     with pytest.raises(error, match=message) as raised:
-        Dataset(train, {0: Household(0, (0, 1))}, (), user_count=2, movie_count=5)
+        Dataset(as_columns(train), {0: Household(0, (0, 1))}, (), user_count=2,
+                movie_count=5)
     assert isinstance(raised.value, DuplicateError) == (error is DuplicateError)
 
 
@@ -286,10 +321,10 @@ def test_write_parse_round_trip(tmp_path, small_dataset):
 ))
 @settings(max_examples=40, deadline=None)
 def test_round_trip_arbitrary_ratings(tmp_path_factory, rows):
-    events = [RatingEvent(u, m, r, t) for u, m, r, t in rows]
+    columns = as_columns(Rating(*row) for row in rows)
     path = tmp_path_factory.mktemp("rt") / "r.tsv"
-    write_ratings(events, path)
-    assert_same_columns(parse_ratings(path), EventColumns.of(events))
+    write_ratings(columns, path)
+    assert_same_columns(parse_ratings(path), columns)
 
 
 def _reparsed(parse, write, directory, text):
@@ -429,10 +464,8 @@ def test_derive_binning_covers_events(small_dataset):
 
 def test_cv_split_partition(small_dataset):
     split = cv_split(small_dataset, 0.3, seed=5)
-    moved_back = [
-        RatingEvent(ev.true_user, ev.movie, ev.rating, ev.timestamp)
-        for ev in split.test
-    ]
+    moved_back = [Rating(ev.true_user, ev.movie, ev.rating, ev.timestamp)
+                  for ev in split.test]
     kept = rating_events(split.train)
     assert sorted(kept + moved_back, key=lambda e: (e.user, e.movie)) == sorted(
         rating_events(small_dataset.train), key=lambda e: (e.user, e.movie))
@@ -463,7 +496,7 @@ def test_cv_split_expected_size():
     # 1000 events of household members at 4%: mean binomial count is 40.
     events = [event(user, movie, day=movie % 7)
               for user in (0, 1) for movie in range(500)]
-    dataset = make_dataset(events, {0: Household(0, (0, 1))})
+    dataset = make_dataset(as_columns(events), {0: Household(0, (0, 1))})
     sizes = [len(cv_split(dataset, 0.04, seed=s).test) for s in range(50)]
     assert 20 <= np.mean(sizes) <= 60
 
@@ -488,24 +521,24 @@ def test_cv_split_matches_per_event_draws(seed, fraction):
     events = [event(user, movie, rating=float(movie % 90), day=movie % 7,
                     week=movie % 8, hour=user)
               for movie in range(60) for user in (9, 0, 2, 4, 1)]
-    dataset = make_dataset(events, {0: Household(0, (0, 1)),
+    dataset = make_dataset(as_columns(events), {0: Household(0, (0, 1)),
                                     1: Household(1, (2, 3))})
     split = cv_split(dataset, fraction, seed)
     keep, hidden = _reference_cv_split(dataset, fraction, seed)
-    assert_same_columns(split.train, EventColumns.of(keep))
+    assert_same_columns(split.train, as_columns(keep))
     assert split.test == tuple(hidden)
     assert (split.user_count, split.movie_count) == (dataset.user_count,
                                                      dataset.movie_count)
     nested = cv_split(split, 0.5, seed + 1)   # a split of a split
     keep, hidden = _reference_cv_split(split, 0.5, seed + 1)
     assert len(nested.train) < len(split.train)
-    assert_same_columns(nested.train, EventColumns.of(keep))
+    assert_same_columns(nested.train, as_columns(keep))
     assert nested.test == tuple(hidden)
 
 
 def test_cv_split_ignores_outsiders():
     events = [event(0, m) for m in range(10)] + [event(9, m, day=2) for m in range(10)]
-    dataset = make_dataset(events, {0: Household(0, (0, 1))})
+    dataset = make_dataset(as_columns(events), {0: Household(0, (0, 1))})
     split = cv_split(dataset, 0.9, seed=3)
     assert set(split.train.user.tolist()) <= {0, 1, 9}
     assert (split.train.user == 9).sum() == 10
@@ -517,8 +550,9 @@ def test_cv_split_replace_revalidates(small_dataset):
     assert_same_columns(again.train, split.train)
     assert (again.households, again.test, again.member_of) == (
         split.households, split.test, split.member_of)
-    subset = dataclasses.replace(split, train=rating_events(split.train)[::2])
+    subset = dataclasses.replace(split, train=split.train[::2])
     assert_same_columns(subset.train, split.train[::2])
+    assert subset.member_of == split.member_of
     with pytest.raises(DuplicateError):
         dataclasses.replace(split, train=split.train[np.r_[:len(split.train), 0]])
 

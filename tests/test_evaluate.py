@@ -20,7 +20,7 @@ from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.generative import SCOPES
 from hhattrib.logistic import FeatureConfig, feature_matrix
 
-from conftest import anon_event, bin_of, event, rating_events, weekday_of
+from conftest import anon_event, as_columns, bin_of, event, rating_events, weekday_of
 
 
 HOUSEHOLDS = {0: Household(0, (0, 1)), 1: Household(1, (2, 3, 4))}
@@ -458,7 +458,8 @@ def reference_scores(fitted, train, ev, counts):
         first = models[household.members[0]]
         if first.config.movie_vector and ev.movie >= model.movie_count:
             counts["unknown movie"] += 1
-        x = (feature_matrix([ev], first.config, model, fitted.binning)[0]
+        x = (feature_matrix(np.array([ev.timestamp]), np.array([ev.movie]),
+                            np.array([ev.rating]), first.config, model, fitted.binning)[0]
              - first.standardization.mean) / first.standardization.scale
         scores = {}
         for member in household.members:
@@ -541,7 +542,7 @@ def scoring_cases(draw):
                                rating=draw(ratings), day=draw(days),
                                week=draw(st.integers(0, 4)),
                                true_user=draw(st.sampled_from(households[hid].members))))
-    dataset = make_dataset(train, households, test)
+    dataset = make_dataset(as_columns(train), households, test)
     bins = draw(st.sampled_from([1, 4, 8]))
     factor_seed = draw(st.none() | st.integers(0, 99))   # None: tied predictions
     rng = np.random.default_rng(factor_seed)
@@ -551,7 +552,7 @@ def scoring_cases(draw):
     biases = draw(st.lists(st.sampled_from([30.0, 50.0, 70.0]),
                            min_size=len(users), max_size=len(users)))
     model = TemporalFactorModel(*factors, np.tile(biases, (bins, 1)),
-                                derive_binning(train, bins),
+                                derive_binning(dataset.train, bins),
                                 FactorParams(rank=2, bin_count=bins, iterations=1))
     pipeline = PipelineConfig(
         classifier=draw(st.sampled_from(CLASSIFIERS)),

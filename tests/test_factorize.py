@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    Binning, Household, RatingEvent, derive_binning, make_dataset,
+    Binning, Household, derive_binning, make_dataset,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.factorize import (
@@ -17,7 +17,7 @@ from hhattrib.factorize import (
     save_model,
 )
 
-from conftest import DAY0, anon_event, bin_of, event
+from conftest import DAY0, Rating, anon_event, as_columns, bin_of, event
 
 
 def naive_cost(model, train):
@@ -128,7 +128,7 @@ def reference_fit(events, params, m, n):
     routine documents.
     """
     T = params.bin_count
-    binning = derive_binning(events, T)
+    binning = derive_binning(as_columns(events), T)
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
     bins = [bin_of(ev.timestamp, binning) - 1 for ev in events]
     for _ in range(params.iterations):
@@ -300,9 +300,9 @@ def test_stacked_fallback_matches_scalar_oracle(name, grams, rhs, alpha, raises)
 def test_single_event_interpolation():
     train = [event(0, 0, rating=80.0)]
     params = FactorParams(rank=1, reg_lambda=0.0, bin_count=1, iterations=40, seed=2)
-    model = fit_lowrank_temporal(train, params)
+    model = fit_lowrank_temporal(as_columns(train), params)
     assert predict(model, 0, 0, train[0].timestamp) == pytest.approx(80.0, abs=1e-9)
-    assert cost(model, train) == pytest.approx(0.0, abs=1e-12)
+    assert cost(model, as_columns(train)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rank1_completion_recovers_heldout():
@@ -317,7 +317,7 @@ def test_rank1_completion_recovers_heldout():
              for i in range(10) for j in range(8) if mask[i, j]]
     params = FactorParams(rank=1, reg_lambda=1e-6, bin_count=1,
                           iterations=100, seed=1)
-    model = fit_lowrank_temporal(train, params, user_count=10, movie_count=8)
+    model = fit_lowrank_temporal(as_columns(train), params, user_count=10, movie_count=8)
     heldout = [(i, j) for i in range(10) for j in range(8) if not mask[i, j]]
     errors = [truth[i, j] - predict(model, i, j, DAY0) for i, j in heldout]
     rmse = float(np.sqrt(np.mean(np.square(errors))))
@@ -327,10 +327,11 @@ def test_rank1_completion_recovers_heldout():
 def test_cost_non_increasing_every_block_lowrank():
     rng = np.random.default_rng(8)
     m, n, events = random_instance(rng)
+    train = as_columns(events)
     params = FactorParams(rank=2, bin_count=1, iterations=4, seed=3)
     seen = []
-    fit_lowrank_temporal(events, params, m, n,
-                block_hook=lambda tag, b, mod: seen.append(cost(mod, events)))
+    fit_lowrank_temporal(train, params, m, n,
+                block_hook=lambda tag, b, mod: seen.append(cost(mod, train)))
     diffs = np.diff(seen)
     assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(seen[:-1])))
 
@@ -339,11 +340,12 @@ def test_cost_non_increasing_every_block_temporal():
     rng = np.random.default_rng(9)
     for _ in range(3):
         m, n, events = random_instance(rng)
+        train = as_columns(events)
         params = FactorParams(rank=2, bin_count=3, iterations=3, seed=6,
                               xi_u=2.0, xi_v=5.0, xi_z=4.0)
         seen = []
-        fit_lowrank_temporal(events, params, m, n,
-                             block_hook=lambda tag, b, mod: seen.append(cost(mod, events)))
+        fit_lowrank_temporal(train, params, m, n,
+                             block_hook=lambda tag, b, mod: seen.append(cost(mod, train)))
         diffs = np.diff(seen)
         assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(seen[:-1])))
 
@@ -360,12 +362,13 @@ PINV_RATINGS = [
 
 
 def test_cost_non_increasing_every_block_with_pseudo_inverse():
-    events = [event(u, v, rating=x, day=t % 7, week=t // 7) for u, v, x, t in PINV_RATINGS]
+    train = as_columns(event(u, v, rating=x, day=t % 7, week=t // 7)
+                       for u, v, x, t in PINV_RATINGS)
     params = FactorParams(rank=3, reg_lambda=0.0, xi_u=3.0, xi_v=6.0, xi_z=3.0,
                           bin_count=1, iterations=2, seed=2)
     seen = []
-    fit_lowrank_temporal(events, params, 7, 6,
-                         block_hook=lambda tag, b, mod: seen.append(cost(mod, events)))
+    fit_lowrank_temporal(train, params, 7, 6,
+                         block_hook=lambda tag, b, mod: seen.append(cost(mod, train)))
     diffs = np.diff(seen)
     assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(seen[:-1])))
 
@@ -375,11 +378,12 @@ def test_t1_temporal_equals_lowrank_exactly():
     # fit: the flat model is the temporal model at T = 1
     rng = np.random.default_rng(10)
     m, n, events = random_instance(rng)
+    train = as_columns(events)
     for seed in (0, 1):
         params = FactorParams(rank=3, bin_count=1, iterations=5, seed=seed,
                               xi_u=0.0, xi_v=0.0, xi_z=0.0)
-        a = fit_lowrank_temporal(events, params, m, n)
-        b = fit_lowrank_temporal(events, FactorParams(rank=3, bin_count=1, iterations=5,
+        a = fit_lowrank_temporal(train, params, m, n)
+        b = fit_lowrank_temporal(train, FactorParams(rank=3, bin_count=1, iterations=5,
                                                       seed=seed, xi_u=5e5, xi_v=2e6,
                                                       xi_z=1e6), m, n)
         assert np.array_equal(a.user_factors, b.user_factors)
@@ -423,10 +427,11 @@ def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambd
     # with reg_lambda 0 a user with fewer ratings than the rank takes the
     # pseudo-inverse branch
     events = [event(u, v, rating=x, day=t % 7, week=t // 7) for u, v, x, t in ratings]
+    train = as_columns(events)
     params = FactorParams(rank=rank, reg_lambda=reg_lambda, xi_u=xi, xi_v=2 * xi,
                           xi_z=xi, bin_count=bins, iterations=2, seed=seed)
     if reg_lambda > 0.0:
-        model = fit_lowrank_temporal(events, params, 7, 6)
+        model = fit_lowrank_temporal(train, params, 7, 6)
         expected = reference_fit(events, params, 7, 6)
         for got, want in zip((model.user_factors, model.movie_factors,
                               model.user_bias), expected):
@@ -439,15 +444,15 @@ def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambd
     # the stacked fit's state before it.
     after = []
     model = fit_lowrank_temporal(
-        events, params, 7, 6, block_hook=lambda kind, b, mod: after.append((kind, b, (
+        train, params, 7, 6, block_hook=lambda kind, b, mod: after.append((kind, b, (
             mod.user_factors.copy(), mod.movie_factors.copy(), mod.user_bias.copy()))))
     event_bins = [bin_of(ev.timestamp, model.binning) - 1 for ev in events]
     state = _init_factors(7, 6, rank, bins, seed)
     for kind, b, tensors in after:
         U, V, Z = (t.copy() for t in state)
         reference_block(U, V, Z, kind, b - 1, events, event_bins, params)
-        got = cost(TemporalFactorModel(*tensors, model.binning, params), events)
-        want = cost(TemporalFactorModel(U, V, Z, model.binning, params), events)
+        got = cost(TemporalFactorModel(*tensors, model.binning, params), train)
+        want = cost(TemporalFactorModel(U, V, Z, model.binning, params), train)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (kind, b)
         state = tensors
 
@@ -465,7 +470,7 @@ def test_movie_without_events_in_a_bin(xi_v):
         if kind == "u" and b == 2:
             before_v.append(mod.movie_factors.copy())
 
-    model = fit_lowrank_temporal(events, params, 3, 5, block_hook=hook)
+    model = fit_lowrank_temporal(as_columns(events), params, 3, 5, block_hook=hook)
     assert {bin_of(ev.timestamp, model.binning)
             for ev in events if ev.movie == 3} == {1, 3}
     init_v = _init_factors(3, 5, 2, 3, params.seed)[1]
@@ -490,7 +495,7 @@ def test_large_xi_flattens_bins():
     m, n, events = random_instance(rng, max_users=16, max_movies=12)
     params = FactorParams(rank=2, xi_u=1e6, xi_v=1e6, xi_z=1e6,
                           bin_count=5, iterations=50, seed=4)
-    model = fit_lowrank_temporal(events, params, m, n)
+    model = fit_lowrank_temporal(as_columns(events), params, m, n)
     U = model.user_factors
     worst = max(np.linalg.norm(U[b + 1] - U[b]) for b in range(4))
     assert worst < 1e-3 * np.linalg.norm(U[0])
@@ -510,26 +515,28 @@ def test_block_update_first_order_optimality():
                               model.movie_factors.copy(),
                               model.user_bias.copy()))
 
-    model = fit_lowrank_temporal(events, params, m, n, block_hook=hook)
+    train = as_columns(events)
+    model = fit_lowrank_temporal(train, params, m, n, block_hook=hook)
     tag, b, U, V, Z = snapshots[0]
     assert tag == "u" and b == 1
     frozen = TemporalFactorModel(U, V, Z, model.binning, params)
-    base = cost(frozen, events)
+    base = cost(frozen, train)
     user = events[0].user
     for _ in range(20):
         bumped = U.copy()
         direction = rng.normal(size=2)
         bumped[0, user] += 1e-3 * direction / np.linalg.norm(direction)
         perturbed = TemporalFactorModel(bumped, V, Z, model.binning, params)
-        assert cost(perturbed, events) >= base - 1e-12 * base
+        assert cost(perturbed, train) >= base - 1e-12 * base
 
 
 def test_fit_deterministic():
     rng = np.random.default_rng(13)
     m, n, events = random_instance(rng)
+    train = as_columns(events)
     params = FactorParams(rank=2, bin_count=3, iterations=3, seed=21)
-    a = fit_lowrank_temporal(events, params, m, n)
-    b = fit_lowrank_temporal(events, params, m, n)
+    a = fit_lowrank_temporal(train, params, m, n)
+    b = fit_lowrank_temporal(train, params, m, n)
     assert np.array_equal(a.user_factors, b.user_factors)
     assert np.array_equal(a.movie_factors, b.movie_factors)
     assert np.array_equal(a.user_bias, b.user_bias)
@@ -538,13 +545,13 @@ def test_fit_deterministic():
 def test_user_without_events_keeps_initialization():
     events = [event(0, m, rating=60.0, day=m % 7) for m in range(6)]
     params = FactorParams(rank=2, bin_count=1, iterations=3, seed=5)
-    model = fit_lowrank_temporal(events, params, user_count=3, movie_count=6)
+    model = fit_lowrank_temporal(as_columns(events), params, user_count=3, movie_count=6)
     assert model.user_bias[0, 2] == 50.0  # user 2 never rated anything
 
 
 def test_fit_rejects_bad_input():
     with pytest.raises(ValueError):
-        fit_lowrank_temporal([], FactorParams(bin_count=1))
+        fit_lowrank_temporal(as_columns([]), FactorParams(bin_count=1))
     with pytest.raises(ValueError):
         FactorParams(iterations=0)
 
@@ -565,13 +572,13 @@ def _zero_model(m=2, n=2, r=2, bins=1, bias=0.0, **params):
 
 def test_cost_single_event_zero_model():
     model = _zero_model(reg_lambda=0.0)
-    train = [RatingEvent(0, 0, 50.0, 5)]
+    train = as_columns([Rating(0, 0, 50.0, 5)])
     assert cost(model, train) == pytest.approx(1250.0)
 
 
 def test_cost_zero_at_perfect_fit():
     model = _zero_model(bias=60.0, reg_lambda=0.0, xi_z=0.0)
-    train = [RatingEvent(0, 0, 60.0, 5), RatingEvent(1, 1, 60.0, 7)]
+    train = as_columns([Rating(0, 0, 60.0, 5), Rating(1, 1, 60.0, 7)])
     assert cost(model, train) == 0.0
 
 
@@ -581,8 +588,9 @@ def test_cost_matches_naive_oracle():
         m, n, events = random_instance(rng)
         params = FactorParams(rank=2, bin_count=3, iterations=2, seed=2,
                               xi_u=1.5, xi_v=2.5, xi_z=0.5)
-        model = fit_lowrank_temporal(events, params, m, n)
-        fast = cost(model, events)
+        train = as_columns(events)
+        model = fit_lowrank_temporal(train, params, m, n)
+        fast = cost(model, train)
         slow = naive_cost(model, events)
         assert fast == pytest.approx(slow, rel=1e-9)
 
@@ -607,7 +615,7 @@ def test_predict_unknown_movie_is_bin_bias(caplog):
     rng = np.random.default_rng(23)
     m, n, events = random_instance(rng)
     params = FactorParams(rank=2, bin_count=3, iterations=2, seed=4)
-    model = fit_lowrank_temporal(events, params, m, n)
+    model = fit_lowrank_temporal(as_columns(events), params, m, n)
     for ev in events:
         b = bin_of(ev.timestamp, model.binning) - 1
         for movie in (n, n + 7):
@@ -626,14 +634,15 @@ def test_residuals_gather_matches_predict():
     rng = np.random.default_rng(19)
     m, n, events = random_instance(rng)
     params = FactorParams(rank=2, bin_count=3, iterations=2, seed=4)
-    model = fit_lowrank_temporal(events, params, m, n)
+    train = as_columns(events)
+    model = fit_lowrank_temporal(train, params, m, n)
     expected = [ev.rating - predict(model, ev.user, ev.movie, ev.timestamp)
                 for ev in events]
-    np.testing.assert_allclose(residuals(events, model), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(residuals(train, model), expected, rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="movie"):
-        residuals([event(0, n)], model)
+        residuals(as_columns([event(0, n)]), model)
     with pytest.raises(ValueError, match="user"):
-        residuals([event(-1, 0)], model)
+        residuals(as_columns([event(-1, 0)]), model)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +691,7 @@ def test_model_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     m, n, events = random_instance(rng)
     params = FactorParams(rank=2, bin_count=3, iterations=2, seed=9)
-    model = fit_lowrank_temporal(events, params, m, n)
+    model = fit_lowrank_temporal(as_columns(events), params, m, n)
     path = tmp_path / "model.txt"
     save_model(model, path)
     again = load_model(path)
@@ -701,7 +710,7 @@ def test_weekday_binned_factor_variant():
     m, n, events = random_instance(rng)
     params = FactorParams(rank=2, bin_count=7, iterations=3, seed=1)
     binning = Binning(7, 0, 7 * 86_400, kind="weekday")
-    model = fit_lowrank_temporal(events, params, m, n, binning=binning)
+    model = fit_lowrank_temporal(as_columns(events), params, m, n, binning=binning)
     assert model.binning.kind == "weekday"
     ev = events[0]
     same_weekday = predict(model, ev.user, ev.movie, ev.timestamp + 14 * 86_400)
@@ -720,8 +729,8 @@ def test_load_model_names_missing_field(tmp_path, keep, field):
     rng = np.random.default_rng(17)
     m, n, events = random_instance(rng)
     path = tmp_path / "model.txt"
-    save_model(fit_lowrank_temporal(events, FactorParams(rank=2, bin_count=2,
-                                                         iterations=1), m, n), path)
+    save_model(fit_lowrank_temporal(as_columns(events), FactorParams(
+        rank=2, bin_count=2, iterations=1), m, n), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:keep]) + "\n")  # cut after line `keep`
     with pytest.raises(ValueError, match=f"{path}: missing field '{field}'"):
@@ -732,8 +741,8 @@ def test_load_model_checks_lengths_and_values(tmp_path):
     rng = np.random.default_rng(18)
     m, n, events = random_instance(rng)
     path = tmp_path / "model.txt"
-    save_model(fit_lowrank_temporal(events, FactorParams(rank=2, bin_count=2,
-                                                         iterations=1), m, n), path)
+    save_model(fit_lowrank_temporal(as_columns(events), FactorParams(
+        rank=2, bin_count=2, iterations=1), m, n), path)
     lines = path.read_text().splitlines()
     short = lines[:6] + [lines[6].rsplit(" ", 1)[0]]   # one Z value missing
     path.write_text("\n".join(short) + "\n")

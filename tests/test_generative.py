@@ -15,7 +15,7 @@ from hhattrib.generative import (
 )
 from hhattrib.temporal import fit_priors
 
-from conftest import anon_event, event, rating_events
+from conftest import anon_event, as_columns, event, rating_events
 
 
 BINNING = Binning(4, 0, 10 ** 10)
@@ -33,7 +33,7 @@ def flat_model(user_biases, n_movies=4, rank=2):
 
 def uniform_priors(household, binning=BINNING):
     train = [event(member, idx) for idx, member in enumerate(household.members)]
-    return fit_priors(train, {household.id: household}, binning, epsilon=1.0)
+    return fit_priors(as_columns(train), {household.id: household}, binning, epsilon=1.0)
 
 
 def classify(household, ev, model, priors, sigma, mode="uniform"):
@@ -51,14 +51,14 @@ def classify(household, ev, model, priors, sigma, mode="uniform"):
 def test_sigma_floor_on_perfect_fit(pair_household):
     model = flat_model([70.0, 70.0])
     train = [event(0, 0, rating=70.0), event(1, 1, rating=70.0)]
-    sigma = estimate_sigma(train, model, "global")
+    sigma = estimate_sigma(as_columns(train), model, "global")
     assert sigma.sigma_all == 0.5
 
 
 def test_sigma_population_convention():
     model = flat_model([50.0, 50.0])
     train = [event(0, 0, rating=49.0), event(1, 1, rating=51.0)]
-    sigma = estimate_sigma(train, model, "global")
+    sigma = estimate_sigma(as_columns(train), model, "global")
     assert sigma.sigma_all == pytest.approx(1.0)
 
 
@@ -67,7 +67,7 @@ def test_sigma_per_user_fallback():
     # user 0 has 6 residuals of +/-8, user 1 only 2 (below the threshold of 5)
     train = [event(0, m, rating=50.0 + (8 if m % 2 else -8)) for m in range(6)]
     train += [event(1, 10, rating=30.0), event(1, 11, rating=70.0)]
-    sigma = estimate_sigma(train, model, "per_user", min_residuals=5)
+    sigma = estimate_sigma(as_columns(train), model, "per_user", min_residuals=5)
     assert sigma.sigma_by_user[0] == pytest.approx(8.0)
     assert sigma.sigma_by_user[1] == sigma.sigma_all
     assert sigma.sigmas(np.array([0, 1, 99])).tolist() == [
@@ -80,10 +80,11 @@ def test_sigma_per_user_equals_masked_reference(planted_dataset):
                                  planted_dataset.user_count,
                                  planted_dataset.movie_count)
     # users interleave in time order; 26 or 27 residuals each
-    train = sorted(rating_events(planted_dataset.train[::3]), key=lambda ev: ev.timestamp)
+    train = as_columns(sorted(rating_events(planted_dataset.train[::3]),
+                              key=lambda ev: ev.timestamp))
     sigma = estimate_sigma(train, model, "per_user", min_residuals=27)
     errors = residuals(train, model)
-    users = np.array([ev.user for ev in train])
+    users = train.user
     want = {}
     for user in np.unique(users):
         mine = errors[users == user]
@@ -109,9 +110,9 @@ def test_sigma_planted_noise_recovered():
 
 def test_sigma_rejects_empty_train():
     with pytest.raises(ValueError):
-        estimate_sigma([], flat_model([50.0]), "global")
+        estimate_sigma(as_columns([]), flat_model([50.0]), "global")
     with pytest.raises(ValueError):
-        estimate_sigma([event(0, 0)], flat_model([50.0]), "sometimes")
+        estimate_sigma(as_columns([event(0, 0)]), flat_model([50.0]), "sometimes")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def test_sigma_rejects_empty_train():
 def test_joint_score_infinite_sigma_is_prior(pair_household):
     model = flat_model([10.0, 90.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
     sigma = SigmaModel("infinite", math.inf, {})
     _, post = classify(pair_household, anon_event(0, 0, rating=95.0), model, priors, sigma)
     assert post == dict(zip(pair_household.members, priors.shares[0, 0].tolist()))
@@ -150,7 +151,7 @@ def test_posterior_ratio():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.0)
     sigma = SigmaModel("global", 10.0, {})
     _, post = classify(household, anon_event(0, 0, rating=50.0), model, priors, sigma)
     # equal densities, priors 0.75 / 0.25
@@ -223,7 +224,7 @@ def test_generative_prior_decides_under_equal_residuals():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(9)] + [event(1, 20)]
-    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.0)
     sigma = SigmaModel("global", 10.0, {})
     ev = anon_event(0, 0, rating=58.0)
     assert classify(household, ev, model, priors, sigma)[0] == 0

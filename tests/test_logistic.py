@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hhattrib import logistic
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, cv_split, derive_binning, synth_generate,
+    Binning, Household, SynthConfig, cv_split, derive_binning, event_column, synth_generate,
 )
 from hhattrib.evaluate import (
     FittedPipeline, PipelineConfig, classify_events, fit_and_classify,
@@ -28,16 +28,22 @@ from hhattrib.logistic import (
     member_probabilities, save_logit_models, standardize_apply, standardize_fit,
 )
 
-from conftest import DAY, DAY0, anon_event, bin_of, event, hour_of, rating_events, weekday_of
+from conftest import DAY, DAY0, anon_event, as_columns, bin_of, event, hour_of, weekday_of
 
 
 def only(letters, lambda1=0.01):
     return FeatureConfig.from_letters(letters, lambda1)
 
 
+def arrays(events):
+    """The stamp, movie and rating arrays of events, as feature_matrix reads them."""
+    return (event_column(events, "timestamp", np.int64), event_column(events, "movie", np.intp),
+            event_column(events, "rating", np.float64))
+
+
 def build_features(ev, config, model=None, binning=None):
     """feature_matrix's row for one event."""
-    return feature_matrix([ev], config, model, binning)[0]
+    return feature_matrix(*arrays([ev]), config, model, binning)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_feature_matrix_rows_match_per_event_features(binning, caplog):
                                  for ev in events])
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="hhattrib.logistic"):
-                matrix = feature_matrix(events, config, model)
+                matrix = feature_matrix(*arrays(events), config, model)
             np.testing.assert_array_equal(matrix, expected)
             records = [r for r in caplog.records
                        if "unknown to the factor model" in r.getMessage()]
@@ -155,7 +161,7 @@ def test_feature_matrix_bin_block_uses_given_binning():
     other = Binning(5, DAY0 - DAY, 30 * DAY)
     events = [anon_event(0, movie=1, day=k, week=k - 2) for k in range(6)]
     expected = [_reference_features(ev, only("cd"), model, other) for ev in events]
-    np.testing.assert_array_equal(feature_matrix(events, only("cd"), model, other),
+    np.testing.assert_array_equal(feature_matrix(*arrays(events), only("cd"), model, other),
                                   expected)
 
 
@@ -322,11 +328,11 @@ def test_rank_deficient_household_design(planted_dataset, lam):
     # fit_household builds them: each block's columns are linearly dependent,
     # so theta is not unique and only objectives and KKT are compared.
     household = planted_dataset.households[0]
-    events = [ev for ev in rating_events(planted_dataset.train)
-              if ev.user in household.members]
-    raw = feature_matrix(events, only("abd"), binning=derive_binning(events, 4))
+    events = planted_dataset.train[np.isin(planted_dataset.train.user, household.members)]
+    raw = feature_matrix(events.stamp, events.movie, events.rating, only("abd"),
+                         binning=derive_binning(events, 4))
     rows = standardize_apply(standardize_fit(raw), raw)
-    labels = np.array([ev.user == household.members[0] for ev in events], dtype=float)
+    labels = (events.user == household.members[0]).astype(float)
     assert np.linalg.matrix_rank(rows) < rows.shape[1]
 
     theta = fit_logistic(rows, labels, lam)
@@ -605,7 +611,7 @@ def _separable_household(n_each=30):
 
 def test_fit_household_one_model_per_member():
     household, train = _separable_household()
-    models = fit_household(train, household, only("a", 0.1))
+    models = fit_household(as_columns(train), household, only("a", 0.1))
     assert set(models) == {0, 1}
     assert models[0].standardization is models[1].standardization
 
@@ -619,8 +625,8 @@ def test_labels_are_complementary():
 
 def test_separable_day_feature_classifies_training_perfectly():
     household, train = _separable_household()
-    models = fit_household(train, household, only("a", 0.05))
-    best = member_probabilities(models, train).argmax(axis=1)
+    models = fit_household(as_columns(train), household, only("a", 0.05))
+    best = member_probabilities(models, *arrays(train)).argmax(axis=1)
     assert np.array(list(models))[best].tolist() == [ev.user for ev in train]
 
 
@@ -628,9 +634,9 @@ def test_classify_tie_breaks_to_smaller_id():
     household = Household(0, (4, 2))
     train = [event(4, m, day=0) for m in range(5)] + \
             [event(2, 10 + m, day=0) for m in range(5)]
-    models = fit_household(train, household, only("a", 1e6))
+    models = fit_household(as_columns(train), household, only("a", 1e6))
     probe = anon_event(0, 50, day=0)
-    probs = member_probabilities(models, [probe])[0]
+    probs = member_probabilities(models, *arrays([probe]))[0]
     assert probs.tolist() == [0.5, 0.5]  # both thetas are exactly zero
     assert classify_logistic(models, household, [probe]) == [2]
 
@@ -641,17 +647,17 @@ def test_member_probabilities_equal_one_event_scoring(planted_dataset):
     models = fit_household(planted_dataset.train, household, only("abde", 0.1),
                            binning=binning)
     events = [ev for ev in planted_dataset.test if ev.household == household.id]
-    want = [member_probabilities(models, [ev], binning=binning)[0].tolist()
+    want = [member_probabilities(models, *arrays([ev]), binning=binning)[0].tolist()
             for ev in events]
     assert len(events) > 1
-    assert member_probabilities(models, events, binning=binning).tolist() == want
+    assert member_probabilities(models, *arrays(events), binning=binning).tolist() == want
 
 
 def test_classifier_depends_only_on_probability_order():
     household, train = _separable_household()
-    models = fit_household(train, household, only("ab", 0.1))
+    models = fit_household(as_columns(train), household, only("ab", 0.1))
     probe = anon_event(0, 50, day=0, hour=20)
-    probs = dict(zip(models, member_probabilities(models, [probe])[0]))
+    probs = dict(zip(models, member_probabilities(models, *arrays([probe]))[0]))
     assert classify_logistic(models, household, [probe]) == [max(
         sorted(probs), key=lambda member: (probs[member], -member))]
 
@@ -692,12 +698,12 @@ def test_two_member_household_is_one_solve(monkeypatch):
     household, train = _separable_household()
     train.append(event(1, 500, day=0, hour=9))  # not separable by weekday alone
     calls = _counting_fits(monkeypatch)
-    models = fit_household(train, household, only("ab", 0.05))
+    models = fit_household(as_columns(train), household, only("ab", 0.05))
     assert len(calls) == 1
     assert np.array_equal(models[1].theta, -models[0].theta)
     assert np.any(models[0].theta != 0.0)
     direct = fit_logistic(standardize_apply(models[0].standardization,
-                                            feature_matrix(train, only("ab"))),
+                                            feature_matrix(*arrays(train), only("ab"))),
                           1.0 - calls[0], 0.05)
     np.testing.assert_allclose(models[1].theta, direct, rtol=0, atol=1e-7)
 
@@ -707,7 +713,7 @@ def test_three_member_household_fits_every_member(monkeypatch):
     train = [event(user, 10 * user + k, day=(user + k) % 7, hour=k)
              for user in household.members for k in range(8)]
     calls = _counting_fits(monkeypatch)
-    models = fit_household(train, household, only("ab", 0.05))
+    models = fit_household(as_columns(train), household, only("ab", 0.05))
     assert len(calls) == 3
     for member, labels in zip(household.members, calls):
         assert labels.sum() == 8 and models[member].member == member
@@ -719,20 +725,20 @@ def test_one_sided_labels_logged_per_member(members, expected, caplog):
     train = [event(0, m, day=m % 7) for m in range(10)]
     train += [event(2, 20 + m, day=3) for m in range(5) if 2 in members]
     with caplog.at_level(logging.DEBUG, logger="hhattrib.logistic"):
-        fit_household(train, household, only("a", 0.1))
+        fit_household(as_columns(train), household, only("a", 0.1))
     records = [r for r in caplog.records if "one-sided" in r.getMessage()]
     assert len(records) == expected
 
 
 def test_fit_household_needs_events():
     with pytest.raises(ValueError):
-        fit_household([], Household(0, (0, 1)), only("a"))
+        fit_household(as_columns([]), Household(0, (0, 1)), only("a"))
 
 
 def test_one_sided_labels_still_fit():
     household = Household(0, (0, 1))
     train = [event(0, m, day=m % 7) for m in range(10)]  # member 1 never rates
-    models = fit_household(train, household, only("a", 0.1))
+    models = fit_household(as_columns(train), household, only("a", 0.1))
     assert np.all(np.isfinite(models[1].theta))
 
 
@@ -742,7 +748,7 @@ def test_one_sided_labels_still_fit():
 
 def test_logit_model_dump_round_trip(tmp_path):
     household, train = _separable_household(10)
-    models = {0: fit_household(train, household, only("ae", 0.2))}
+    models = {0: fit_household(as_columns(train), household, only("ae", 0.2))}
     path = tmp_path / "logit.txt"
     save_logit_models(models, path)
     again = load_logit_models(path)
@@ -759,7 +765,7 @@ def test_logit_model_dump_round_trip(tmp_path):
 def _dump_lines(tmp_path):
     household, train = _separable_household(10)
     path = tmp_path / "logit.txt"
-    save_logit_models({0: fit_household(train, household, only("ae", 0.2))}, path)
+    save_logit_models({0: fit_household(as_columns(train), household, only("ae", 0.2))}, path)
     return path, path.read_text().splitlines()
 
 

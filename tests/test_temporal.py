@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    SECONDS_PER_WEEK, Binning, DuplicateError, Household, RatingEvent, SynthConfig,
+    SECONDS_PER_WEEK, Binning, DuplicateError, Household, SynthConfig,
     derive_binning, synth_generate,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
@@ -16,7 +16,10 @@ from hhattrib.temporal import (
     weekday_histogram,
 )
 
-from conftest import DAY, DAY0, anon_event, bin_of, event, rating_events, rng_for, weekday_of
+from conftest import (
+    DAY, DAY0, Rating, anon_event, as_columns, bin_of, event, rating_events, rng_for,
+    weekday_of,
+)
 
 
 BINNING = Binning(4, 0, 10 ** 10)
@@ -50,14 +53,15 @@ def reference_tv(train, household):
 
 def household_tv(train, household):
     """tv_histogram's value for one household."""
-    [(_, value)] = tv_histogram(train, {household.id: household})
+    [(_, value)] = tv_histogram(as_columns(train), {household.id: household})
     return value
 
 
 def library_profile(train, user):
     """A member's weekday profile as tv_histogram reads it: weekday_histogram's
     counts over their total (the second member, user + 1000, is a filler)."""
-    (_, _, *counts), _ = weekday_histogram(train, {0: Household(0, (user, user + 1000))})
+    (_, _, *counts), _ = weekday_histogram(as_columns(train),
+                                          {0: Household(0, (user, user + 1000))})
     return np.array(counts) / sum(counts)
 
 
@@ -108,7 +112,7 @@ def test_household_tv_symmetry_and_scale_invariance():
     forward = household_tv(events, Household(0, (0, 1)))
     backward = household_tv(events, Household(0, (1, 0)))
     assert forward == backward
-    doubled = events + [RatingEvent(e.user, e.movie + 100, e.rating, e.timestamp)
+    doubled = events + [Rating(e.user, e.movie + 100, e.rating, e.timestamp)
                         for e in events]
     assert household_tv(doubled, Household(0, (0, 1))) == pytest.approx(forward)
 
@@ -150,28 +154,28 @@ def test_tv_distance_equals_half_l1_form():
 
 def test_prior_counts(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
     assert share(priors, 0, 0, 0) == pytest.approx(0.75)
     assert share(priors, 0, 1, 0) == pytest.approx(0.25)
 
 
 def test_prior_day_conditional(pair_household):
     train = [event(0, m, day=0) for m in range(4)] + [event(1, 9, day=2)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
     assert share(priors, 0, 0, DAYS) == 1.0
     assert share(priors, 0, 1, DAYS) == 0.0
 
 
 def test_prior_smoothing_on_empty_conditional(pair_household):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=1.0)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=1.0)
     assert share(priors, 0, 0, DAYS + 1) == pytest.approx(0.5)  # no Monday events
     assert share(priors, 0, 1, DAYS + 1) == pytest.approx(0.5)
 
 
 def test_prior_epsilon_zero_flags_undefined(pair_household, caplog):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
     assert math.isnan(share(priors, 0, 0, DAYS + 1))
     # scoring falls back to the unconditional prior, one record per member
     stamps = np.array([anon_event(0, 5, day=1).timestamp, anon_event(0, 5).timestamp])
@@ -185,14 +189,14 @@ def test_prior_epsilon_zero_rejects_household_without_events():
     households = {0: Household(0, (0, 1)), 5: Household(5, (2, 3))}
     train = [event(0, 0), event(1, 1)]
     with pytest.raises(UndefinedProfileError, match="household 5 has no training"):
-        fit_priors(train, households, BINNING, epsilon=0.0)
-    assert fit_priors(train, households, BINNING, epsilon=0.5).households == (0, 5)
+        fit_priors(as_columns(train), households, BINNING, epsilon=0.0)
+    assert fit_priors(as_columns(train), households, BINNING, epsilon=0.5).households == (0, 5)
 
 
 def test_priors_reject_user_in_two_households():
     households = {0: Household(0, (0, 1)), 1: Household(1, (1, 2))}
     with pytest.raises(DuplicateError, match="two households"):
-        fit_priors([event(0, 0), event(1, 1), event(2, 2)], households, BINNING)
+        fit_priors(as_columns([event(0, 0), event(1, 1), event(2, 2)]), households, BINNING)
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6),
@@ -207,8 +211,8 @@ def test_priors_match_brute_force_counting(assignments):
             assignments += [(hh.members[0], 0, 0)]
     events = [event(user, idx, day=day, week=week * 2)
               for idx, (user, day, week) in enumerate(assignments)]
-    binning = derive_binning(events, 3)
-    priors = fit_priors(events, households, binning, epsilon=0.0)
+    binning = derive_binning(as_columns(events), 3)
+    priors = fit_priors(as_columns(events), households, binning, epsilon=0.0)
     assert priors.households == (0, 7)
     np.testing.assert_array_equal(priors.members, [[0, 1, -1], [4, 2, 3]])
     for hid, hh in households.items():
@@ -267,7 +271,7 @@ def test_priors_equal_per_event_reference(binning, count, epsilon):
                   rng.integers(0, 7, count), rng.integers(0, 7, count),
                   rng.integers(0, 8, count), rng.integers(0, 24, count)))]
     events += [event(0, count), event(4, count)]   # every household has events
-    fitted = fit_priors(events, households, binning, epsilon)
+    fitted = fit_priors(as_columns(events), households, binning, epsilon)
     for h, hh in enumerate(households.values()):
         want = _reference_priors(events, hh, binning, epsilon)
         np.testing.assert_array_equal(fitted.shares[h, :, :hh.size], want)
@@ -288,14 +292,14 @@ def classify_prior(priors, mode, ev, household):
 
 def test_classify_prior_uniform(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
     assert classify_prior(priors, "uniform", anon_event(0, 50), pair_household) == 0
 
 
 def test_classify_prior_day(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + \
             [event(1, m + 10, day=4) for m in range(5)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
     assert classify_prior(priors, "day", anon_event(0, 50, day=0), pair_household) == 0
     assert classify_prior(priors, "day", anon_event(0, 50, day=4), pair_household) == 1
 
@@ -303,14 +307,14 @@ def test_classify_prior_day(pair_household):
 def test_classify_prior_tie_breaks_to_smaller_id():
     household = Household(0, (7, 3))
     train = [event(7, 0), event(3, 1)]
-    priors = fit_priors(train, {0: household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.5)
     assert share(priors, 0, 7, 0) == share(priors, 0, 3, 0)
     assert classify_prior(priors, "uniform", anon_event(0, 50), household) == 3
 
 
 def test_classify_prior_ignores_rating(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + [event(1, 9, day=4)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
     low = anon_event(0, 50, rating=1.0, day=0)
     high = anon_event(0, 50, rating=99.0, day=0)
     assert classify_prior(priors, "day", low, pair_household) == \
@@ -320,7 +324,7 @@ def test_classify_prior_ignores_rating(pair_household):
 def test_classify_prior_weekly_shift_invariance(pair_household):
     train = [event(0, m, day=m % 3) for m in range(5)] + \
             [event(1, m + 10, day=3 + m % 3) for m in range(7)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
     for day in range(7):
         probe = anon_event(0, 50, day=day)
         shifted = anon_event(0, 50, day=day, week=21)  # +147 days = 21 weeks
@@ -330,7 +334,7 @@ def test_classify_prior_weekly_shift_invariance(pair_household):
 
 def test_classify_prior_bad_mode(pair_household):
     train = [event(0, 0), event(1, 1)]
-    priors = fit_priors(train, {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
     with pytest.raises(ValueError):
         prior_matrix(priors, "hourly", np.array([0]), np.array([DAY0]))
 
@@ -355,7 +359,7 @@ def test_weekday_histogram_equals_per_event_counts(planted_dataset):
     member_of = {m: hid for hid, hh in households.items() for m in hh.members}
     for ev in train:
         want[(member_of[ev.user], ev.user)][weekday_of(ev.timestamp)] += 1
-    assert weekday_histogram(train, households) == [
+    assert weekday_histogram(as_columns(train), households) == [
         (hid, m, *counts) for (hid, m), counts in want.items()]
 
 
