@@ -144,7 +144,8 @@ def cmd_classify(args) -> int:
     if args.dump_posteriors:
         _write_posteriors(test, posteriors, args.dump_posteriors)
     if args.dump_logit:
-        logistic.save_logit_models(fitted.logit_models, args.dump_logit)
+        logistic.save_logit_models(fitted.logit_models, fitted.households,
+                                   args.dump_logit)
     return 0
 
 

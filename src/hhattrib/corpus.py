@@ -135,6 +135,8 @@ class Household:
             )
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"household {self.id} repeats a member")
+        if min(self.members) < 0:   # -1 pads member_table
+            raise RangeError(f"household {self.id}: negative member id {min(self.members)}")
 
     @property
     def size(self) -> int:
@@ -383,6 +385,8 @@ def parse_households(path) -> dict[int, Household]:
         members = tuple(
             _parse_int(tok, path, line_no, "member id") for tok in fields[1:]
         )
+        if min(members) < 0:
+            raise RangeError(f"negative member id {min(members)}", path, line_no)
         if hid in out:
             raise DuplicateError(f"{path}:{line_no}: duplicate household {hid}")
         out[hid] = Household(hid, members)
@@ -399,6 +403,8 @@ def parse_test_events(path) -> list[TestEvent]:
         truth = None
         if len(fields) == 5:
             truth = _parse_int(fields[4], path, line_no, "true user id")
+            if truth < 0:
+                raise RangeError(f"negative true user id {truth}", path, line_no)
         events.append(TestEvent(*values, truth))
     return events
 

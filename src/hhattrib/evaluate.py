@@ -286,7 +286,7 @@ class FittedPipeline:
     model: factorize.TemporalFactorModel | None = None
     priors: temporal.TemporalPriors | None = None
     sigma_model: generative.SigmaModel | None = None
-    logit_models: dict | None = None
+    logit_models: logistic.StackedLogits | None = None
 
 
 def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
@@ -312,15 +312,7 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
     if name.startswith("gen-"):
         sigma_model = generative.estimate_sigma(columns, model, pipeline.sigma_scope)
     if name == "unified":
-        # each household's events in train order
-        rows = dataset.household_rows()
-        order = np.argsort(rows, kind="stable")
-        bounds = np.searchsorted(rows[order], np.arange(len(households) + 1))
-        logit_models = {
-            hid: logistic.fit_household(columns[order[lo:hi]], hh, pipeline.features,
-                                        model=model, binning=binning)
-            for (hid, hh), lo, hi in zip(households.items(), bounds, bounds[1:])
-        }
+        logit_models = logistic.fit_households(dataset, pipeline.features, model, binning)
     return FittedPipeline(pipeline, households, binning, model, priors,
                           sigma_model, logit_models)
 
@@ -378,25 +370,18 @@ def classify_events(fitted: FittedPipeline, test_events):
         first = fitted.config.alpha * gaps[:, 0] < gaps[:, 1:].min(axis=1)
         rest = _argmax_members(-gaps[:, 1:], members[:, 1:])
         return np.where(first, members[:, 0], rest).tolist(), None
-    log_space = False
     stamps = event_column(test_events, "timestamp", np.int64)
     if name == "unified":
-        movies = event_column(test_events, "movie", np.intp)
-        ratings = event_column(test_events, "rating", np.float64)
-        scores = np.zeros(members.shape)
-        for row, (hid, hh) in enumerate(fitted.households.items()):
-            mine = np.flatnonzero(rows == row)
-            if len(mine):
-                scores[mine, :hh.size] = logistic.member_probabilities(
-                    fitted.logit_models[hid], stamps[mine], movies[mine], ratings[mine],
-                    fitted.model, fitted.binning)
+        scores = logistic.member_probabilities(
+            fitted.logit_models, rows, stamps, event_column(test_events, "movie", np.intp),
+            event_column(test_events, "rating", np.float64), fitted.model, fitted.binning)
     else:
         scores = temporal.prior_matrix(fitted.priors, name.partition("-")[2], rows, stamps)
-        log_space = name.startswith("gen-") and fitted.sigma_model.log_space
-        if log_space:
-            sigmas = fitted.sigma_model.sigmas(np.maximum(members, 0))
-            scores = generative.log_scores(
-                scores, _gap_matrix(fitted.model, members, test_events), sigmas)
+    log_space = name.startswith("gen-") and fitted.sigma_model.log_space
+    if log_space:
+        sigmas = fitted.sigma_model.sigmas(np.maximum(members, 0))
+        scores = generative.log_scores(
+            scores, _gap_matrix(fitted.model, members, test_events), sigmas)
     posteriors = generative.normalize_rows(scores, members, log_space)
     return _argmax_members(scores, members).tolist(), [
         {m: p for m, p in zip(row_members, row) if m >= 0}

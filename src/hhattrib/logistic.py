@@ -35,9 +35,10 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .corpus import (
-    SECONDS_PER_DAY, Binning, EventColumns, Household, bin_column, weekday_column,
+    SECONDS_PER_DAY, Binning, Dataset, EventColumns, Household, bin_column, member_table,
+    weekday_column,
 )
-from .factorize import TemporalFactorModel
+from .factorize import TemporalFactorModel, _dump_array
 
 log = logging.getLogger(__name__)
 
@@ -90,11 +91,18 @@ class Standardization:
 
 
 @dataclass(frozen=True, eq=False)
-class LogitModel:
-    member: int
-    household: int
-    theta: np.ndarray
-    standardization: Standardization
+class StackedLogits:
+    """Every household's member models in the layout of ``member_table``.
+
+    ``theta[h, k]`` is the coefficient vector of member slot k of household
+    row h (households in map order, members in file order); padded slots
+    hold zeros. ``mean[h]`` and ``scale[h]`` standardize household h's
+    feature rows.
+    """
+
+    theta: np.ndarray   # (H, width, p)
+    mean: np.ndarray    # (H, p)
+    scale: np.ndarray   # (H, p)
     config: FeatureConfig
 
 
@@ -199,16 +207,24 @@ def _split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol):
     took 27 us. A triangle dtrtrs reports singular, like a product that is
     not a descent direction, leaves the negative gradient.
     """
+    w = np.concatenate((np.maximum(theta, 0.0), np.maximum(-theta, 0.0)))
+    w = _split_steps(rows, labels, lambda1, w, np.empty((2, _MEMORY, len(w))), 0,
+                     max_iter=max_iter, pg_tol=pg_tol)
+    return w[:len(theta)] - w[len(theta):]
+
+
+def _split_steps(rows, labels, lambda1, w, history, pairs, *, max_iter, pg_tol):
+    """The iterations of _split_descend from the split point w, with the last
+    ``pairs`` (s, y) pairs in ``history`` oldest first; returns the split
+    point they reach and leaves its pairs in ``history``."""
     def gradient(u, e):
         g = rows.T @ (_sigmoid(u, e) - labels)
         return np.concatenate((g + lambda1, lambda1 - g))
 
     p = rows.shape[1]
-    w = np.concatenate((np.maximum(theta, 0.0), np.maximum(-theta, 0.0)))
-    u = rows @ theta
+    u = rows @ (w[:p] - w[p:])
     nll, e = _loss(u, labels)
     f, grad = nll + lambda1 * float(w.sum()), gradient(u, e)
-    history, pairs = np.empty((2, _MEMORY, 2 * p)), 0
     for _ in range(max_iter):
         free = (w > 0.0) | (grad < 0.0)
         gf = grad[free]
@@ -245,7 +261,7 @@ def _split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol):
         pairs = min(pairs + 1, _MEMORY)
         history[:, pairs - 1] = trial - w, new_grad - grad
         w, f, grad = trial, f_trial, new_grad
-    return w[:p] - w[p:]
+    return w
 
 
 def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
@@ -361,13 +377,15 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
 
 def fit_household(train: EventColumns, household: Household, config: FeatureConfig,
                   model: TemporalFactorModel | None = None,
-                  binning: Binning | None = None) -> dict[int, LogitModel]:
+                  binning: Binning | None = None) -> tuple[np.ndarray, Standardization]:
     """One logistic model per member, sharing rows and standardization.
 
-    Labels are complementary across members: each training event counts as
-    a positive example for exactly its rater. Members whose labels are all
-    zero or all one are still fit (the L1 term keeps theta bounded). In a
-    two-member household the second member's theta is the first's negated.
+    Returns the members' thetas, one row per member in file order, and the
+    standardization of the household's rows. Labels are complementary
+    across members: each training event counts as a positive example for
+    exactly its rater. Members whose labels are all zero or all one are
+    still fit (the L1 term keeps theta bounded). In a two-member household
+    the second member's theta is the first's negated.
     """
     events = train[np.isin(train.user, household.members)]
     if len(events.user) < 2:
@@ -375,40 +393,51 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
     rows = feature_matrix(events.stamp, events.movie, events.rating, config, model, binning)
     stats = standardize_fit(rows)
     scaled = standardize_apply(stats, rows)
-    raters = events.user
-    fitted = {}
+    thetas = []
     for member in household.members:
-        labels = (raters == member).astype(float)
+        labels = (events.user == member).astype(float)
         if labels.min() == labels.max():
             log.debug("household %s member %s: one-sided labels",
                       household.id, member)
-        if household.size == 2 and fitted:
-            theta = -fitted[household.members[0]].theta
+        if household.size == 2 and thetas:
+            thetas.append(-thetas[0])
         else:
-            theta = fit_logistic(scaled, labels, config.lambda1)
-        fitted[member] = LogitModel(member, household.id, theta, stats, config)
-    return fitted
+            thetas.append(fit_logistic(scaled, labels, config.lambda1))
+    return np.array(thetas), stats
 
 
-def member_probabilities(models: dict[int, LogitModel], stamps: np.ndarray,
+def fit_households(dataset: Dataset, config: FeatureConfig,
+                   model: TemporalFactorModel | None = None,
+                   binning: Binning | None = None) -> StackedLogits:
+    """``fit_household`` for every household of the dataset, each on its own
+    train events in train order, stacked into one StackedLogits."""
+    households, rows = dataset.households, dataset.household_rows()
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(len(households) + 1))
+    thetas, stats = zip(*[
+        fit_household(dataset.train[order[lo:hi]], hh, config, model, binning)
+        for hh, lo, hi in zip(households.values(), bounds, bounds[1:])])
+    table = member_table(households)
+    theta = np.zeros((*table.shape, len(stats[0].mean)))
+    theta[table >= 0] = np.concatenate(thetas)   # row-major: file order per row
+    return StackedLogits(theta, np.array([s.mean for s in stats]),
+                         np.array([s.scale for s in stats]), config)
+
+
+def member_probabilities(models: StackedLogits, rows: np.ndarray, stamps: np.ndarray,
                          movies: np.ndarray, ratings: np.ndarray,
                          model: TemporalFactorModel | None = None,
                          binning: Binning | None = None) -> np.ndarray:
     """Per-member logit probabilities (not normalized) of each event of the
-    stamp, movie and rating arrays (as ``feature_matrix`` reads them).
+    stamp, movie and rating arrays (as ``feature_matrix`` reads them), whose
+    households sit at ``rows`` of ``models``.
 
-    One row per event, one column per member in the order of ``models``.
+    One row per event, one column per member slot; padded slots score 0.5.
     """
-    if not models:
-        raise ValueError("no fitted member models")
-    first = next(iter(models.values()))
-    rows = standardize_apply(
-        first.standardization,
-        feature_matrix(stamps, movies, ratings, first.config, model, binning),
-    )
-    thetas = np.array([lm.theta for lm in models.values()])
+    x = feature_matrix(stamps, movies, ratings, models.config, model, binning)
+    x = (x - models.mean[rows]) / models.scale[rows]
     # einsum sums in a fixed order, so a row's scores do not depend on its batch
-    return _sigmoid(np.einsum("ep,kp->ek", rows, thetas))
+    return _sigmoid(np.einsum("ep,ekp->ek", x, models.theta[rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,63 +447,16 @@ def member_probabilities(models: dict[int, LogitModel], stamps: np.ndarray,
 _LOGIT_MAGIC = "logit-models 1"
 
 
-def save_logit_models(by_household: dict[int, dict[int, LogitModel]], path) -> None:
+def save_logit_models(models: StackedLogits, households: dict[int, Household],
+                      path) -> None:
+    """One record per member: households in map order, members in file order."""
+    config = f"{models.config.letters} {repr(models.config.lambda1)}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_LOGIT_MAGIC + "\n")
-        for hid in by_household:
-            for member, lm in by_household[hid].items():
-                fh.write(f"model {hid} {member} {lm.config.letters} "
-                         f"{repr(lm.config.lambda1)}\n")
-                for name, arr in (("theta", lm.theta),
-                                  ("mean", lm.standardization.mean),
-                                  ("scale", lm.standardization.scale)):
-                    fh.write(name + " " + " ".join(repr(float(v)) for v in arr) + "\n")
-
-
-def load_logit_models(path) -> dict[int, dict[int, LogitModel]]:
-    """Read a save_logit_models dump.
-
-    A wrong magic line, a malformed `model` line, a missing or misnamed
-    theta/mean/scale line, arrays of unequal length or a non-finite value
-    raise ValueError naming the file and the line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _LOGIT_MAGIC:
-        raise ValueError(f"{path}: line 1: not a logit model file")
-    out: dict[int, dict[int, LogitModel]] = {}
-    for i in range(1, len(lines), 4):
-        def malformed(offset, what):
-            return ValueError(f"{path}: line {i + offset + 1}: {what}")
-
-        head = lines[i].split()
-        try:
-            if len(head) != 5 or head[0] != "model":
-                raise ValueError("expected 'model <household> <member> <letters> "
-                                 "<lambda1>'")
-            hid, member = int(head[1]), int(head[2])
-            config = FeatureConfig.from_letters(head[3], float(head[4]))
-        except ValueError as exc:
-            raise malformed(0, exc) from None
-        arrays = []
-        for offset, name in enumerate(("theta", "mean", "scale"), 1):
-            if i + offset >= len(lines):
-                raise malformed(offset, f"expected a {name!r} line, found the end "
-                                        "of the file")
-            tag, _, rest = lines[i + offset].partition(" ")
-            if tag != name:
-                raise malformed(offset, f"expected a {name!r} line, found {tag!r}")
-            try:
-                values = np.array([float(v) for v in rest.split()])
-            except ValueError as exc:
-                raise malformed(offset, exc) from None
-            if not np.all(np.isfinite(values)):
-                raise malformed(offset, f"non-finite {name} value")
-            if arrays and len(values) != len(arrays[0]):
-                raise malformed(offset, f"{name} has {len(values)} values, "
-                                        f"theta has {len(arrays[0])}")
-            arrays.append(values)
-        theta, mean, scale = arrays
-        lm = LogitModel(member, hid, theta, Standardization(mean, scale), config)
-        out.setdefault(hid, {})[member] = lm
-    return out
+        for (hid, hh), thetas, mean, scale in zip(households.items(), models.theta,
+                                                  models.mean, models.scale):
+            for member, theta in zip(hh.members, thetas):
+                fh.write(f"model {hid} {member} {config}\n")
+                _dump_array(fh, "theta", theta)
+                _dump_array(fh, "mean", mean)
+                _dump_array(fh, "scale", scale)

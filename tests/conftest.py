@@ -70,6 +70,21 @@ def planted_dataset():
     return synth_generate(config)
 
 
+def read_logit_dump(path):
+    """Each record of a save_logit_models file: (household, member, letters,
+    lambda1) and its theta, mean and scale arrays."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "logit-models 1"
+    records = []
+    for head, *arrays in zip(*[iter(lines[1:])] * 4):
+        tag, household, member, letters, lambda1 = head.split()
+        assert tag == "model" and [a.split()[0] for a in arrays] == ["theta", "mean", "scale"]
+        records.append(((int(household), int(member), letters, float(lambda1)),
+                        *(np.array([float(v) for v in a.split()[1:]]) for a in arrays)))
+    assert len(records) * 4 == len(lines) - 1
+    return records
+
+
 def rating_events(columns):
     """Train columns as Rating records, in order: the form the scalar
     oracles read."""

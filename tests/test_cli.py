@@ -9,7 +9,9 @@ import pytest
 
 from hhattrib import cli, evaluate, factorize, logistic
 from hhattrib.cli import main
-from hhattrib.corpus import load_dataset
+from hhattrib.corpus import load_dataset, member_table
+
+from conftest import read_logit_dump
 
 SYNTH_CFG = """\
 households_size2 = 5
@@ -356,12 +358,12 @@ def test_classify_matches_library_pipeline(workspace, monkeypatch, classifier):
     assert [(int(r[0]), int(r[3]), float(r[4])) for r in rows] == expected
     if classifier == "unified":
         assert sorted(fits) == sorted(dataset.households)  # no refit for the dump
-        loaded = logistic.load_logit_models(logit)
-        assert loaded.keys() == fitted.logit_models.keys()
-        for hid, members in fitted.logit_models.items():
-            assert loaded[hid].keys() == members.keys()
-            for member, lm in members.items():
-                assert np.array_equal(loaded[hid][member].theta, lm.theta)
+        records = read_logit_dump(logit)
+        assert [head[:2] for head, *_ in records] == [
+            (hid, member) for hid, hh in dataset.households.items() for member in hh.members]
+        thetas = fitted.logit_models.theta[member_table(dataset.households) >= 0]
+        for (_, theta, _, _), want in zip(records, thetas, strict=True):
+            assert np.array_equal(theta, want)
 
 
 def test_roc_posterior_family_uses_given_model(workspace, monkeypatch):
@@ -525,6 +527,8 @@ def test_integer_beyond_int64_names_file_and_line(workspace, capsys, name, field
 @pytest.mark.parametrize("name, field, message", [
     ("train.tsv", 0, "negative user id -3"), ("train.tsv", 3, "negative timestamp -3"),
     ("test.tsv", 0, "negative household id -3"), ("test.tsv", 3, "negative timestamp -3"),
+    ("test.tsv", 4, "negative true user id -3"),
+    ("households.tsv", 1, "negative member id -3"),
 ])
 def test_negative_id_or_timestamp_names_file_and_line(workspace, capsys, name, field,
                                                       message):

@@ -265,6 +265,8 @@ def test_event_invariants():
         Household(0, (1,))
     with pytest.raises(ValueError):
         Household(0, (1, 1))
+    with pytest.raises(RangeError, match="household 0: negative member id -1"):
+        Household(0, (-1, 1))   # -1 pads member_table
 
 
 def test_dataset_invariants():
