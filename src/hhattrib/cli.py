@@ -101,10 +101,12 @@ def _write_predictions(test_events, predictions, path) -> None:
 def _write_posteriors(test_events, posteriors, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("household\tmovie\ttimestamp\tmember\tposterior\n")
-        for ev, post in zip(test_events, posteriors):
-            for member in sorted(post):
-                fh.write(f"{ev.household}\t{ev.movie}\t{ev.timestamp}\t"
-                         f"{member}\t{repr(post[member])}\n")
+        for ev, members, values in zip(test_events, posteriors.members.tolist(),
+                                       posteriors.values.tolist()):
+            for member, value in sorted(zip(members, values)):
+                if member >= 0:
+                    fh.write(f"{ev.household}\t{ev.movie}\t{ev.timestamp}\t"
+                             f"{member}\t{value!r}\n")
 
 
 def _load_factor_model(args, pipeline, required: bool = True):
@@ -182,11 +184,9 @@ def _read_predictions(path, test_events):
     return [row[3] for row in rows]
 
 
-def _read_posteriors(path, test_events, households):
-    """Load a posterior dump back into one member->probability map per event.
-
-    Each event must carry exactly its household's members.
-    """
+def _read_posteriors(path, test_events, households) -> evaluate.Posteriors:
+    """Load a posterior dump into a `Posteriors` matrix; each event must
+    carry exactly its household's members."""
     posteriors = [dict() for _ in test_events]
     keys = {(ev.household, ev.movie, ev.timestamp): idx
             for idx, ev in enumerate(test_events)}
@@ -196,14 +196,15 @@ def _read_posteriors(path, test_events, households):
         if idx is None:
             raise ConfigError(f"{path}: posterior row matches no test event")
         posteriors[idx][member] = value
-    for ev, post in zip(test_events, posteriors):
-        members = households[ev.household].members if ev.household in households else ()
-        if set(post) != set(members):
+    members = evaluate.member_rows(households, test_events)[1]
+    for ev, post, row in zip(test_events, posteriors, members.tolist()):
+        if set(post) != set(row) - {-1}:
             raise ConfigError(
                 f"{path}: test event (household {ev.household}, movie {ev.movie}, "
                 f"timestamp {ev.timestamp}) has posteriors for members {sorted(post)}, "
-                f"not {sorted(members)}")
-    return posteriors
+                f"not {sorted(households[ev.household].members)}")
+    values = [[post.get(m, 0.0) for m in row] for post, row in zip(posteriors, members.tolist())]
+    return evaluate.Posteriors(members, np.array(values, np.float64).reshape(members.shape))
 
 
 def _check_households(test_events, households, path) -> None:
@@ -263,7 +264,7 @@ def cmd_evaluate(args) -> int:
     if not (args.test and args.predictions and args.out):
         raise ConfigError("evaluate needs --test, --predictions and --out "
                           "(or one of --cv / --export-histograms)")
-    test = parse_test_events(args.test)
+    test = parse_test_events(args.test, households)
     _check_households(test, households, args.households)
     predictions = _read_predictions(args.predictions, test)
     posteriors = None
@@ -282,7 +283,7 @@ def cmd_roc(args) -> int:
     if args.classifier == "residual":
         model = _load_factor_model(args, pipeline)
         households = parse_households(args.households)
-        test = parse_test_events(args.test)
+        test = parse_test_events(args.test, households)
         _check_households(test, households, args.households)
         if args.alpha_grid:
             grid = _parse_grid(args.alpha_grid)

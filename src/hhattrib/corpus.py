@@ -56,7 +56,7 @@ class RangeError(_LocatedError):
 
 
 class StructureError(_LocatedError):
-    """A household record with an unsupported member count."""
+    """A household record with an unsupported member count, or no households."""
 
 
 class DuplicateError(ValueError):
@@ -390,11 +390,14 @@ def parse_households(path) -> dict[int, Household]:
         if hid in out:
             raise DuplicateError(f"{path}:{line_no}: duplicate household {hid}")
         out[hid] = Household(hid, members)
+    if not out:
+        raise StructureError(f"{path}: no households, need at least one")
     return out
 
 
-def parse_test_events(path) -> list[TestEvent]:
-    """Read a 4- or 5-column test file (5th column = true user, optional)."""
+def parse_test_events(path, households) -> list[TestEvent]:
+    """Read a 4- or 5-column test file (5th column = true user, optional); a
+    true user outside the line's household is a located error."""
     events = []
     for line_no, fields in _lines(path):
         if len(fields) not in (4, 5):
@@ -405,6 +408,10 @@ def parse_test_events(path) -> list[TestEvent]:
             truth = _parse_int(fields[4], path, line_no, "true user id")
             if truth < 0:
                 raise RangeError(f"negative true user id {truth}", path, line_no)
+            hh = households.get(values[0])
+            if hh is not None and truth not in hh.members:
+                raise _LocatedError(f"true_user {truth} not in household {hh.id}",
+                                    path, line_no)
         events.append(TestEvent(*values, truth))
     return events
 
@@ -456,7 +463,7 @@ def make_dataset(columns: EventColumns, households, test=()) -> Dataset:
 def load_dataset(train_path, households_path, test_path=None) -> Dataset:
     train = parse_ratings(train_path)
     households = parse_households(households_path)
-    test = parse_test_events(test_path) if test_path is not None else []
+    test = parse_test_events(test_path, households) if test_path is not None else []
     return make_dataset(train, households, test)
 
 

@@ -54,8 +54,28 @@ class HouseholdScore:
 
 
 @dataclass(frozen=True, eq=False)
+class Posteriors:
+    """Test-event posteriors as one matrix: ``members`` holds each event's
+    `member_table` row (file order, -1 padding) and ``values`` the
+    `normalize_rows` output in the same slots. ``posteriors[i]`` builds
+    event i's {member: probability} dict, in file order, only when asked."""
+
+    members: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index) -> dict[int, float]:
+        return {m: p for m, p in zip(self.members[index].tolist(),
+                                     self.values[index].tolist()) if m >= 0}
+
+
+@dataclass(frozen=True, eq=False)
 class AttributionReport:
-    per_event: tuple   # (event, predicted member, posterior dict | None)
+    """``per_event`` holds (test event, predicted member) pairs in event order."""
+
+    per_event: tuple
     per_household: dict[int, HouseholdScore]
     aggregate: Aggregates
     auc_mean: float | None = None
@@ -94,78 +114,64 @@ def random_baseline(size_counts) -> float:
     return sum(count * (1.0 - 1.0 / size) for size, count in size_counts.items()) / total
 
 
-def auc_from_scores(scores, positives) -> float | None:
-    """Pairwise ranking quality of member scores against the truth.
-
-    Counts unordered pairs in which a non-member event outranks a member
-    event strictly; the result is 1 minus that count over the number of
-    (member, non-member) pairs. None when either side is empty.
-    """
-    scores = np.asarray(scores, dtype=float)
-    positives = np.asarray(positives, dtype=bool)
-    pos = scores[positives]
-    neg = scores[~positives]
-    if len(pos) == 0 or len(neg) == 0:
-        return None
-    inversions = int(np.sum(neg[:, None] > pos[None, :]))
-    return 1.0 - inversions / (len(pos) * len(neg))
-
-
-def _by_household(test_events):
-    """(household id, indices of its test events), in household id order."""
-    grouped: dict[int, list[int]] = {}
-    for idx, ev in enumerate(test_events):
-        grouped.setdefault(ev.household, []).append(idx)
-    return sorted(grouped.items())
-
-
-def auc_report(test_events, posteriors, households):
-    """Mean AUC over (member, household) pairs with both event classes."""
-    per: dict[tuple[int, int], float] = {}
-    for hid, indices in _by_household(test_events):
-        for member in households[hid].members:
-            scores = [posteriors[i][member] for i in indices]
-            truth = [test_events[i].true_user == member for i in indices]
-            value = auc_from_scores(scores, truth)
-            if value is not None:
-                per[(hid, member)] = value
-    mean = float(np.mean(list(per.values()))) if per else None
-    return mean, per
+def _grouped_auc(groups, scores, positive):
+    """AUC of each group with both classes, ascending, by one sort: 1 minus
+    the share of (positive, negative) pairs in which the negative scores
+    strictly higher. With ties ranked negatives first, a positive is
+    outranked by the negatives after it in its group, except NaN, which
+    outranks nothing."""
+    order = np.lexsort((positive, scores, groups))
+    groups, scores, positive = groups[order], scores[order], positive[order]
+    width = int(groups.max(initial=-1)) + 1
+    ranked = ~positive & ~np.isnan(scores)   # negatives that can outrank
+    through = np.cumsum(np.bincount(groups[ranked], minlength=width))
+    after = (through[groups] - np.cumsum(ranked))[positive]
+    inversions = np.bincount(groups[positive], after, width)
+    pos = np.bincount(groups[positive], minlength=width)
+    neg = np.bincount(groups[~positive], minlength=width)
+    keep = np.flatnonzero((pos > 0) & (neg > 0))
+    return keep, 1.0 - inversions[keep] / (pos[keep] * neg[keep])
 
 
 def build_report(test_events, predictions, households, posteriors=None,
                  annotations=None) -> AttributionReport:
-    """Assemble per-event, per-household, and aggregate attribution metrics."""
-    test_events = tuple(test_events)
-    predictions = tuple(predictions)
+    """Per-household, per-member and aggregate attribution metrics: bincounts
+    over (household in id order, member slot) cells, and the per-member AUCs
+    from one sort of the cells of a `Posteriors` matrix."""
+    test_events, predictions = tuple(test_events), tuple(predictions)
     if len(test_events) != len(predictions):
         raise ValueError("one prediction per test event required")
-    for ev in test_events:
-        if ev.true_user is None:
-            raise ValueError("evaluation requires events with ground truth")
-
-    scores = {}
-    for hid, idxs in _by_household(test_events):
-        hh = households[hid]
-        correct = sum(predictions[i] == test_events[i].true_user for i in idxs)
-        member_tpr = {}
-        for member in hh.members:
-            mine = [i for i in idxs if test_events[i].true_user == member]
-            if mine:
-                member_tpr[member] = sum(predictions[i] == member for i in mine) / len(mine)
-            else:
-                member_tpr[member] = None
-        scores[hid] = HouseholdScore(hid, hh.size, len(idxs), correct, member_tpr)
+    truth = [ev.true_user for ev in test_events]
+    if None in truth:
+        raise ValueError("evaluation requires events with ground truth")
+    members = member_rows(households, test_events)[1]
+    ids, width = sorted(households), members.shape[1]
+    keys = np.searchsorted(ids, event_column(test_events, "household", np.intp))
+    cells = keys[:, None] * width + np.arange(width)   # each slot's cell
+    correct = np.array([p == t for p, t in zip(predictions, truth)], dtype=bool)
+    is_truth = members == np.array(truth, dtype=np.intp)[:, None]
+    events = np.bincount(keys, minlength=len(ids)).tolist()
+    hits = np.bincount(keys[correct], minlength=len(ids)).tolist()
+    member_events, member_hits = (
+        np.bincount(cells[mask], minlength=len(ids) * width)
+        .reshape(len(ids), width).tolist()
+        for mask in (is_truth, is_truth & correct[:, None]))
+    scores = {hid: HouseholdScore(hid, households[hid].size, events[k], hits[k], {
+        m: hit / total if total else None for m, hit, total in zip(
+            households[hid].members, member_hits[k], member_events[k])})
+        for k, hid in enumerate(ids) if events[k]}
 
     auc_mean, auc_per = (None, {})
     if posteriors is not None:
-        auc_mean, auc_per = auc_report(test_events, posteriors, households)
-    per_event = tuple(
-        (ev, pred, None if posteriors is None else posteriors[i])
-        for i, (ev, pred) in enumerate(zip(test_events, predictions))
-    )
+        if not np.array_equal(posteriors.members, members):
+            raise ValueError("posteriors do not match the test events' households")
+        real = members >= 0
+        kept, values = _grouped_auc(cells[real], posteriors.values[real], is_truth[real])
+        auc_per = {(ids[g // width], households[ids[g // width]].members[g % width]): value
+                   for g, value in zip(kept.tolist(), values.tolist())}
+        auc_mean = float(np.mean(list(auc_per.values()))) if auc_per else None
     return AttributionReport(
-        per_event=per_event,
+        per_event=tuple(zip(test_events, predictions)),
         per_household=scores,
         aggregate=aggregate(scores, households),
         auc_mean=auc_mean,
@@ -227,7 +233,7 @@ def roc_sweep(model, households, test_events, alphas) -> list[RocPoint]:
     (0, 1).
     """
     test_events = tuple(test_events)
-    gaps = _gap_matrix(model, _member_rows(households, test_events)[1], test_events)
+    gaps = _gap_matrix(model, member_rows(households, test_events)[1], test_events)
     alphas = np.asarray(alphas, dtype=np.float64)[:, None]
     decide_first = alphas * gaps[:, 0] < gaps[:, 1:].min(axis=1)
     return _roc_points(alphas[:, 0], decide_first, *_roc_truth(test_events, households))
@@ -235,14 +241,10 @@ def roc_sweep(model, households, test_events, alphas) -> list[RocPoint]:
 
 def roc_sweep_posterior(test_events, posteriors, households,
                         thresholds) -> list[RocPoint]:
-    """ROC for probabilistic classifiers: first member iff posterior >= t."""
+    """ROC for probabilistic classifiers: first member (slot 0) iff posterior >= t."""
     test_events = tuple(test_events)
-    p_first = np.array([
-        posteriors[i][households[ev.household].members[0]]
-        for i, ev in enumerate(test_events)
-    ])
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    decide_first = p_first >= thresholds[:, None]
+    decide_first = posteriors.values[:, 0] >= thresholds[:, None]
     return _roc_points(thresholds, decide_first, *_roc_truth(test_events, households))
 
 
@@ -317,7 +319,7 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
                           sigma_model, logit_models)
 
 
-def _member_rows(households, test_events):
+def member_rows(households, test_events):
     """Each event's household row in map order, and that household's members
     in file order, padded with -1 to the largest household size."""
     row_of = {hid: row for row, hid in enumerate(households)}
@@ -349,11 +351,11 @@ def classify_events(fitted: FittedPipeline, test_events):
     """Attribute each test event to a household member.
 
     Returns (predictions, posteriors): one predicted member per test
-    event, plus per-event member->probability maps (None for the residual
-    classifier). The family fills one score matrix for the whole split,
-    one row per event and one column per member of its household in file
-    order; the prediction is the row argmax (smaller user id on exact
-    ties), the posterior the row's normalization.
+    event, plus a `Posteriors` matrix (None for the residual classifier).
+    The family fills one score matrix for the whole split, one row per
+    event and one column per member in `member_table` slot order; the
+    prediction is the row argmax (smaller user id on exact ties), the
+    posterior the row's normalization, with no per-event dicts.
 
     The residual classifier reads the |rating - prediction| gaps instead:
     the first member wins iff alpha times their gap beats every other
@@ -364,7 +366,7 @@ def classify_events(fitted: FittedPipeline, test_events):
     """
     name = fitted.config.classifier
     test_events = tuple(test_events)
-    rows, members = _member_rows(fitted.households, test_events)
+    rows, members = member_rows(fitted.households, test_events)
     if name == "residual":
         gaps = _gap_matrix(fitted.model, members, test_events)
         first = fitted.config.alpha * gaps[:, 0] < gaps[:, 1:].min(axis=1)
@@ -382,10 +384,8 @@ def classify_events(fitted: FittedPipeline, test_events):
         sigmas = fitted.sigma_model.sigmas(np.maximum(members, 0))
         scores = generative.log_scores(
             scores, _gap_matrix(fitted.model, members, test_events), sigmas)
-    posteriors = generative.normalize_rows(scores, members, log_space)
-    return _argmax_members(scores, members).tolist(), [
-        {m: p for m, p in zip(row_members, row) if m >= 0}
-        for row_members, row in zip(members.tolist(), posteriors.tolist())]
+    return _argmax_members(scores, members).tolist(), Posteriors(
+        members, generative.normalize_rows(scores, members, log_space))
 
 
 def fit_and_classify(dataset: Dataset, pipeline: PipelineConfig):
@@ -468,7 +468,7 @@ def write_report(report: AttributionReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# per-event\n")
         fh.write("household\tmovie\ttimestamp\ttrue_user\tpredicted\n")
-        for ev, pred, _ in report.per_event:
+        for ev, pred in report.per_event:
             fh.write(f"{ev.household}\t{ev.movie}\t{ev.timestamp}\t"
                      f"{_fmt(ev.true_user)}\t{pred}\n")
         fh.write("# per-household\n")

@@ -16,7 +16,7 @@ import scipy.optimize
 
 from hhattrib import evaluate, factorize, generative, logistic, temporal
 from hhattrib.cli import main
-from hhattrib.corpus import SynthConfig, cv_split, synth_generate
+from hhattrib.corpus import Household, SynthConfig, TestEvent, cv_split, synth_generate
 
 from conftest import as_columns, event
 from test_factorize import naive_cost
@@ -254,6 +254,18 @@ def test_criterion_09_l1_logistic():
           "objective oracle within 1e-6, huge lambda returns exact zero")
 
 
+def report_auc(scores, flags):
+    """Member 0's AUC in the report of one two-member household whose events
+    give member 0 posterior ``scores`` and are member 0's where ``flags``."""
+    events = [TestEvent(0, k, 50.0, 0, 0 if f else 1) for k, f in enumerate(flags)]
+    scores = np.asarray(scores, dtype=np.float64)
+    posteriors = evaluate.Posteriors(np.tile([0, 1], (len(events), 1)),
+                                     np.column_stack([scores, 1.0 - scores]))
+    report = evaluate.build_report(events, [0] * len(events),
+                                   {0: Household(0, (0, 1))}, posteriors)
+    return report.auc_per.get((0, 0))
+
+
 def test_criterion_10_auc_pair_counting():
     rng = np.random.default_rng(1000)
     for _ in range(200):
@@ -268,9 +280,9 @@ def test_criterion_10_auc_pair_counting():
         if positives and negatives:
             inversions = sum(sn > sp for sn in negatives for sp in positives)
             expected = 1.0 - inversions / (len(positives) * len(negatives))
-        assert evaluate.auc_from_scores(scores, flags) == expected
-    assert evaluate.auc_from_scores([0.9, 0.7, 0.2], [True, True, False]) == 1.0
-    assert evaluate.auc_from_scores([0.2, 0.7, 0.9], [True, True, False]) == 0.0
+        assert report_auc(scores, flags) == expected
+    assert report_auc([0.9, 0.7, 0.2], [True, True, False]) == 1.0
+    assert report_auc([0.2, 0.7, 0.9], [True, True, False]) == 0.0
     print("[criterion 10] PASS auc equals brute-force pair counting on 200 "
           "instances; perfect=1, inverted=0")
 

@@ -548,3 +548,52 @@ def test_negative_id_or_timestamp_names_file_and_line(workspace, capsys, name, f
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("classifier", [["unified", "--features", "ab"], ["prior-day"]])
+def test_empty_households_file_is_usage_error(tmp_path, capsys, classifier):
+    """A households file with no households names the file, for every family."""
+    train, households, test = (tmp_path / name
+                               for name in ("train.tsv", "households.tsv", "test.tsv"))
+    train.write_text("0\t1\t50\t1262520000\n1\t2\t60\t1262530000\n")
+    households.write_text("")
+    test.write_text("")
+    out = tmp_path / "out.tsv"
+    code = main(["classify", "--train", str(train), "--households", str(households),
+                 "--test", str(test), "--classifier", *classifier, "--out", str(out)])
+    assert code == 2
+    assert (capsys.readouterr().err
+            == f"error: {households}: no households, need at least one\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate", "roc"])
+def test_true_user_outside_household_names_file_and_line(workspace, capsys, command):
+    """A test line whose true user is not in its household is a usage error at
+    that line of the test file, in every command that reads a test file."""
+    data = workspace / "data"
+    path = data / "test.tsv"
+    if command == "classify":
+        argv = ["classify", *data_args(workspace), "--classifier", "prior-day",
+                "--bins", "4"]
+    elif command == "evaluate":
+        predictions = workspace / "preds.tsv"
+        assert main(["classify", *data_args(workspace), "--classifier", "prior-day",
+                     "--bins", "4", "--out", str(predictions)]) == 0
+        argv = ["evaluate", "--households", str(data / "households.tsv"),
+                "--test", str(path), "--predictions", str(predictions)]
+    else:
+        argv = ["roc", "--households", str(data / "households.tsv"), "--test", str(path),
+                "--classifier", "residual", "--model", str(fit_model(workspace))]
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    fields[4] = "999"   # in no household
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    out = workspace / "out.tsv"
+    code = main([*argv, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: true_user 999 not in household {fields[0]}\n")
+    assert not out.exists()

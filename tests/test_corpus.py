@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import gc
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -213,6 +214,13 @@ def test_parse_households_too_small(tmp_path):
         parse_households(path)
 
 
+def test_parse_households_empty_file(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text("\n\n")
+    with pytest.raises(StructureError, match=re.escape(f"{path}: no households")):
+        parse_households(path)
+
+
 def test_parse_households_duplicate(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("3 10 11\n3 12 13\n")
@@ -223,7 +231,7 @@ def test_parse_households_duplicate(tmp_path):
 def test_parse_test_events_optional_truth(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("1 5 60 900\n1 6 70 901 10\n")
-    events = parse_test_events(path)
+    events = parse_test_events(path, {1: Household(1, (10, 11))})
     assert events[0].true_user is None
     assert events[1].true_user == 10
 
@@ -243,6 +251,17 @@ def test_parse_ratings_checks_each_line(tmp_path, line, message):
     assert str(raised.value) == f"{path}:2: {message}"
 
 
+def test_parse_test_events_true_user_outside_household(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("0 1 60 900 10\n0 1 60 901 12\n7 1 60 902 12\n")
+    households = {0: Household(0, (10, 11))}
+    with pytest.raises(ValueError) as raised:
+        parse_test_events(path, households)
+    assert str(raised.value) == f"{path}:2: true_user 12 not in household 0"
+    path.write_text("0 1 60 900 10\n7 1 60 902 12\n")   # household 7 is checked later
+    assert [ev.true_user for ev in parse_test_events(path, households)] == [10, 12]
+
+
 @pytest.mark.parametrize("line, message", [
     ("0 0 50 -5 1", "negative timestamp -5"),
     ("-1 0 50 0", "negative household id -1"),
@@ -251,7 +270,7 @@ def test_parse_test_events_checks_each_line(tmp_path, line, message):
     path = tmp_path / "t.txt"
     path.write_text(f"0 1 60 900\n{line}\n")
     with pytest.raises(RangeError) as raised:
-        parse_test_events(path)
+        parse_test_events(path, {})
     assert str(raised.value) == f"{path}:2: {message}"
 
 
@@ -344,7 +363,7 @@ DELIMITERS = st.sampled_from(["\t", ",", " ", "  "])
 @given(st.dictionaries(st.integers(0, 10 ** 6),
                        st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=4,
                                 unique=True),
-                       max_size=20),
+                       min_size=1, max_size=20),
        DELIMITERS)
 @settings(max_examples=40, deadline=None)
 def test_round_trip_arbitrary_households(tmp_path_factory, members, sep):
@@ -367,7 +386,7 @@ def test_round_trip_arbitrary_households(tmp_path_factory, members, sep):
 @settings(max_examples=40, deadline=None)
 def test_round_trip_arbitrary_test_events(tmp_path_factory, rows, sep):
     text = "".join(sep.join(repr(f) for f in row if f is not None) + "\n" for row in rows)
-    parsed, again = _reparsed(parse_test_events, write_test_events,
+    parsed, again = _reparsed(lambda path: parse_test_events(path, {}), write_test_events,
                               tmp_path_factory.mktemp("rt"), text)
     assert parsed == [TestEvent(*row) for row in rows]
     assert again == parsed

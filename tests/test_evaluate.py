@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, derive_binning, make_dataset, synth_generate,
+    Binning, Household, SynthConfig, cv_split, derive_binning, make_dataset,
+    synth_generate,
 )
 from hhattrib.evaluate import (
-    CLASSIFIERS, PipelineConfig, RocPoint, _gap_matrix, _member_rows, aggregate,
-    auc_from_scores, auc_report, build_report, classify_events, fit_and_classify,
-    fit_pipeline, format_cv, random_baseline, roc_sweep, roc_sweep_posterior, run_cv,
-    summary_line, write_report,
+    CLASSIFIERS, AttributionReport, HouseholdScore, PipelineConfig, Posteriors, RocPoint,
+    _gap_matrix, _grouped_auc, aggregate, build_report, classify_events,
+    fit_and_classify, fit_pipeline, format_cv, member_rows, random_baseline, roc_sweep,
+    roc_sweep_posterior, run_cv, summary_line, write_report,
 )
 from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.generative import SCOPES
@@ -30,6 +31,13 @@ def events_with_truth(spec):
     """spec: list of (household, true_user); movies are enumerated."""
     return [anon_event(hid, idx, true_user=user, day=idx % 7)
             for idx, (hid, user) in enumerate(spec)]
+
+
+def as_posteriors(households, events, dicts):
+    """Per-event {member: probability} dicts as the library's Posteriors matrix."""
+    members = member_rows(households, events)[1]
+    values = [[post.get(m, 0.0) for m in row] for post, row in zip(dicts, members.tolist())]
+    return Posteriors(members, np.array(values, dtype=np.float64).reshape(members.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +120,29 @@ def naive_auc(scores, flags):
     return 1.0 - inversions / (len(positives) * len(negatives))
 
 
+def one_group_auc(scores, flags):
+    """`_grouped_auc` of one group: its AUC, or None without both classes."""
+    kept, values = _grouped_auc(np.zeros(len(scores), np.intp),
+                                np.asarray(scores, dtype=np.float64),
+                                np.asarray(flags, dtype=bool))
+    return values.tolist()[0] if len(kept) else None
+
+
 def test_auc_trivial_rankings():
-    assert auc_from_scores([0.9, 0.8, 0.1], [True, True, False]) == 1.0
-    assert auc_from_scores([0.1, 0.2, 0.9], [True, True, False]) == 0.0
-    assert auc_from_scores([0.9, 0.8, 0.3], [True, False, True]) == 0.5
-    assert auc_from_scores([0.5, 0.6], [True, True]) is None
+    assert one_group_auc([0.9, 0.8, 0.1], [True, True, False]) == 1.0
+    assert one_group_auc([0.1, 0.2, 0.9], [True, True, False]) == 0.0
+    assert one_group_auc([0.9, 0.8, 0.3], [True, False, True]) == 0.5
+    assert one_group_auc([0.5, 0.6], [True, True]) is None
 
 
-@given(st.lists(st.tuples(st.floats(0, 1, allow_nan=False), st.booleans()),
+@given(st.lists(st.tuples(st.floats(0, 1, allow_nan=False) | st.just(math.nan),
+                          st.booleans()),
                 min_size=2, max_size=50))
 @settings(max_examples=150)
 def test_auc_matches_brute_force(pairs):
     scores = [s for s, _ in pairs]
     flags = [f for _, f in pairs]
-    assert auc_from_scores(scores, flags) == naive_auc(scores, flags)
+    assert one_group_auc(scores, flags) == naive_auc(scores, flags)
 
 
 def test_auc_report_grouping():
@@ -134,7 +151,9 @@ def test_auc_report_grouping():
         {0: 0.9, 1: 0.1}, {0: 0.8, 1: 0.2}, {0: 0.3, 1: 0.7},
         {2: 0.6, 3: 0.2, 4: 0.2}, {2: 0.1, 3: 0.8, 4: 0.1},
     ]
-    mean, per = auc_report(events, posteriors, HOUSEHOLDS)
+    report = build_report(events, [0, 0, 1, 2, 3], HOUSEHOLDS,
+                          as_posteriors(HOUSEHOLDS, events, posteriors))
+    mean, per = report.auc_mean, report.auc_per
     assert per[(0, 0)] == 1.0 and per[(0, 1)] == 1.0
     assert per[(1, 2)] == 1.0 and per[(1, 3)] == 1.0
     assert (1, 4) not in per  # member 4 has no positive events
@@ -180,8 +199,9 @@ def test_roc_posterior_threshold_sweep():
     events = events_with_truth([(0, 0), (0, 0), (0, 1), (0, 1)])
     posteriors = [{0: 0.9, 1: 0.1}, {0: 0.6, 1: 0.4},
                   {0: 0.45, 1: 0.55}, {0: 0.2, 1: 0.8}]
-    points = roc_sweep_posterior(events, posteriors, {0: HOUSEHOLDS[0]},
-                                 [0.0, 0.5, 1.0])
+    households = {0: HOUSEHOLDS[0]}
+    points = roc_sweep_posterior(events, as_posteriors(households, events, posteriors),
+                                 households, [0.0, 0.5, 1.0])
     assert points[0].tpr_first == 1.0 and points[0].tpr_rest == 0.0
     assert points[1].tpr_first == 1.0 and points[1].tpr_rest == 1.0
     assert points[2].tpr_first == 0.0 and points[2].tpr_rest == 1.0
@@ -214,7 +234,7 @@ def reference_roc_points(parameters, decide_first, test_events, households):
 
 def reference_roc_sweep(model, households, test_events, alphas):
     test_events = tuple(test_events)
-    gaps = _gap_matrix(model, _member_rows(households, test_events)[1], test_events)
+    gaps = _gap_matrix(model, member_rows(households, test_events)[1], test_events)
     gaps_first, gaps_rest = gaps[:, 0], gaps[:, 1:].min(axis=1)
     return reference_roc_points(
         alphas, lambda alpha, idxs: alpha * gaps_first[idxs] < gaps_rest[idxs],
@@ -295,7 +315,9 @@ def test_roc_sweeps_match_reference(case):
     alphas = [4.0 * value for value in grid]
     assert_same_points(roc_sweep(model, households, events, alphas),
                        reference_roc_sweep(model, households, events, alphas))
-    assert_same_points(roc_sweep_posterior(events, posteriors, households, grid),
+    assert_same_points(roc_sweep_posterior(events, as_posteriors(households, events,
+                                                                 posteriors),
+                                           households, grid),
                        reference_roc_sweep_posterior(events, posteriors, households, grid))
 
 
@@ -319,10 +341,132 @@ def test_report_counts_reconcile():
     assert report.per_household[1].correct == 0
 
 
+def reference_auc_report(test_events, posteriors, households):
+    """Mean AUC over (member, household) pairs with both event classes, one
+    household and member at a time: the loop the sorted cells replaced."""
+    grouped = {}
+    for idx, ev in enumerate(test_events):
+        grouped.setdefault(ev.household, []).append(idx)
+    per = {}
+    for hid, indices in sorted(grouped.items()):
+        for member in households[hid].members:
+            value = naive_auc([posteriors[i][member] for i in indices],
+                              [test_events[i].true_user == member for i in indices])
+            if value is not None:
+                per[(hid, member)] = value
+    return (float(np.mean(list(per.values()))) if per else None), per
+
+
+def reference_build_report(test_events, predictions, households, posteriors=None):
+    """build_report one household and member at a time, from per-event dicts."""
+    grouped = {}
+    for idx, ev in enumerate(test_events):
+        grouped.setdefault(ev.household, []).append(idx)
+    scores = {}
+    for hid, idxs in sorted(grouped.items()):
+        hh = households[hid]
+        correct = sum(predictions[i] == test_events[i].true_user for i in idxs)
+        tpr = {}
+        for member in hh.members:
+            mine = [i for i in idxs if test_events[i].true_user == member]
+            tpr[member] = (sum(predictions[i] == member for i in mine) / len(mine)
+                           if mine else None)
+        scores[hid] = HouseholdScore(hid, hh.size, len(idxs), correct, tpr)
+    auc_mean, auc_per = (None, {})
+    if posteriors is not None:
+        auc_mean, auc_per = reference_auc_report(test_events, posteriors, households)
+    return AttributionReport(tuple(zip(test_events, predictions)), scores,
+                             aggregate(scores, households), auc_mean, auc_per)
+
+
+@st.composite
+def report_cases(draw):
+    """Households of 2-4 members in unsorted id order; events whose truth
+    leaves members without events, falls on one member only or on a
+    non-member; predictions, some of non-members; posteriors with exact ties
+    and uniform rows."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+    users = draw(st.permutations(range(sum(sizes))))
+    hids = draw(st.lists(st.integers(0, 60), min_size=len(sizes), max_size=len(sizes),
+                         unique=True))
+    households, start = {}, 0
+    for hid, size in zip(hids, sizes):
+        households[hid] = Household(hid, tuple(users[start:start + size]))
+        start += size
+    outsider = len(users)   # in no household
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    events, predictions, posteriors = [], [], []
+    for hid in hids:
+        members = households[hid].members
+        truths = draw(st.sampled_from([members, members[:1], members[1:], members[:-1],
+                                       (*members, outsider), ()]))
+        for _ in range(draw(st.integers(0, 7)) if truths else 0):
+            true_user = draw(st.sampled_from(truths))
+            events.append(anon_event(hid, len(events), true_user=true_user))
+            predictions.append(draw(st.sampled_from((*members, outsider))))
+            weights = [draw(levels) for _ in members]
+            if draw(st.booleans()) or sum(weights) == 0.0:
+                weights = [1.0] * len(members)   # a uniform (degenerate) row
+            posteriors.append({m: w / sum(weights) for m, w in zip(members, weights)})
+    order = draw(st.permutations(range(len(events))))
+    return (households, [events[i] for i in order], [predictions[i] for i in order],
+            [posteriors[i] for i in order])
+
+
+@given(report_cases())
+@settings(max_examples=150, deadline=None)
+def test_build_report_matches_per_event_reference(case):
+    households, events, predictions, dicts = case
+    if not events:
+        with pytest.raises(ValueError, match="no households with test events"):
+            build_report(events, predictions, households)
+        return
+    posteriors = as_posteriors(households, events, dicts)
+    for got, want in ((build_report(events, predictions, households),
+                       reference_build_report(events, predictions, households)),
+                      (build_report(events, predictions, households, posteriors),
+                       reference_build_report(events, predictions, households, dicts))):
+        assert list(got.per_household.items()) == list(want.per_household.items())
+        assert got.aggregate == want.aggregate
+        assert list(got.auc_per.items()) == list(want.auc_per.items())
+        assert got.auc_mean == want.auc_mean
+        assert got.per_event == want.per_event
+
+
+def test_posterior_dicts_match_matrix_for_every_family():
+    """posteriors[i] is the {member: probability} dict of event i's matrix row,
+    in file order, for every posterior family on a criterion-8 split."""
+    dataset = synth_generate(SynthConfig(
+        households_size2=44, households_size3=4, households_size4=2,
+        events_per_user=200, overlap=0.1, rank=3, noise_sigma=10.0, seed=20))
+    split = cv_split(dataset, 0.04, seed=101)
+    model = None
+    for name in CLASSIFIERS:
+        pipeline = PipelineConfig(
+            name, factor_params=FactorParams(rank=4, bin_count=1, iterations=12, seed=7),
+            features=FeatureConfig(rating=False, lambda1=0.1))
+        fitted = fit_pipeline(split, pipeline, model=model)
+        model = model or fitted.model
+        predictions, posteriors = classify_events(fitted, split.test)
+        if name == "residual":
+            assert posteriors is None
+            continue
+        assert len(posteriors) == len(split.test) == len(predictions)
+        for i, (ev, post) in enumerate(zip(split.test, posteriors, strict=True)):
+            members = split.households[ev.household].members
+            row = posteriors.values[i]
+            assert list(post) == list(members)
+            assert post == dict(zip(members, row[:len(members)].tolist()))
+            assert all(type(p) is float for p in post.values())
+            assert not row[len(members):].any()
+            assert posteriors[i] == post
+
+
 def test_write_report_and_summary(tmp_path):
     events = events_with_truth([(0, 0), (0, 1), (1, 2)])
     posteriors = [{0: 0.7, 1: 0.3}, {0: 0.4, 1: 0.6}, {2: 0.5, 3: 0.3, 4: 0.2}]
-    report = build_report(events, [0, 1, 2], HOUSEHOLDS, posteriors=posteriors,
+    report = build_report(events, [0, 1, 2], HOUSEHOLDS,
+                          posteriors=as_posteriors(HOUSEHOLDS, events, posteriors),
                           annotations={"reference_P": 0.0406})
     line = summary_line(report)
     assert line.startswith("P=0.0 ") and "events=3" in line
@@ -365,7 +509,6 @@ def test_run_cv_identical_seeds_zero_std(cv_dataset):
 def test_fit_and_classify_families(cv_dataset):
     params = FactorParams(rank=2, bin_count=4, iterations=4, seed=2)
     features = FeatureConfig(rating=False, lambda1=0.2)
-    from hhattrib.corpus import cv_split
     split = cv_split(cv_dataset, 0.08, seed=3)
     for name in ("residual", "prior-uniform", "prior-bin", "prior-day",
                  "gen-uniform", "gen-bin", "gen-day", "unified"):
