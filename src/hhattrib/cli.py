@@ -15,8 +15,8 @@ import numpy as np
 
 from . import evaluate, factorize, generative, logistic, temporal
 from .corpus import (
-    ConfigError, ParseError, load_dataset, parse_households, parse_ratings,
-    parse_test_events, read_synth_config, synth_generate, write_dataset,
+    ConfigError, ParseError, household_index, load_dataset, parse_households,
+    parse_ratings, parse_test_events, read_synth_config, synth_generate, write_dataset,
 )
 
 USAGE_ERRORS = (ConfigError, ParseError, FileNotFoundError, ValueError)
@@ -91,22 +91,28 @@ def _pipeline_from_args(args, alpha: float = 1.0) -> evaluate.PipelineConfig:
     )
 
 
-def _write_predictions(test_events, predictions, path) -> None:
+def _write_predictions(test, predictions, path) -> None:
+    rows = zip(test.household.tolist(), test.movie.tolist(), test.stamp.tolist(),
+               predictions.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("household\tmovie\ttimestamp\tpredicted\n")
-        for ev, pred in zip(test_events, predictions):
-            fh.write(f"{ev.household}\t{ev.movie}\t{ev.timestamp}\t{pred}\n")
+        fh.writelines(f"{household}\t{movie}\t{stamp}\t{pred}\n"
+                      for household, movie, stamp, pred in rows)
 
 
-def _write_posteriors(test_events, posteriors, path) -> None:
+def _write_posteriors(test, posteriors, path) -> None:
+    """One row per (event, member), events in order and members by id."""
+    order = np.argsort(posteriors.members, axis=1, kind="stable")
+    members = np.take_along_axis(posteriors.members, order, axis=1)
+    real = members >= 0
+    events = np.nonzero(real)[0]
+    rows = zip(test.household[events].tolist(), test.movie[events].tolist(),
+               test.stamp[events].tolist(), members[real].tolist(),
+               np.take_along_axis(posteriors.values, order, axis=1)[real].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("household\tmovie\ttimestamp\tmember\tposterior\n")
-        for ev, members, values in zip(test_events, posteriors.members.tolist(),
-                                       posteriors.values.tolist()):
-            for member, value in sorted(zip(members, values)):
-                if member >= 0:
-                    fh.write(f"{ev.household}\t{ev.movie}\t{ev.timestamp}\t"
-                             f"{member}\t{value!r}\n")
+        fh.writelines(f"{household}\t{movie}\t{stamp}\t{member}\t{value!r}\n"
+                      for household, movie, stamp, member, value in rows)
 
 
 def _load_factor_model(args, pipeline, required: bool = True):
@@ -173,45 +179,89 @@ def _read_rows(path, width: int, convert, comments=False):
     return rows
 
 
-def _read_predictions(path, test_events):
+def _int64_table(rows, width: int, path) -> np.ndarray:
+    """Integer dump fields as an int64 table; a value int64 cannot hold is a
+    usage error naming the file."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError:
+        raise ConfigError(f"{path}: an integer outside the int64 range") from None
+
+
+def _test_keys(test):
+    """(household, movie, timestamp) of each test event, one row per event."""
+    return np.column_stack([test.household, test.movie, test.stamp])
+
+
+def _read_predictions(path, test):
     rows = _read_rows(path, 4, lambda fields: tuple(map(int, fields)), comments=True)
-    if len(rows) != len(test_events):
-        raise ConfigError(
-            f"{path}: {len(rows)} predictions for {len(test_events)} test events")
-    for (hid, movie, stamp, _), ev in zip(rows, test_events):
-        if (hid, movie, stamp) != (ev.household, ev.movie, ev.timestamp):
-            raise ConfigError(f"{path}: prediction row does not match test file order")
-    return [row[3] for row in rows]
+    if len(rows) != len(test):
+        raise ConfigError(f"{path}: {len(rows)} predictions for {len(test)} test events")
+    table = _int64_table(rows, 4, path)
+    if not np.array_equal(table[:, :3], _test_keys(test)):
+        raise ConfigError(f"{path}: prediction row does not match test file order")
+    return table[:, 3]
 
 
-def _read_posteriors(path, test_events, households) -> evaluate.Posteriors:
+def _groups(keys):
+    """For each row of ``keys``: the index of the first row equal to it, and
+    how many equal rows come before it."""
+    n = len(keys)
+    order = np.lexsort(keys.T)   # stable: equal rows stay in row order
+    ranked = keys[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    head = np.maximum.accumulate(np.where(starts, np.arange(n), 0))   # group start
+    first, before = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    first[order], before[order] = order[head], np.arange(n) - head
+    return first, before
+
+
+def _read_posteriors(path, test, households) -> evaluate.Posteriors:
     """Load a posterior dump into a `Posteriors` matrix; each event must
-    carry exactly its household's members."""
-    posteriors = [dict() for _ in test_events]
-    keys = {(ev.household, ev.movie, ev.timestamp): idx
-            for idx, ev in enumerate(test_events)}
+    carry exactly its household's members.
+
+    Rows match events in occurrence order: the j-th row for a (household,
+    movie, timestamp) key and member belongs to the j-th test event with
+    that key, so repeated test lines each keep their own rows.
+    """
     rows = _read_rows(path, 5, lambda fields: (*map(int, fields[:4]), float(fields[4])))
-    for hid, movie, stamp, member, value in rows:
-        idx = keys.get((hid, movie, stamp))
-        if idx is None:
-            raise ConfigError(f"{path}: posterior row matches no test event")
-        posteriors[idx][member] = value
-    members = evaluate.member_rows(households, test_events)[1]
-    for ev, post, row in zip(test_events, posteriors, members.tolist()):
-        if set(post) != set(row) - {-1}:
-            raise ConfigError(
-                f"{path}: test event (household {ev.household}, movie {ev.movie}, "
-                f"timestamp {ev.timestamp}) has posteriors for members {sorted(post)}, "
-                f"not {sorted(households[ev.household].members)}")
-    values = [[post.get(m, 0.0) for m in row] for post, row in zip(posteriors, members.tolist())]
-    return evaluate.Posteriors(members, np.array(values, np.float64).reshape(members.shape))
+    table = _int64_table([row[:4] for row in rows], 4, path)
+    posterior = np.array([row[4] for row in rows], dtype=np.float64)
+    keys = _test_keys(test)
+    # each event's key and occurrence, then each row's (its key and member
+    # counted together); a row's event is the first, and only, event equal
+    # to it on both
+    tagged = np.vstack([np.column_stack([keys, _groups(keys)[1]]),
+                        np.column_stack([table[:, :3], _groups(table)[1]])])
+    event_of = _groups(tagged)[0][len(test):]
+    if (event_of >= len(test)).any():
+        raise ConfigError(f"{path}: posterior row matches no test event")
+    members = evaluate.member_rows(households, test)[1]
+    slot = members[event_of] == table[:, 3:]   # the row's member among the event's
+    member = slot.any(axis=1)
+    values = np.zeros(members.shape)
+    values[event_of[member], slot[member].argmax(axis=1)] = posterior[member]
+    counts = np.bincount(event_of, minlength=len(test))
+    filled = np.bincount(event_of[member], minlength=len(test))
+    bad = (counts != filled) | (filled != (members >= 0).sum(axis=1))
+    if bad.any():
+        first = bad.argmax()
+        hid = int(test.household[first])
+        got = sorted(table[event_of == first, 3].tolist())
+        raise ConfigError(
+            f"{path}: test event (household {hid}, movie {int(test.movie[first])}, "
+            f"timestamp {int(test.stamp[first])}) has posteriors for members {got}, "
+            f"not {sorted(households[hid].members)}")
+    return evaluate.Posteriors(members, values)
 
 
-def _check_households(test_events, households, path) -> None:
+def _check_households(test, households, path) -> None:
     """A usage error naming ``path`` if a test event's household is not in it."""
-    for ev in test_events:
-        if ev.household not in households:
-            raise ConfigError(f"{path}: no household {ev.household}, which has test events")
+    missing = household_index(households, test.household) < 0
+    if missing.any():
+        raise ConfigError(f"{path}: no household {int(test.household[missing.argmax()])}, "
+                          f"which has test events")
 
 
 def cmd_evaluate(args) -> int:

@@ -13,13 +13,15 @@ across threads.
 Rating events exist only as `EventColumns`: user, movie, rating and stamp
 arrays in event order. Parsing builds them, every function that reads a
 train takes them, a Dataset keeps its train in this form, and a split
-slices its parent's columns once.
+slices its parent's columns once. Test events likewise exist only as
+`TestColumns`; iterating them yields `TestEvent` records, for callers
+outside the library.
 """
 
 import copy
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +93,31 @@ class TestEvent:
             raise RangeError(f"bad timestamp {self.timestamp}")
 
 
-def event_column(events, name: str, dtype) -> np.ndarray:
-    """Field ``name`` of every test event as one array, in event order."""
-    return np.fromiter(map(attrgetter(name), events), dtype, len(events))
+@dataclass(frozen=True, eq=False)
+class TestColumns:
+    """Test events as arrays, one entry per event, in file order: the only
+    form of test events inside the library. ``true_user`` is -1 where the
+    event has none.
+
+    Iteration yields `TestEvent` records, for callers outside the library;
+    no library function iterates test events.
+    """
+
+    __test__ = False  # domain class, not a pytest suite
+
+    household: np.ndarray  # intp
+    movie: np.ndarray      # intp
+    rating: np.ndarray     # float64
+    stamp: np.ndarray      # int64
+    true_user: np.ndarray  # intp, -1 for none
+
+    def __len__(self) -> int:
+        return len(self.household)
+
+    def __iter__(self):
+        truths = [None if user < 0 else user for user in self.true_user.tolist()]
+        return map(TestEvent, self.household.tolist(), self.movie.tolist(),
+                   self.rating.tolist(), self.stamp.tolist(), truths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,23 +177,43 @@ def member_table(households: dict[int, Household]) -> np.ndarray:
     return table
 
 
+def household_index(households: dict[int, Household], ids) -> np.ndarray:
+    """Each household id's row in map order; -1 for an id the map lacks."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if not households:
+        return np.full(len(ids), -1, dtype=np.intp)
+    keys = np.fromiter(households, np.int64, len(households))
+    order = np.argsort(keys)
+    rows = order[np.minimum(np.searchsorted(keys, ids, sorter=order), len(keys) - 1)]
+    return np.where(keys[rows] == ids, rows, -1)
+
+
+def _outside_household(households, rows, truths) -> np.ndarray:
+    """Whether each event's true user (-1: none) is missing from its household,
+    the one at map row ``rows``; an unknown household (-1) is not checked."""
+    check = (rows >= 0) & (truths >= 0)
+    outside = np.zeros(len(rows), dtype=bool)
+    outside[check] = ~(member_table(households)[rows[check]]
+                       == truths[check, None]).any(axis=1)
+    return outside
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Training events, households, test events and ``member_of`` (member ->
     household).
 
-    The train is ``EventColumns``; a split keeps its own slice of its
-    parent's.
+    The train is ``EventColumns`` and the test ``TestColumns``; a split keeps
+    its own slice of its parent's train.
     """
 
     train: EventColumns
     households: dict[int, Household]
-    test: tuple[TestEvent, ...]
+    test: TestColumns
     user_count: int
     movie_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "test", tuple(self.test))
         users, movies = self.train.user, self.train.movie
         # keys span the largest movie: one beyond movie_count is not a repeat
         key = users * max(self.movie_count, int(movies.max(initial=-1)) + 1) + movies
@@ -192,11 +236,15 @@ class Dataset:
                     raise DuplicateError(f"user {member} in two households")
                 owner[member] = hid
         object.__setattr__(self, "member_of", owner)
-        for ev in self.test:
-            if ev.household not in self.households:
-                raise ValueError(f"test event for unknown household {ev.household}")
-            if ev.true_user is not None and owner.get(ev.true_user) != ev.household:
-                raise ValueError(f"true_user {ev.true_user} not in household {ev.household}")
+        rows = household_index(self.households, self.test.household)
+        bad = (rows < 0) | _outside_household(self.households, rows, self.test.true_user)
+        if bad.any():   # the first bad event in file order
+            first = bad.argmax()
+            hid = int(self.test.household[first])
+            if rows[first] < 0:
+                raise ValueError(f"test event for unknown household {hid}")
+            raise ValueError(f"true_user {int(self.test.true_user[first])} "
+                             f"not in household {hid}")
 
     def household_rows(self) -> np.ndarray:
         """Each train event's household as its row in map order; -1 for the
@@ -270,8 +318,9 @@ def bin_column(stamps, binning: Binning) -> np.ndarray:
 # File ingestion
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 16   # parse_ratings reads about this many characters at a time
+_CHUNK = 1 << 16   # the chunked parsers read about this many characters at a time
 _DTYPES = (np.intp, np.intp, np.float64, np.int64)   # of the EventColumns fields
+_TEST_DTYPES = (*_DTYPES, np.intp)                    # of the TestColumns fields
 
 
 def _fields(line: str) -> list[str]:
@@ -326,37 +375,45 @@ def _event_fields(fields, path, line_no, id_name: str) -> tuple:
 def parse_ratings(path) -> EventColumns:
     """Read a 4-column ratings file into columns, in file order.
 
-    The file is read in chunks of lines. A chunk's lines, split at newlines
-    only as file iteration splits them, must have 4 fields or none; each
-    column is converted by the same ``int`` and ``float`` as the per-line
-    parser, then range-checked as an array. If anything fails, the file is
+    The file is read by `_parse_chunks`. If anything fails, the file is
     parsed again line by line, which raises the error with its line number.
     """
     try:
-        return _parse_ratings_chunks(path)
+        return EventColumns(*_parse_chunks(path, _DTYPES))
     except (ValueError, OverflowError):
         pass
     return _parse_ratings_lines(path)
 
 
-def _parse_ratings_chunks(path) -> EventColumns:
+def _parse_chunks(path, dtypes) -> list[np.ndarray]:
+    """The columns of a file of ``len(dtypes)`` fields a line, in file order.
+
+    The file is read in chunks of lines. A chunk's lines, split at newlines
+    only as file iteration splits them, must have that many fields or none;
+    each column is converted by the same ``int`` and ``float`` as the
+    per-line parsers, then range-checked as an array: every integer >= 0,
+    the rating (field 2 of both files) in [0, 100]. Any failure raises a
+    bare ValueError or OverflowError; the caller's per-line parser locates
+    it.
+    """
+    width = len(dtypes)
     # per column, an empty array of its dtype, then one array per chunk
-    parts = [[np.empty(0, dtype)] for dtype in _DTYPES]
+    parts = [[np.empty(0, dtype)] for dtype in dtypes]
     with open(path, "r", encoding="utf-8") as fh:
         while lines := fh.readlines(_CHUNK):
             text = "".join(lines).replace("\t", " ").replace(",", " ")
-            if not set(map(len, map(str.split, text.split("\n")))) <= {0, 4}:
-                raise ValueError("a line without 4 fields")
+            if not set(map(len, map(str.split, text.split("\n")))) <= {0, width}:
+                raise ValueError(f"a line without {width} fields")
             tokens = text.split()
             for k, part in enumerate(parts):
-                part.append(np.fromiter(map(float if k == 2 else int, tokens[k::4]),
-                                        part[0].dtype, len(tokens) // 4))
+                part.append(np.fromiter(map(float if k == 2 else int, tokens[k::width]),
+                                        part[0].dtype, len(tokens) // width))
     for part in parts:   # one column at a time, freeing its chunks
         part[:] = [np.concatenate(part)]
-    columns = EventColumns(*(part[0] for part in parts))
-    if (min(columns.user.min(initial=0), columns.movie.min(initial=0),
-            columns.stamp.min(initial=0)) < 0
-            or not ((columns.rating >= 0.0) & (columns.rating <= 100.0)).all()):
+    columns = [part[0] for part in parts]
+    rating = columns[2]
+    if (min(column.min(initial=0) for column in columns) < 0
+            or not ((rating >= 0.0) & (rating <= 100.0)).all()):
         raise ValueError("a value out of range")
     return columns
 
@@ -395,15 +452,45 @@ def parse_households(path) -> dict[int, Household]:
     return out
 
 
-def parse_test_events(path, households) -> list[TestEvent]:
+def parse_test_events(path, households) -> TestColumns:
     """Read a 4- or 5-column test file (5th column = true user, optional); a
-    true user outside the line's household is a located error."""
-    events = []
+    true user outside the line's household is a located error.
+
+    A file whose lines all have the width of its first line is read by
+    `_parse_chunks`, and its true users checked against their households as
+    arrays. A file that mixes widths, or has any bad line, is parsed again
+    line by line, which raises the error with its line number.
+    """
+    try:
+        return _parse_test_chunks(path, households)
+    except (ValueError, OverflowError):
+        pass
+    return _parse_test_lines(path, households)
+
+
+def _parse_test_chunks(path, households) -> TestColumns:
+    with open(path, "r", encoding="utf-8") as fh:
+        width = next((len(fields) for fields in map(_fields, fh) if fields), 4)
+    if width not in (4, 5):
+        raise ValueError(f"a line with {width} fields")
+    columns = _parse_chunks(path, _TEST_DTYPES[:width])
+    if width == 4:
+        columns.append(np.full(len(columns[0]), -1, dtype=np.intp))
+    test = TestColumns(*columns)
+    rows = household_index(households, test.household)
+    if _outside_household(households, rows, test.true_user).any():
+        raise ValueError("a true user outside its household")
+    return test
+
+
+def _parse_test_lines(path, households) -> TestColumns:
+    # one line at a time: the error path of parse_test_events
+    rows = []
     for line_no, fields in _lines(path):
         if len(fields) not in (4, 5):
             raise ParseError(path, line_no, f"expected 4-5 fields, got {len(fields)}")
         values = _event_fields(fields, path, line_no, "household id")
-        truth = None
+        truth = -1
         if len(fields) == 5:
             truth = _parse_int(fields[4], path, line_no, "true user id")
             if truth < 0:
@@ -412,8 +499,9 @@ def parse_test_events(path, households) -> list[TestEvent]:
             if hh is not None and truth not in hh.members:
                 raise _LocatedError(f"true_user {truth} not in household {hh.id}",
                                     path, line_no)
-        events.append(TestEvent(*values, truth))
-    return events
+        rows.append((*values, truth))
+    return TestColumns(*(np.fromiter(map(itemgetter(k), rows), dtype, len(rows))
+                         for k, dtype in enumerate(_TEST_DTYPES)))
 
 
 def _format_rating(rating: float) -> str:
@@ -437,33 +525,39 @@ def write_households(households: dict[int, Household], path) -> None:
             fh.write(f"{hid}\t{members}\n")
 
 
-def write_test_events(events, path) -> None:
+def write_test_events(test: TestColumns, path) -> None:
+    """Write test columns, one line per event in order; the true user only
+    where there is one."""
+    truths = ("" if user < 0 else f"\t{user}" for user in test.true_user.tolist())
+    rows = zip(test.household.tolist(), test.movie.tolist(),
+               map(_format_rating, test.rating.tolist()), test.stamp.tolist(), truths)
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            line = f"{ev.household}\t{ev.movie}\t{_format_rating(ev.rating)}\t{ev.timestamp}"
-            if ev.true_user is not None:
-                line += f"\t{ev.true_user}"
-            fh.write(line + "\n")
+        fh.writelines(f"{household}\t{movie}\t{rating}\t{stamp}{truth}\n"
+                      for household, movie, rating, stamp, truth in rows)
 
 
-def make_dataset(columns: EventColumns, households, test=()) -> Dataset:
-    """Assemble a Dataset, deriving user/movie counts from the data."""
-    test = tuple(test)
+def make_dataset(columns: EventColumns, households,
+                 test: TestColumns | None = None) -> Dataset:
+    """Assemble a Dataset, deriving user/movie counts from the data; no test
+    events if ``test`` is None."""
+    if test is None:
+        test = TestColumns(*(np.empty(0, dtype) for dtype in _TEST_DTYPES))
     members = [m for hh in households.values() for m in hh.members]
-    truths = [ev.true_user for ev in test if ev.true_user is not None]
     return Dataset(
         train=columns,
         households=dict(households),
         test=test,
-        user_count=max([int(columns.user.max(initial=-1)), *members, *truths]) + 1,
-        movie_count=max([int(columns.movie.max(initial=-1)), *(ev.movie for ev in test)]) + 1,
+        user_count=max([int(columns.user.max(initial=-1)), *members,
+                        int(test.true_user.max(initial=-1))]) + 1,
+        movie_count=max(int(columns.movie.max(initial=-1)),
+                        int(test.movie.max(initial=-1))) + 1,
     )
 
 
 def load_dataset(train_path, households_path, test_path=None) -> Dataset:
     train = parse_ratings(train_path)
     households = parse_households(households_path)
-    test = parse_test_events(test_path, households) if test_path is not None else []
+    test = parse_test_events(test_path, households) if test_path is not None else None
     return make_dataset(train, households, test)
 
 
@@ -494,12 +588,12 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
 
     The k member events take one ``rng.random(k)`` draw in train order and
     other events none: one ``rng.random()`` per member event, as the
-    per-event loop drew. The hidden events are built from the dataset's
-    columns, and the split's train is the kept rows of those columns.
+    per-event loop drew. The hidden test columns are the moved rows of the
+    dataset's columns, and the split's train is the kept rows.
 
     The split is not validated again: its train is a subset of a validated
-    train, and each hidden event is built from a validated event whose owner
-    is a member of the household.
+    train, and each hidden event is a validated event whose owner is a
+    member of the household.
     """
     if not dataset.households:
         raise ValueError("cv_split needs a dataset with households")
@@ -511,10 +605,10 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     hide[hide] = rng.random(int(hide.sum())) < fraction
     hids = np.fromiter(dataset.households, np.intp, len(dataset.households))
     moved = dataset.train[hide]
-    hidden = map(TestEvent, hids[rows[hide]].tolist(), moved.movie.tolist(),
-                 moved.rating.tolist(), moved.stamp.tolist(), moved.user.tolist())
+    hidden = TestColumns(hids[rows[hide]], moved.movie, moved.rating, moved.stamp,
+                         moved.user)
     split = copy.copy(dataset)   # no __post_init__: not validated again
-    vars(split).update(train=dataset.train[~hide], test=tuple(hidden))
+    vars(split).update(train=dataset.train[~hide], test=hidden)
     return split
 
 
@@ -636,7 +730,7 @@ def synth_generate(config: SynthConfig, seed: int | None = None) -> Dataset:
     half = SYNTH_WEEKS // 2
 
     train = ([], [], [])   # per member, its first events_per_user movies, ratings, stamps
-    test: list[TestEvent] = []
+    test = ([], [], [], [], [])   # per member, its held-out events as TestColumns fields
     for user, hid, pos, home_day, home_hour in member_rows:
         p_day = _mixture(7, home_day, config.overlap)
         p_hour = _mixture(24, home_hour, config.overlap)
@@ -669,8 +763,10 @@ def synth_generate(config: SynthConfig, seed: int | None = None) -> Dataset:
         k = config.events_per_user
         for column, values in zip(train, (movies, ratings, stamps)):
             column.append(values[:k])
-        test.extend(map(TestEvent, [hid] * test_per_user, movies[k:].tolist(),
-                        ratings[k:].tolist(), stamps[k:].tolist(), [user] * test_per_user))
+        for column, values in zip(test, (np.full(test_per_user, hid), movies[k:],
+                                         ratings[k:], stamps[k:],
+                                         np.full(test_per_user, user))):
+            column.append(values)
 
     # member_rows runs over users 0 .. user_count - 1 in order
     users = np.repeat(np.arange(user_count, dtype=np.intp), config.events_per_user)
@@ -678,7 +774,8 @@ def synth_generate(config: SynthConfig, seed: int | None = None) -> Dataset:
     return Dataset(
         train=EventColumns(users, movies.astype(np.intp, copy=False), ratings, stamps),
         households=households,
-        test=tuple(test),
+        test=TestColumns(*(np.concatenate(column).astype(dtype, copy=False)
+                           for column, dtype in zip(test, _TEST_DTYPES))),
         user_count=user_count,
         movie_count=movie_count,
     )

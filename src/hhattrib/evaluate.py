@@ -19,7 +19,8 @@ import numpy as np
 
 from . import factorize, generative, logistic, temporal
 from .corpus import (
-    Binning, Dataset, Household, cv_split, derive_binning, event_column, member_table,
+    Binning, Dataset, Household, TestColumns, cv_split, derive_binning, household_index,
+    member_table,
 )
 
 CLASSIFIERS = (
@@ -73,9 +74,11 @@ class Posteriors:
 
 @dataclass(frozen=True, eq=False)
 class AttributionReport:
-    """``per_event`` holds (test event, predicted member) pairs in event order."""
+    """``test`` holds the scored test columns and ``predictions`` each event's
+    predicted member (an intp array), in event order."""
 
-    per_event: tuple
+    test: TestColumns
+    predictions: np.ndarray
     per_household: dict[int, HouseholdScore]
     aggregate: Aggregates
     auc_mean: float | None = None
@@ -133,23 +136,22 @@ def _grouped_auc(groups, scores, positive):
     return keep, 1.0 - inversions[keep] / (pos[keep] * neg[keep])
 
 
-def build_report(test_events, predictions, households, posteriors=None,
+def build_report(test: TestColumns, predictions, households, posteriors=None,
                  annotations=None) -> AttributionReport:
     """Per-household, per-member and aggregate attribution metrics: bincounts
     over (household in id order, member slot) cells, and the per-member AUCs
     from one sort of the cells of a `Posteriors` matrix."""
-    test_events, predictions = tuple(test_events), tuple(predictions)
-    if len(test_events) != len(predictions):
+    predictions = np.asarray(predictions, dtype=np.intp)
+    if len(test) != len(predictions):
         raise ValueError("one prediction per test event required")
-    truth = [ev.true_user for ev in test_events]
-    if None in truth:
+    if (test.true_user < 0).any():
         raise ValueError("evaluation requires events with ground truth")
-    members = member_rows(households, test_events)[1]
+    members = member_rows(households, test)[1]
     ids, width = sorted(households), members.shape[1]
-    keys = np.searchsorted(ids, event_column(test_events, "household", np.intp))
+    keys = np.searchsorted(ids, test.household)
     cells = keys[:, None] * width + np.arange(width)   # each slot's cell
-    correct = np.array([p == t for p, t in zip(predictions, truth)], dtype=bool)
-    is_truth = members == np.array(truth, dtype=np.intp)[:, None]
+    correct = predictions == test.true_user
+    is_truth = members == test.true_user[:, None]
     events = np.bincount(keys, minlength=len(ids)).tolist()
     hits = np.bincount(keys[correct], minlength=len(ids)).tolist()
     member_events, member_hits = (
@@ -171,7 +173,8 @@ def build_report(test_events, predictions, households, posteriors=None,
                    for g, value in zip(kept.tolist(), values.tolist())}
         auc_mean = float(np.mean(list(auc_per.values()))) if auc_per else None
     return AttributionReport(
-        per_event=tuple(zip(test_events, predictions)),
+        test=test,
+        predictions=predictions,
         per_household=scores,
         aggregate=aggregate(scores, households),
         auc_mean=auc_mean,
@@ -216,36 +219,34 @@ def _roc_points(parameters, decide_first, truth_first, rows) -> list[RocPoint]:
             for value, first, rest in zip(parameters, firsts, rests)]
 
 
-def _roc_truth(test_events, households):
-    """Each event's first-member truth, and its household's row in id order."""
-    firsts = {hid: hh.members[0] for hid, hh in households.items()}
-    truth = np.fromiter((ev.true_user == firsts[ev.household] for ev in test_events),
-                        bool, len(test_events))
-    ids = event_column(test_events, "household", np.intp)
-    return truth, np.unique(ids, return_inverse=True)[1]
+def _roc_truth(test: TestColumns, members):
+    """Each event's first-member truth, and its household's row in id order
+    among the households with events."""
+    truth = test.true_user == members[:, 0]
+    return truth, np.unique(test.household, return_inverse=True)[1]
 
 
-def roc_sweep(model, households, test_events, alphas) -> list[RocPoint]:
+def roc_sweep(model, households, test: TestColumns, alphas) -> list[RocPoint]:
     """ROC of the residual classifier: first member vs pooled others.
 
     At alpha = 0 the first member is always chosen (point (1, 0)); as
     alpha grows the first member is chosen less and less, approaching
     (0, 1).
     """
-    test_events = tuple(test_events)
-    gaps = _gap_matrix(model, member_rows(households, test_events)[1], test_events)
+    members = member_rows(households, test)[1]
+    gaps = _gap_matrix(model, members, test)
     alphas = np.asarray(alphas, dtype=np.float64)[:, None]
     decide_first = alphas * gaps[:, 0] < gaps[:, 1:].min(axis=1)
-    return _roc_points(alphas[:, 0], decide_first, *_roc_truth(test_events, households))
+    return _roc_points(alphas[:, 0], decide_first, *_roc_truth(test, members))
 
 
-def roc_sweep_posterior(test_events, posteriors, households,
+def roc_sweep_posterior(test: TestColumns, posteriors, households,
                         thresholds) -> list[RocPoint]:
     """ROC for probabilistic classifiers: first member (slot 0) iff posterior >= t."""
-    test_events = tuple(test_events)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     decide_first = posteriors.values[:, 0] >= thresholds[:, None]
-    return _roc_points(thresholds, decide_first, *_roc_truth(test_events, households))
+    return _roc_points(thresholds, decide_first,
+                       *_roc_truth(test, member_rows(households, test)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +320,23 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
                           sigma_model, logit_models)
 
 
-def member_rows(households, test_events):
+def member_rows(households, test: TestColumns):
     """Each event's household row in map order, and that household's members
-    in file order, padded with -1 to the largest household size."""
-    row_of = {hid: row for row, hid in enumerate(households)}
-    rows = np.fromiter((row_of[ev.household] for ev in test_events), np.intp,
-                       len(test_events))
+    in file order, padded with -1 to the largest household size. An event
+    whose household is not in the map is a ValueError naming the first."""
+    rows = household_index(households, test.household)
+    if (rows < 0).any():
+        raise ValueError(f"test event for unknown household "
+                         f"{int(test.household[(rows < 0).argmax()])}")
     return rows, member_table(households)[rows]
 
 
-def _gap_matrix(model, members, test_events) -> np.ndarray:
+def _gap_matrix(model, members, test: TestColumns) -> np.ndarray:
     """|rating - prediction| for each member slot of each event; inf where padded."""
     users = np.where(members >= 0, members, members[:, :1])
-    predictions = factorize.predict(
-        model, users, event_column(test_events, "movie", np.intp)[:, None],
-        event_column(test_events, "timestamp", np.int64)[:, None])
-    gaps = np.abs(event_column(test_events, "rating", np.float64)[:, None] - predictions)
+    predictions = factorize.predict(model, users, test.movie[:, None],
+                                    test.stamp[:, None])
+    gaps = np.abs(test.rating[:, None] - predictions)
     return np.where(members >= 0, gaps, np.inf)
 
 
@@ -347,11 +349,12 @@ def _argmax_members(scores, members) -> np.ndarray:
     return np.where(tied, members, np.iinfo(members.dtype).max).min(axis=1)
 
 
-def classify_events(fitted: FittedPipeline, test_events):
+def classify_events(fitted: FittedPipeline, test: TestColumns):
     """Attribute each test event to a household member.
 
-    Returns (predictions, posteriors): one predicted member per test
-    event, plus a `Posteriors` matrix (None for the residual classifier).
+    Returns (predictions, posteriors): an intp array of one predicted member
+    per test event, plus a `Posteriors` matrix (None for the residual
+    classifier).
     The family fills one score matrix for the whole split, one row per
     event and one column per member in `member_table` slot order; the
     prediction is the row argmax (smaller user id on exact ties), the
@@ -365,26 +368,25 @@ def classify_events(fitted: FittedPipeline, test_events):
     against the rest's.
     """
     name = fitted.config.classifier
-    test_events = tuple(test_events)
-    rows, members = member_rows(fitted.households, test_events)
+    rows, members = member_rows(fitted.households, test)
     if name == "residual":
-        gaps = _gap_matrix(fitted.model, members, test_events)
+        gaps = _gap_matrix(fitted.model, members, test)
         first = fitted.config.alpha * gaps[:, 0] < gaps[:, 1:].min(axis=1)
         rest = _argmax_members(-gaps[:, 1:], members[:, 1:])
-        return np.where(first, members[:, 0], rest).tolist(), None
-    stamps = event_column(test_events, "timestamp", np.int64)
+        return np.where(first, members[:, 0], rest), None
     if name == "unified":
         scores = logistic.member_probabilities(
-            fitted.logit_models, rows, stamps, event_column(test_events, "movie", np.intp),
-            event_column(test_events, "rating", np.float64), fitted.model, fitted.binning)
+            fitted.logit_models, rows, test.stamp, test.movie, test.rating, fitted.model,
+            fitted.binning)
     else:
-        scores = temporal.prior_matrix(fitted.priors, name.partition("-")[2], rows, stamps)
+        scores = temporal.prior_matrix(fitted.priors, name.partition("-")[2], rows,
+                                       test.stamp)
     log_space = name.startswith("gen-") and fitted.sigma_model.log_space
     if log_space:
         sigmas = fitted.sigma_model.sigmas(np.maximum(members, 0))
-        scores = generative.log_scores(
-            scores, _gap_matrix(fitted.model, members, test_events), sigmas)
-    return _argmax_members(scores, members).tolist(), Posteriors(
+        scores = generative.log_scores(scores, _gap_matrix(fitted.model, members, test),
+                                       sigmas)
+    return _argmax_members(scores, members), Posteriors(
         members, generative.normalize_rows(scores, members, log_space))
 
 
@@ -458,7 +460,7 @@ def summary_line(report: AttributionReport) -> str:
         f"P={_fmt(agg.overall)}", f"P2={_fmt(agg.size2)}",
         f"P3={_fmt(agg.size3)}", f"P4={_fmt(agg.size4)}",
         f"AUC={_fmt(report.auc_mean)}",
-        f"events={len(report.per_event)}",
+        f"events={len(report.predictions)}",
         f"households={len(report.per_household)}",
     ]
     return " ".join(parts)
@@ -468,9 +470,12 @@ def write_report(report: AttributionReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# per-event\n")
         fh.write("household\tmovie\ttimestamp\ttrue_user\tpredicted\n")
-        for ev, pred in report.per_event:
-            fh.write(f"{ev.household}\t{ev.movie}\t{ev.timestamp}\t"
-                     f"{_fmt(ev.true_user)}\t{pred}\n")
+        test = report.test
+        fh.writelines(f"{household}\t{movie}\t{stamp}\t{truth}\t{pred}\n"
+                      for household, movie, stamp, truth, pred in zip(
+                          test.household.tolist(), test.movie.tolist(),
+                          test.stamp.tolist(), test.true_user.tolist(),
+                          report.predictions.tolist()))
         fh.write("# per-household\n")
         fh.write("household\tsize\tevents\tcorrect\tmisclassification\n")
         for hid, score in sorted(report.per_household.items()):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hhattrib.corpus import (
-    EventColumns, Household, SynthConfig, TestEvent, make_dataset, synth_generate,
+    EventColumns, Household, SynthConfig, TestColumns, TestEvent, make_dataset,
+    synth_generate,
 )
 
 # Sunday 2010-01-03 00:00:00 UTC; day k of the synthetic week is DAY0 + k days.
@@ -28,6 +29,18 @@ def as_columns(events) -> EventColumns:
                           for name, dtype in (("user", np.intp), ("movie", np.intp),
                                               ("rating", np.float64),
                                               ("timestamp", np.int64))))
+
+
+def as_test_columns(events) -> TestColumns:
+    """TestEvent records as TestColumns, in order: the form the library reads.
+    A true user of None becomes -1."""
+    events = list(events)
+    fields = (("household", np.intp), ("movie", np.intp), ("rating", np.float64),
+              ("timestamp", np.int64))
+    return TestColumns(*(np.array([getattr(ev, name) for ev in events], dtype)
+                         for name, dtype in fields),
+                       np.array([-1 if ev.true_user is None else ev.true_user
+                                 for ev in events], np.intp))
 
 
 def event(user, movie, rating=50.0, day=0, hour=12, week=0):

@@ -18,7 +18,7 @@ from hhattrib import evaluate, factorize, generative, logistic, temporal
 from hhattrib.cli import main
 from hhattrib.corpus import Household, SynthConfig, TestEvent, cv_split, synth_generate
 
-from conftest import as_columns, event
+from conftest import as_columns, as_test_columns, event
 from test_factorize import naive_cost
 
 
@@ -144,7 +144,7 @@ def test_criterion_05_infinite_sigma_reduction():
                 evaluate.PipelineConfig(f"{family}-{mode}", epsilon=epsilon),
                 dataset.households, model.binning, model, priors, sigma),
                 dataset.test)[0] for family in ("gen", "prior"))
-            assert gen == prior
+            assert np.array_equal(gen, prior)
             checked += len(gen)
     print(f"[criterion 5] PASS sigma=inf decisions equal prior decisions on "
           f"{checked} event/mode/epsilon combinations")
@@ -257,7 +257,8 @@ def test_criterion_09_l1_logistic():
 def report_auc(scores, flags):
     """Member 0's AUC in the report of one two-member household whose events
     give member 0 posterior ``scores`` and are member 0's where ``flags``."""
-    events = [TestEvent(0, k, 50.0, 0, 0 if f else 1) for k, f in enumerate(flags)]
+    events = as_test_columns(TestEvent(0, k, 50.0, 0, 0 if f else 1)
+                             for k, f in enumerate(flags))
     scores = np.asarray(scores, dtype=np.float64)
     posteriors = evaluate.Posteriors(np.tile([0, 1], (len(events), 1)),
                                      np.column_stack([scores, 1.0 - scores]))

@@ -350,7 +350,7 @@ def test_classify_matches_library_pipeline(workspace, monkeypatch, classifier):
     predictions, posteriors = evaluate.classify_events(fitted, dataset.test)
 
     rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
-    assert [int(row[3]) for row in rows] == predictions
+    assert [int(row[3]) for row in rows] == predictions.tolist()
     expected = [(ev.household, member, value)
                 for ev, posterior in zip(dataset.test, posteriors)
                 for member, value in sorted(posterior.items())]
@@ -406,6 +406,37 @@ def test_classify_negative_alpha_is_usage_error(workspace):
                  "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_repeated_test_line_keeps_its_posteriors(tmp_path, capsys):
+    """Two test events with one (household, movie, timestamp) key each read
+    their own posterior rows back, in occurrence order."""
+    config = tmp_path / "synth.cfg"
+    config.write_text("households_size2 = 3\nhouseholds_size3 = 1\nhouseholds_size4 = 1\n"
+                      "events_per_user = 30\nseed = 4\n")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    test = data / "test.tsv"
+    test.write_text(test.read_text() + test.read_text().splitlines(keepends=True)[0])
+    preds, post = tmp_path / "p.tsv", tmp_path / "q.tsv"
+    assert main(["classify", "--train", str(data / "train.tsv"),
+                 "--households", str(data / "households.tsv"), "--test", str(test),
+                 "--classifier", "prior-day", "--bins", "4", "--out", str(preds),
+                 "--dump-posteriors", str(post)]) == 0
+    dataset = load_dataset(data / "train.tsv", data / "households.tsv", test)
+    fitted = evaluate.fit_pipeline(dataset, evaluate.PipelineConfig(
+        "prior-day", factor_params=factorize.FactorParams(bin_count=4)))
+    predictions, posteriors = evaluate.classify_events(fitted, dataset.test)
+    report = evaluate.build_report(dataset.test, predictions, dataset.households,
+                                   posteriors)
+    lines = post.read_text().splitlines()
+    for rows in (lines[1:], lines[:0:-1]):   # as written, then in reverse order
+        post.write_text("\n".join([lines[0], *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--households", str(data / "households.tsv"),
+                     "--test", str(test), "--predictions", str(preds),
+                     "--posteriors", str(post), "--out", str(tmp_path / "report.tsv")]) == 0
+        assert capsys.readouterr().out == evaluate.summary_line(report) + "\n"
 
 
 @pytest.mark.parametrize("damage", ["drop a member", "add a non-member"])
@@ -498,6 +529,26 @@ def test_evaluate_malformed_dump_row_names_file_and_line(workspace, capsys, dump
                  "--out", str(workspace / "report.tsv")])
     assert code == 2
     assert f"error: {path}:{row}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dump", ["predictions", "posteriors"])
+def test_dump_integer_beyond_int64_names_file(workspace, capsys, dump):
+    preds, post = workspace / "preds.tsv", workspace / "post.tsv"
+    assert main(["classify", *data_args(workspace), "--classifier", "gen-day",
+                 "--model", str(fit_model(workspace)), "--out", str(preds),
+                 "--dump-posteriors", str(post)]) == 0
+    path = preds if dump == "predictions" else post
+    lines = path.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[3] = "99999999999999999999"   # the predicted or posterior member
+    lines[1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--households", str(workspace / "data" / "households.tsv"),
+                 "--test", str(workspace / "data" / "test.tsv"),
+                 "--predictions", str(preds), "--posteriors", str(post),
+                 "--out", str(workspace / "report.tsv")])
+    assert code == 2
+    assert f"error: {path}: an integer outside the int64 range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, field", [("train.tsv", 3), ("train.tsv", 0),

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 from hhattrib import corpus, temporal
 from hhattrib.corpus import (
     Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, ParseError,
-    RangeError, StructureError, SynthConfig, TestEvent, _fields, _parse_float,
+    RangeError, StructureError, SynthConfig, TestColumns, TestEvent, _fields, _parse_float,
     _parse_int, bin_column, cv_split, derive_binning, load_dataset, make_dataset,
     parse_households, parse_ratings, parse_test_events, read_synth_config, synth_generate,
     weekday_column, write_dataset, write_households, write_ratings, write_test_events,
 )
 
-from conftest import DAY0, Rating, as_columns, bin_of, event, rating_events, weekday_of
+from conftest import (
+    DAY0, Rating, as_columns, as_test_columns, bin_of, event, rating_events, weekday_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -29,8 +31,10 @@ from conftest import DAY0, Rating, as_columns, bin_of, event, rating_events, wee
 # ---------------------------------------------------------------------------
 
 def assert_same_columns(got, want):
-    """Equal columns, dtypes and bits included (-0.0 is not 0.0)."""
-    for field in dataclasses.fields(EventColumns):
+    """Equal EventColumns or TestColumns, dtypes and bits included (-0.0 is
+    not 0.0)."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(got):
         ours, theirs = getattr(got, field.name), getattr(want, field.name)
         assert ours.dtype == theirs.dtype, field.name
         assert ours.tobytes() == theirs.tobytes(), field.name
@@ -232,8 +236,8 @@ def test_parse_test_events_optional_truth(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("1 5 60 900\n1 6 70 901 10\n")
     events = parse_test_events(path, {1: Household(1, (10, 11))})
-    assert events[0].true_user is None
-    assert events[1].true_user == 10
+    assert events.true_user.tolist() == [-1, 10]
+    assert [ev.true_user for ev in events] == [None, 10]
 
 
 @pytest.mark.parametrize("line, message", [
@@ -274,6 +278,79 @@ def test_parse_test_events_checks_each_line(tmp_path, line, message):
     assert str(raised.value) == f"{path}:2: {message}"
 
 
+TEST_HOUSEHOLDS = {0: Household(0, (10, 11)), 3: Household(3, (12, 13, 14))}
+# (field, bad tokens): each token makes a line fail whatever the file
+BAD_TOKENS = [(0, ["x", "1.5", "-1", str(2 ** 70)]), (1, ["x", "-2", str(2 ** 64)]),
+              (2, ["x", "101", "-0.5", "nan", "inf"]), (3, ["x", "2.5", "-4"])]
+
+
+@st.composite
+def event_files(draw):
+    """Text of a valid test file, one delimiter and one width (4 or 5 fields)
+    per file unless ``mixed``, with blank lines; optionally one corrupt line.
+    Returns (text, mixed, line number of the corrupt line or None)."""
+    sep = draw(st.sampled_from(["\t", ",", " "]))
+    width, mixed = draw(st.sampled_from([4, 5])), draw(st.integers(0, 4)) == 0
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        hid = draw(st.sampled_from([0, 3, 5]))   # household 5 is not in the map
+        fields = [str(hid), str(draw(st.integers(0, 10 ** 6))),
+                  draw(st.sampled_from(["0", "12", "50.5", "100", "7.25", "1e1"])),
+                  str(draw(st.integers(0, 2 ** 40)))]
+        if (draw(st.sampled_from([4, 5])) if mixed else width) == 5:
+            members = TEST_HOUSEHOLDS[hid].members if hid in TEST_HOUSEHOLDS else (99,)
+            fields.append(str(draw(st.sampled_from(members))))
+        lines.append(fields)
+    bad = None
+    if lines and draw(st.booleans()):
+        bad = draw(st.integers(0, len(lines) - 1))
+        fields = lines[bad]
+        kind = draw(st.sampled_from(["token", "count", "truth"]))
+        if kind == "token":
+            truth = [(4, ["x", "-3"])] if len(fields) == 5 else []
+            k, tokens = draw(st.sampled_from(BAD_TOKENS + truth))
+            fields[k] = draw(st.sampled_from(tokens))
+        elif kind == "count":
+            lines[bad] = fields[:3] if draw(st.booleans()) else [*fields[:4], "1", "2"]
+        else:   # a member of household 3 on a line of household 0
+            lines[bad] = ["0", *fields[1:4], "13"]
+    text, line_no, bad_line_no = "", 0, None
+    for k, fields in enumerate(lines):
+        while draw(st.integers(0, 5)) == 0:   # blank lines
+            text += draw(st.sampled_from(["\n", " \n"]))
+            line_no += 1
+        line_no += 1
+        bad_line_no = line_no if k == bad else bad_line_no
+        text += sep.join(fields) + draw(st.sampled_from(["\n", "\r\n"]))
+    return text, mixed, bad_line_no
+
+
+@given(event_files(), st.integers(1, 80))
+@example(("0\t1\t50\t9\t10\n3\t2\t50\t9\n", True, None), 1024)
+@example(("0,1,50,9,12\n", False, 1), 1024)
+@example(("5 1 50 9 99\n0 1 50 9 10\n", False, None), 4)
+@settings(max_examples=200, deadline=None)
+def test_parse_test_events_matches_per_line_parser(tmp_path_factory, case, chunk):
+    """The chunked test-file parse returns the per-line parser's columns, and
+    on a corrupt line raises the per-line error: class, message and line."""
+    text, mixed, bad_line_no = case
+    path = tmp_path_factory.mktemp("parse") / "t.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(lambda p: corpus._parse_test_lines(p, TEST_HOUSEHOLDS), path)
+    with mock.patch.object(corpus, "_CHUNK", chunk):
+        got = outcome(lambda p: parse_test_events(p, TEST_HOUSEHOLDS), path)
+        chunked = outcome(lambda p: corpus._parse_test_chunks(p, TEST_HOUSEHOLDS), path)
+    if bad_line_no is None:
+        assert isinstance(want, TestColumns), want
+        assert_same_columns(got, want)
+        if not mixed:   # a file that mixes widths is left to the per-line parser
+            assert_same_columns(chunked, want)
+    else:
+        assert want[2] == bad_line_no and str(path) in want[1]
+        assert got == want
+        assert not isinstance(chunked, TestColumns)
+
+
 def test_event_columns_are_not_iterable(small_dataset):
     with pytest.raises(TypeError):
         list(small_dataset.train)
@@ -296,7 +373,20 @@ def test_dataset_invariants():
                                                  1: Household(1, (1, 2))})
     with pytest.raises(ValueError):
         make_dataset(as_columns([event(0, 0)]), {0: Household(0, (0, 1))},
-                     [TestEvent(0, 0, 50.0, DAY0, true_user=9)])
+                     as_test_columns([TestEvent(0, 0, 50.0, DAY0, true_user=9)]))
+
+
+@pytest.mark.parametrize("test, message", [
+    ([(0, 0), (7, None), (0, 9)], "test event for unknown household 7"),
+    ([(0, 1), (0, 9), (7, None)], "true_user 9 not in household 0"),
+    ([(0, None), (7, 9), (0, 9)], "test event for unknown household 7"),
+])
+def test_dataset_names_first_bad_test_event(test, message):
+    events = as_test_columns(TestEvent(hid, k, 50.0, DAY0, truth)
+                             for k, (hid, truth) in enumerate(test))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(as_columns([event(0, 0)]), {0: Household(0, (0, 1))}, events,
+                user_count=10, movie_count=5)
 
 
 @pytest.mark.parametrize("train, error, message", [
@@ -331,7 +421,7 @@ def test_write_parse_round_trip(tmp_path, small_dataset):
     again = load_dataset(*paths)
     assert_same_columns(again.train, small_dataset.train)
     assert again.households == small_dataset.households
-    assert again.test == small_dataset.test
+    assert_same_columns(again.test, small_dataset.test)
 
 
 @given(st.lists(
@@ -388,8 +478,8 @@ def test_round_trip_arbitrary_test_events(tmp_path_factory, rows, sep):
     text = "".join(sep.join(repr(f) for f in row if f is not None) + "\n" for row in rows)
     parsed, again = _reparsed(lambda path: parse_test_events(path, {}), write_test_events,
                               tmp_path_factory.mktemp("rt"), text)
-    assert parsed == [TestEvent(*row) for row in rows]
-    assert again == parsed
+    assert list(parsed) == [TestEvent(*row) for row in rows]
+    assert_same_columns(again, parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +587,19 @@ def test_cv_split_deterministic(small_dataset):
     a = cv_split(small_dataset, 0.25, seed=9)
     b = cv_split(small_dataset, 0.25, seed=9)
     assert_same_columns(a.train, b.train)
-    assert a.test == b.test
+    assert_same_columns(a.test, b.test)
 
 
 def test_cv_split_true_user_kept(small_dataset):
     split = cv_split(small_dataset, 0.5, seed=1)
-    assert split.test
+    assert len(split.test)
     for ev in split.test:
         assert ev.true_user in split.households[ev.household].members
 
 
 def test_cv_split_degenerate_fraction(small_dataset):
     split = cv_split(small_dataset, 1e-12, seed=0)
-    assert split.test == ()
+    assert len(split.test) == 0
     assert_same_columns(split.train, small_dataset.train)
 
 
@@ -547,14 +637,36 @@ def test_cv_split_matches_per_event_draws(seed, fraction):
     split = cv_split(dataset, fraction, seed)
     keep, hidden = _reference_cv_split(dataset, fraction, seed)
     assert_same_columns(split.train, as_columns(keep))
-    assert split.test == tuple(hidden)
+    assert_same_columns(split.test, as_test_columns(hidden))
     assert (split.user_count, split.movie_count) == (dataset.user_count,
                                                      dataset.movie_count)
     nested = cv_split(split, 0.5, seed + 1)   # a split of a split
     keep, hidden = _reference_cv_split(split, 0.5, seed + 1)
     assert len(nested.train) < len(split.train)
     assert_same_columns(nested.train, as_columns(keep))
-    assert nested.test == tuple(hidden)
+    assert_same_columns(nested.test, as_test_columns(hidden))
+
+
+def _per_event_hidden(dataset, fraction, seed):
+    """cv_split's hidden events built one TestEvent at a time from the one
+    draw over the member events, as the per-event split built them."""
+    owner = dataset.member_of
+    member_events = [ev for ev in rating_events(dataset.train) if ev.user in owner]
+    draws = np.random.default_rng(seed).random(len(member_events))
+    return [TestEvent(owner[ev.user], ev.movie, ev.rating, ev.timestamp, ev.user)
+            for ev, draw in zip(member_events, draws) if draw < fraction]
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_cv_split_test_columns_match_per_event_construction(scale):
+    dataset = synth_generate(SynthConfig(
+        households_size2=44 * scale, households_size3=4 * scale,
+        households_size4=2 * scale, events_per_user=200, overlap=0.1, rank=3,
+        noise_sigma=10.0, seed=20))
+    for seed in (101, 102, 103):
+        split = cv_split(dataset, 0.04, seed)
+        hidden = _per_event_hidden(dataset, 0.04, seed)
+        assert_same_columns(split.test, as_test_columns(hidden))
 
 
 def test_cv_split_ignores_outsiders():
@@ -607,7 +719,7 @@ def test_synth_deterministic(tmp_path):
     a = synth_generate(config)
     b = synth_generate(config)
     assert_same_columns(a.train, b.train)
-    assert a.test == b.test
+    assert_same_columns(a.test, b.test)
     write_dataset(a, tmp_path / "a")
     write_dataset(b, tmp_path / "b")
     for name in ("train.tsv", "households.tsv", "test.tsv"):

@@ -21,7 +21,9 @@ from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.generative import SCOPES
 from hhattrib.logistic import FeatureConfig, feature_matrix
 
-from conftest import anon_event, as_columns, bin_of, event, rating_events, weekday_of
+from conftest import (
+    anon_event, as_columns, as_test_columns, bin_of, event, rating_events, weekday_of,
+)
 
 
 HOUSEHOLDS = {0: Household(0, (0, 1)), 1: Household(1, (2, 3, 4))}
@@ -29,8 +31,8 @@ HOUSEHOLDS = {0: Household(0, (0, 1)), 1: Household(1, (2, 3, 4))}
 
 def events_with_truth(spec):
     """spec: list of (household, true_user); movies are enumerated."""
-    return [anon_event(hid, idx, true_user=user, day=idx % 7)
-            for idx, (hid, user) in enumerate(spec)]
+    return as_test_columns(anon_event(hid, idx, true_user=user, day=idx % 7)
+                           for idx, (hid, user) in enumerate(spec))
 
 
 def as_posteriors(households, events, dicts):
@@ -186,7 +188,7 @@ def test_roc_endpoints_and_monotonicity():
             {0: 10, 1: 30, 2: 20, 3: 50, 4: 80}[user], 6.0), 0, 100))
         events.append(anon_event(hid, idx, rating=rating, true_user=user))
     alphas = [0.0] + list(np.geomspace(1e-3, 1e5, 30))
-    points = roc_sweep(model, HOUSEHOLDS, events, alphas)
+    points = roc_sweep(model, HOUSEHOLDS, as_test_columns(events), alphas)
     assert points[0].tpr_first == 1.0 and points[0].tpr_rest == 0.0
     assert points[-1].tpr_first <= 0.05 and points[-1].tpr_rest >= 0.95
     firsts = [p.tpr_first for p in points]
@@ -233,8 +235,8 @@ def reference_roc_points(parameters, decide_first, test_events, households):
 
 
 def reference_roc_sweep(model, households, test_events, alphas):
-    test_events = tuple(test_events)
-    gaps = _gap_matrix(model, member_rows(households, test_events)[1], test_events)
+    columns = as_test_columns(test_events)
+    gaps = _gap_matrix(model, member_rows(households, columns)[1], columns)
     gaps_first, gaps_rest = gaps[:, 0], gaps[:, 1:].min(axis=1)
     return reference_roc_points(
         alphas, lambda alpha, idxs: alpha * gaps_first[idxs] < gaps_rest[idxs],
@@ -265,14 +267,14 @@ def test_roc_sweeps_match_reference_on_criterion_8_corpus():
     fitted = fit_pipeline(dataset, pipeline)
     _, posteriors = classify_events(fitted, dataset.test)
     alphas = [0.0] + list(np.geomspace(1e-3, 1e4, 49))
+    events = list(dataset.test)
     assert_same_points(
         roc_sweep(fitted.model, dataset.households, dataset.test, alphas),
-        reference_roc_sweep(fitted.model, dataset.households, dataset.test, alphas))
+        reference_roc_sweep(fitted.model, dataset.households, events, alphas))
     thresholds = list(np.linspace(0.0, 1.0, 50))
     assert_same_points(
         roc_sweep_posterior(dataset.test, posteriors, dataset.households, thresholds),
-        reference_roc_sweep_posterior(dataset.test, posteriors, dataset.households,
-                                      thresholds))
+        reference_roc_sweep_posterior(events, posteriors, dataset.households, thresholds))
 
 
 @st.composite
@@ -313,10 +315,11 @@ def roc_cases(draw):
 def test_roc_sweeps_match_reference(case):
     households, events, posteriors, model, grid = case
     alphas = [4.0 * value for value in grid]
-    assert_same_points(roc_sweep(model, households, events, alphas),
+    columns = as_test_columns(events)
+    assert_same_points(roc_sweep(model, households, columns, alphas),
                        reference_roc_sweep(model, households, events, alphas))
-    assert_same_points(roc_sweep_posterior(events, as_posteriors(households, events,
-                                                                 posteriors),
+    assert_same_points(roc_sweep_posterior(columns, as_posteriors(households, columns,
+                                                                  posteriors),
                                            households, grid),
                        reference_roc_sweep_posterior(events, posteriors, households, grid))
 
@@ -325,9 +328,21 @@ def test_roc_sweeps_match_reference(case):
 # Reports and cross-validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("missing", [0, 3, 9])   # before, between and after the ids
+def test_member_rows_names_a_household_missing_from_the_map(missing):
+    households = {5: Household(5, (0, 1)), 2: Household(2, (2, 3, 4))}
+    known = as_test_columns([anon_event(2, 0), anon_event(5, 1), anon_event(2, 2)])
+    rows, members = member_rows(households, known)
+    assert rows.tolist() == [1, 0, 1]
+    assert members.tolist() == [[2, 3, 4], [0, 1, -1], [2, 3, 4]]
+    events = as_test_columns([anon_event(5, 0), anon_event(missing, 1), anon_event(7, 2)])
+    with pytest.raises(ValueError, match=f"^test event for unknown household {missing}$"):
+        member_rows(households, events)
+
+
 def test_build_report_requires_truth():
     with pytest.raises(ValueError):
-        build_report([anon_event(0, 0)], [0], HOUSEHOLDS)
+        build_report(as_test_columns([anon_event(0, 0)]), [0], HOUSEHOLDS)
     with pytest.raises(ValueError):
         build_report(events_with_truth([(0, 0)]), [0, 1], HOUSEHOLDS)
 
@@ -375,8 +390,8 @@ def reference_build_report(test_events, predictions, households, posteriors=None
     auc_mean, auc_per = (None, {})
     if posteriors is not None:
         auc_mean, auc_per = reference_auc_report(test_events, posteriors, households)
-    return AttributionReport(tuple(zip(test_events, predictions)), scores,
-                             aggregate(scores, households), auc_mean, auc_per)
+    return AttributionReport(as_test_columns(test_events), np.array(predictions, np.intp),
+                             scores, aggregate(scores, households), auc_mean, auc_per)
 
 
 @st.composite
@@ -417,20 +432,22 @@ def report_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_build_report_matches_per_event_reference(case):
     households, events, predictions, dicts = case
+    columns = as_test_columns(events)
     if not events:
         with pytest.raises(ValueError, match="no households with test events"):
-            build_report(events, predictions, households)
+            build_report(columns, predictions, households)
         return
-    posteriors = as_posteriors(households, events, dicts)
-    for got, want in ((build_report(events, predictions, households),
+    posteriors = as_posteriors(households, columns, dicts)
+    for got, want in ((build_report(columns, predictions, households),
                        reference_build_report(events, predictions, households)),
-                      (build_report(events, predictions, households, posteriors),
+                      (build_report(columns, predictions, households, posteriors),
                        reference_build_report(events, predictions, households, dicts))):
         assert list(got.per_household.items()) == list(want.per_household.items())
         assert got.aggregate == want.aggregate
         assert list(got.auc_per.items()) == list(want.auc_per.items())
         assert got.auc_mean == want.auc_mean
-        assert got.per_event == want.per_event
+        assert list(got.test) == list(want.test) == events
+        assert got.predictions.tolist() == want.predictions.tolist() == predictions
 
 
 def test_posterior_dicts_match_matrix_for_every_family():
@@ -687,7 +704,7 @@ def scoring_cases(draw):
                                rating=draw(ratings), day=draw(days),
                                week=draw(st.integers(0, 4)),
                                true_user=draw(st.sampled_from(households[hid].members))))
-    dataset = make_dataset(as_columns(train), households, test)
+    dataset = make_dataset(as_columns(train), households, as_test_columns(test))
     bins = draw(st.sampled_from([1, 4, 8]))
     factor_seed = draw(st.none() | st.integers(0, 99))   # None: tied predictions
     rng = np.random.default_rng(factor_seed)

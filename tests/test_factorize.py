@@ -17,7 +17,7 @@ from hhattrib.factorize import (
     save_model,
 )
 
-from conftest import DAY0, Rating, anon_event, as_columns, bin_of, event
+from conftest import DAY0, Rating, anon_event, as_columns, as_test_columns, bin_of, event
 
 
 def naive_cost(model, train):
@@ -658,7 +658,7 @@ def classify_residual(predictions, household, ev, alpha):
         FactorParams(rank=1, bin_count=1, iterations=1))
     fitted = FittedPipeline(PipelineConfig("residual", alpha=alpha),
                             {household.id: household}, model.binning, model)
-    return classify_events(fitted, [ev])[0][0]
+    return classify_events(fitted, as_test_columns([ev]))[0][0]
 
 
 def test_classifier_alpha_rules(pair_household):

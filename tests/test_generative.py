@@ -15,7 +15,7 @@ from hhattrib.generative import (
 )
 from hhattrib.temporal import fit_priors
 
-from conftest import anon_event, as_columns, event, rating_events
+from conftest import anon_event, as_columns, as_test_columns, event, rating_events
 
 
 BINNING = Binning(4, 0, 10 ** 10)
@@ -40,7 +40,7 @@ def classify(household, ev, model, priors, sigma, mode="uniform"):
     """gen-mode's (prediction, posterior) for one event."""
     fitted = FittedPipeline(PipelineConfig(f"gen-{mode}"), {household.id: household},
                             model.binning, model, priors, sigma)
-    predictions, posteriors = classify_events(fitted, [ev])
+    predictions, posteriors = classify_events(fitted, as_test_columns([ev]))
     return predictions[0], posteriors[0]
 
 
@@ -270,7 +270,7 @@ def test_infinite_sigma_reduces_to_prior_classifier(planted_dataset):
             gen, prior = (classify_events(FittedPipeline(
                 PipelineConfig(f"{family}-{mode}"), dataset.households, model.binning,
                 model, priors, sigma), dataset.test) for family in ("gen", "prior"))
-            assert gen[0] == prior[0]
+            assert np.array_equal(gen[0], prior[0])
             assert np.array_equal(gen[1].members, prior[1].members)
             assert np.array_equal(gen[1].values, prior[1].values)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hhattrib import logistic
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, cv_split, derive_binning, event_column, make_dataset,
+    Binning, Household, SynthConfig, cv_split, derive_binning, make_dataset,
     member_table, synth_generate,
 )
 from hhattrib.evaluate import (
@@ -30,7 +30,8 @@ from hhattrib.logistic import (
 )
 
 from conftest import (
-    DAY, DAY0, anon_event, as_columns, bin_of, event, hour_of, read_logit_dump, weekday_of,
+    DAY, DAY0, anon_event, as_columns, as_test_columns, bin_of, event, hour_of,
+    read_logit_dump, weekday_of,
 )
 
 
@@ -40,8 +41,9 @@ def only(letters, lambda1=0.01):
 
 def arrays(events):
     """The stamp, movie and rating arrays of events, as feature_matrix reads them."""
-    return (event_column(events, "timestamp", np.int64), event_column(events, "movie", np.intp),
-            event_column(events, "rating", np.float64))
+    return (np.array([ev.timestamp for ev in events], np.int64),
+            np.array([ev.movie for ev in events], np.intp),
+            np.array([ev.rating for ev in events], np.float64))
 
 
 def build_features(ev, config, model=None, binning=None):
@@ -532,7 +534,7 @@ def test_unified_split_matches_oracle_solver():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logistic, "_split_descend", oracle_split_descend)
         want_predictions, want_posteriors = fit_and_classify(split, pipeline)
-    assert predictions == want_predictions
+    assert np.array_equal(predictions, want_predictions)
     assert max(abs(got[m] - want[m]) for got, want in zip(posteriors, want_posteriors)
                for m in want) <= 1e-8
 
@@ -637,7 +639,7 @@ def classify_logistic(models, households, events):
     """The unified classifier's decisions on events of the households."""
     fitted = FittedPipeline(PipelineConfig("unified"), households, None,
                             logit_models=models)
-    return classify_events(fitted, events)[0]
+    return classify_events(fitted, as_test_columns(events))[0].tolist()
 
 
 def _separable_household(n_each=30):

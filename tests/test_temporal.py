@@ -17,8 +17,8 @@ from hhattrib.temporal import (
 )
 
 from conftest import (
-    DAY, DAY0, Rating, anon_event, as_columns, bin_of, event, rating_events, rng_for,
-    weekday_of,
+    DAY, DAY0, Rating, anon_event, as_columns, as_test_columns, bin_of, event,
+    rating_events, rng_for, weekday_of,
 )
 
 
@@ -287,7 +287,7 @@ def test_priors_equal_per_event_reference(binning, count, epsilon):
 def classify_prior(priors, mode, ev, household):
     fitted = FittedPipeline(PipelineConfig(f"prior-{mode}"), {household.id: household},
                             priors.binning, priors=priors)
-    return classify_events(fitted, [ev])[0][0]
+    return classify_events(fitted, as_test_columns([ev]))[0][0]
 
 
 def test_classify_prior_uniform(pair_household):
