@@ -15,8 +15,9 @@ import numpy as np
 
 from . import evaluate, factorize, generative, logistic, temporal
 from .corpus import (
-    ConfigError, ParseError, household_index, load_dataset, parse_households,
-    parse_ratings, parse_test_events, read_synth_config, synth_generate, write_dataset,
+    ConfigError, Field, ParseError, check_households, load_dataset, parse_households,
+    parse_ratings, parse_test_events, read_synth_config, read_table, synth_generate,
+    write_dataset,
 )
 
 USAGE_ERRORS = (ConfigError, ParseError, FileNotFoundError, ValueError)
@@ -157,35 +158,10 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _read_rows(path, width: int, convert, comments=False):
-    """The rows of a tab-separated dump after its header, blank lines (and
-    ``#`` lines with ``comments``) skipped, each converted from its
-    ``width`` fields by ``convert``. A malformed row is a usage error
-    naming its line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, ln) for no, ln in enumerate(fh.read().split("\n"), start=1)
-                 if ln and not (comments and ln.startswith("#"))]
-    if lines and lines[0][1].startswith("household"):
-        lines = lines[1:]
-    rows = []
-    for line_no, line in lines:
-        fields = line.split("\t")
-        try:
-            if len(fields) != width:
-                raise ValueError(f"expected {width} fields, got {len(fields)}")
-            rows.append(convert(fields))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: {exc}") from None
-    return rows
-
-
-def _int64_table(rows, width: int, path) -> np.ndarray:
-    """Integer dump fields as an int64 table; a value int64 cannot hold is a
-    usage error naming the file."""
-    try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    except OverflowError:
-        raise ConfigError(f"{path}: an integer outside the int64 range") from None
+_PREDICTION_FIELDS = tuple(Field(name, np.int64) for name in
+                           ("household id", "movie id", "timestamp", "predicted member"))
+_POSTERIOR_FIELDS = (*_PREDICTION_FIELDS[:3], Field("member id", np.int64),
+                     Field("posterior", np.float64, 1))
 
 
 def _test_keys(test):
@@ -194,13 +170,12 @@ def _test_keys(test):
 
 
 def _read_predictions(path, test):
-    rows = _read_rows(path, 4, lambda fields: tuple(map(int, fields)), comments=True)
-    if len(rows) != len(test):
-        raise ConfigError(f"{path}: {len(rows)} predictions for {len(test)} test events")
-    table = _int64_table(rows, 4, path)
-    if not np.array_equal(table[:, :3], _test_keys(test)):
+    *keys, predicted = read_table(path, _PREDICTION_FIELDS, header=True)
+    if len(predicted) != len(test):
+        raise ConfigError(f"{path}: {len(predicted)} predictions for {len(test)} test events")
+    if not np.array_equal(np.column_stack(keys), _test_keys(test)):
         raise ConfigError(f"{path}: prediction row does not match test file order")
-    return table[:, 3]
+    return predicted
 
 
 def _groups(keys):
@@ -225,9 +200,8 @@ def _read_posteriors(path, test, households) -> evaluate.Posteriors:
     movie, timestamp) key and member belongs to the j-th test event with
     that key, so repeated test lines each keep their own rows.
     """
-    rows = _read_rows(path, 5, lambda fields: (*map(int, fields[:4]), float(fields[4])))
-    table = _int64_table([row[:4] for row in rows], 4, path)
-    posterior = np.array([row[4] for row in rows], dtype=np.float64)
+    *columns, posterior = read_table(path, _POSTERIOR_FIELDS, header=True)
+    table = np.column_stack(columns)
     keys = _test_keys(test)
     # each event's key and occurrence, then each row's (its key and member
     # counted together); a row's event is the first, and only, event equal
@@ -254,14 +228,6 @@ def _read_posteriors(path, test, households) -> evaluate.Posteriors:
             f"timestamp {int(test.stamp[first])}) has posteriors for members {got}, "
             f"not {sorted(households[hid].members)}")
     return evaluate.Posteriors(members, values)
-
-
-def _check_households(test, households, path) -> None:
-    """A usage error naming ``path`` if a test event's household is not in it."""
-    missing = household_index(households, test.household) < 0
-    if missing.any():
-        raise ConfigError(f"{path}: no household {int(test.household[missing.argmax()])}, "
-                          f"which has test events")
 
 
 def cmd_evaluate(args) -> int:
@@ -315,7 +281,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --test, --predictions and --out "
                           "(or one of --cv / --export-histograms)")
     test = parse_test_events(args.test, households)
-    _check_households(test, households, args.households)
+    check_households(test, households, args.households)
     predictions = _read_predictions(args.predictions, test)
     posteriors = None
     if args.posteriors:
@@ -334,7 +300,7 @@ def cmd_roc(args) -> int:
         model = _load_factor_model(args, pipeline)
         households = parse_households(args.households)
         test = parse_test_events(args.test, households)
-        _check_households(test, households, args.households)
+        check_households(test, households, args.households)
         if args.alpha_grid:
             grid = _parse_grid(args.alpha_grid)
         else:

@@ -21,8 +21,10 @@ outside the library.
 import copy
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,9 +320,25 @@ def bin_column(stamps, binning: Binning) -> np.ndarray:
 # File ingestion
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 16   # the chunked parsers read about this many characters at a time
-_DTYPES = (np.intp, np.intp, np.float64, np.int64)   # of the EventColumns fields
-_TEST_DTYPES = (*_DTYPES, np.intp)                    # of the TestColumns fields
+_CHUNK = 1 << 16   # the chunk reader reads about this many characters at a time
+
+
+class Field(NamedTuple):
+    """One field of a table file: its name in error messages, its dtype, and,
+    for a float, its upper bound. Every value must be >= 0. An ``optional``
+    last field may be left out of a line and then reads as -1."""
+
+    name: str
+    dtype: type
+    upper: float | None = None
+    optional: bool = False
+
+
+RATINGS_FIELDS = (Field("user id", np.intp), Field("movie id", np.intp),
+                  Field("rating", np.float64, 100), Field("timestamp", np.int64))
+TEST_FIELDS = (Field("household id", np.intp), *RATINGS_FIELDS[1:],
+               Field("true user id", np.intp, optional=True))
+_TEST_DTYPES = tuple(field.dtype for field in TEST_FIELDS)
 
 
 def _fields(line: str) -> list[str]:
@@ -348,85 +366,93 @@ def _parse_float(token: str, path, line_no, what: str) -> float:
     return value
 
 
-def _lines(path):
-    """(line number, fields) of each non-blank line of a file."""
+def _lines(path, header: bool = False):
+    """(line number, fields) of each non-blank line of a file; with ``header``,
+    a first line that starts with ``household`` is skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if header and line_no == 1 and raw.startswith("household"):
+                continue
             if fields := _fields(raw):
                 yield line_no, fields
 
 
-def _event_fields(fields, path, line_no, id_name: str) -> tuple:
-    """The id, movie, rating and timestamp of a ratings or test line: the one
-    per-line check of both files. Ids and the timestamp must be >= 0 and the
-    rating in [0, 100]; the first bad field in line order is the error."""
-    values = (_parse_int(fields[0], path, line_no, id_name),
-              _parse_int(fields[1], path, line_no, "movie id"),
-              _parse_float(fields[2], path, line_no, "rating"),
-              _parse_int(fields[3], path, line_no, "timestamp"))
-    for value, what in zip(values, (id_name, "movie id", "rating", "timestamp")):
-        if what == "rating" and not 0.0 <= value <= 100.0:
-            raise RangeError(f"rating {value} outside [0, 100]", path, line_no)
-        if value < 0:
-            raise RangeError(f"negative {what} {value}", path, line_no)
-    return values
+def read_table(path, fields: tuple[Field, ...], header: bool = False) -> list[np.ndarray]:
+    """The columns of a file of ``fields`` a line, in file order, blank lines
+    skipped and, with ``header``, a first line that starts with ``household``.
+    The file is read by `_parse_chunks`; if anything fails there,
+    `_parse_lines` reads it again one line at a time and raises the error
+    naming the file and line."""
+    try:
+        return _parse_chunks(path, fields, header)
+    except (ValueError, OverflowError):
+        pass
+    return _parse_lines(path, fields, header)
+
+
+def _parse_chunks(path, fields, header) -> list[np.ndarray]:
+    """`read_table` in chunks of lines, which, split at newlines only as file
+    iteration splits them, must all have every field or all but an optional
+    last one. Each column is converted by the ``int`` or ``float`` of its
+    dtype, as in `_parse_lines`, and range-checked as an array. Any failure
+    raises a bare ValueError or OverflowError, for `_parse_lines` to locate.
+    """
+    widths = {len(fields), len(fields) - fields[-1].optional}
+    # per column, an empty array of its dtype, then one array per chunk
+    parts = [[np.empty(0, field.dtype)] for field in fields]
+    with open(path, "r", encoding="utf-8") as fh:
+        while lines := fh.readlines(_CHUNK):
+            if header and lines[0].startswith("household"):   # the file's first line
+                del lines[0]
+            header = False
+            text = "".join(lines).replace("\t", " ").replace(",", " ")
+            counts = set(map(len, map(str.split, text.split("\n")))) - {0}
+            if len(counts) > 1 or not counts <= widths:
+                raise ValueError("lines of another width")
+            width = max(counts, default=len(fields))
+            tokens = text.split()
+            rows = len(tokens) // width
+            for k, (field, part) in enumerate(zip(fields, parts)):
+                if k == width:   # the optional field, left out
+                    part.append(np.full(rows, -1, field.dtype))
+                    continue
+                column = np.fromiter(map(float if np.dtype(field.dtype).kind == "f" else int,
+                                         tokens[k::width]), field.dtype, rows)
+                if column.min(initial=0) < 0 or (
+                        field.upper is not None and not (column <= field.upper).all()):
+                    raise ValueError("a value out of range")
+                part.append(column)
+    for part in parts:   # one column at a time, freeing its chunks
+        part[:] = [np.concatenate(part)]
+    return [part[0] for part in parts]
+
+
+def _parse_lines(path, fields, header) -> list[np.ndarray]:
+    """`read_table` one line at a time: its error path. Every field of a line
+    is converted, then range-checked, in line order; the first failure is
+    the error."""
+    least = len(fields) - fields[-1].optional
+    expected = f"{least}-{len(fields)}" if least < len(fields) else f"{least}"
+    rows = []
+    for line_no, tokens in _lines(path, header):
+        if not least <= len(tokens) <= len(fields):
+            raise ParseError(path, line_no, f"expected {expected} fields, got {len(tokens)}")
+        values = tuple((_parse_float if np.dtype(field.dtype).kind == "f" else _parse_int)(
+            token, path, line_no, field.name) for token, field in zip(tokens, fields))
+        for value, field in zip(values, fields):
+            if field.upper is not None and not 0.0 <= value <= field.upper:
+                raise RangeError(f"{field.name} {value} outside [0, {field.upper}]",
+                                 path, line_no)
+            if value < 0:
+                raise RangeError(f"negative {field.name} {value}", path, line_no)
+        rows.append(values + (-1,) * (len(fields) - len(values)))
+    return [np.fromiter(map(itemgetter(k), rows), field.dtype, len(rows))
+            for k, field in enumerate(fields)]
 
 
 def parse_ratings(path) -> EventColumns:
-    """Read a 4-column ratings file into columns, in file order.
-
-    The file is read by `_parse_chunks`. If anything fails, the file is
-    parsed again line by line, which raises the error with its line number.
-    """
-    try:
-        return EventColumns(*_parse_chunks(path, _DTYPES))
-    except (ValueError, OverflowError):
-        pass
-    return _parse_ratings_lines(path)
-
-
-def _parse_chunks(path, dtypes) -> list[np.ndarray]:
-    """The columns of a file of ``len(dtypes)`` fields a line, in file order.
-
-    The file is read in chunks of lines. A chunk's lines, split at newlines
-    only as file iteration splits them, must have that many fields or none;
-    each column is converted by the same ``int`` and ``float`` as the
-    per-line parsers, then range-checked as an array: every integer >= 0,
-    the rating (field 2 of both files) in [0, 100]. Any failure raises a
-    bare ValueError or OverflowError; the caller's per-line parser locates
-    it.
-    """
-    width = len(dtypes)
-    # per column, an empty array of its dtype, then one array per chunk
-    parts = [[np.empty(0, dtype)] for dtype in dtypes]
-    with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(_CHUNK):
-            text = "".join(lines).replace("\t", " ").replace(",", " ")
-            if not set(map(len, map(str.split, text.split("\n")))) <= {0, width}:
-                raise ValueError(f"a line without {width} fields")
-            tokens = text.split()
-            for k, part in enumerate(parts):
-                part.append(np.fromiter(map(float if k == 2 else int, tokens[k::width]),
-                                        part[0].dtype, len(tokens) // width))
-    for part in parts:   # one column at a time, freeing its chunks
-        part[:] = [np.concatenate(part)]
-    columns = [part[0] for part in parts]
-    rating = columns[2]
-    if (min(column.min(initial=0) for column in columns) < 0
-            or not ((rating >= 0.0) & (rating <= 100.0)).all()):
-        raise ValueError("a value out of range")
-    return columns
-
-
-def _parse_ratings_lines(path) -> EventColumns:
-    # one line at a time: the error path of parse_ratings
-    rows = []
-    for line_no, fields in _lines(path):
-        if len(fields) != 4:
-            raise ParseError(path, line_no, f"expected 4 fields, got {len(fields)}")
-        rows.append(_event_fields(fields, path, line_no, "user id"))
-    return EventColumns(*(np.fromiter(map(itemgetter(k), rows), dtype, len(rows))
-                          for k, dtype in enumerate(_DTYPES)))
+    """Read a 4-column ratings file into columns, in file order, by `read_table`."""
+    return EventColumns(*read_table(path, RATINGS_FIELDS))
 
 
 def parse_households(path) -> dict[int, Household]:
@@ -453,55 +479,26 @@ def parse_households(path) -> dict[int, Household]:
 
 
 def parse_test_events(path, households) -> TestColumns:
-    """Read a 4- or 5-column test file (5th column = true user, optional); a
-    true user outside the line's household is a located error.
-
-    A file whose lines all have the width of its first line is read by
-    `_parse_chunks`, and its true users checked against their households as
-    arrays. A file that mixes widths, or has any bad line, is parsed again
-    line by line, which raises the error with its line number.
-    """
-    try:
-        return _parse_test_chunks(path, households)
-    except (ValueError, OverflowError):
-        pass
-    return _parse_test_lines(path, households)
-
-
-def _parse_test_chunks(path, households) -> TestColumns:
-    with open(path, "r", encoding="utf-8") as fh:
-        width = next((len(fields) for fields in map(_fields, fh) if fields), 4)
-    if width not in (4, 5):
-        raise ValueError(f"a line with {width} fields")
-    columns = _parse_chunks(path, _TEST_DTYPES[:width])
-    if width == 4:
-        columns.append(np.full(len(columns[0]), -1, dtype=np.intp))
-    test = TestColumns(*columns)
+    """Read a 4- or 5-column test file (5th column = true user, optional) by
+    `read_table`; a true user outside its line's household, checked on the
+    columns, is an error at that line."""
+    test = TestColumns(*read_table(path, TEST_FIELDS))
     rows = household_index(households, test.household)
-    if _outside_household(households, rows, test.true_user).any():
-        raise ValueError("a true user outside its household")
+    outside = _outside_household(households, rows, test.true_user)
+    if outside.any():
+        first = int(outside.argmax())
+        line_no = next(islice(_lines(path), first, None))[0]
+        raise _LocatedError(f"true_user {test.true_user[first]} not in household "
+                            f"{test.household[first]}", path, line_no)
     return test
 
 
-def _parse_test_lines(path, households) -> TestColumns:
-    # one line at a time: the error path of parse_test_events
-    rows = []
-    for line_no, fields in _lines(path):
-        if len(fields) not in (4, 5):
-            raise ParseError(path, line_no, f"expected 4-5 fields, got {len(fields)}")
-        values = _event_fields(fields, path, line_no, "household id")
-        truth = -1
-        if len(fields) == 5:
-            truth = _parse_int(fields[4], path, line_no, "true user id")
-            if truth < 0:
-                raise RangeError(f"negative true user id {truth}", path, line_no)
-            hh = households.get(values[0])
-            if hh is not None and truth not in hh.members:
-                raise _LocatedError(f"true_user {truth} not in household {hh.id}",
-                                    path, line_no)
-        rows.append((*values, truth))
-    return TestColumns(*(np.fromiter(map(itemgetter(k), rows), dtype, len(rows))
-                         for k, dtype in enumerate(_TEST_DTYPES)))
+def check_households(test: TestColumns, households, path) -> None:
+    """A usage error naming ``path`` if a test event's household is not in it."""
+    missing = household_index(households, test.household) < 0
+    if missing.any():
+        raise ConfigError(f"{path}: no household {int(test.household[missing.argmax()])}, "
+                          f"which has test events")
 
 
 def _format_rating(rating: float) -> str:
@@ -557,7 +554,10 @@ def make_dataset(columns: EventColumns, households,
 def load_dataset(train_path, households_path, test_path=None) -> Dataset:
     train = parse_ratings(train_path)
     households = parse_households(households_path)
-    test = parse_test_events(test_path, households) if test_path is not None else None
+    test = None
+    if test_path is not None:
+        test = parse_test_events(test_path, households)
+        check_households(test, households, households_path)
     return make_dataset(train, households, test)
 
 

@@ -177,12 +177,6 @@ def _loss(u: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return float((np.maximum(u, 0.0) + np.log1p(e) - labels * u).sum()), e
 
 
-def logistic_objective(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
-                       lambda1: float) -> float:
-    """Negative log-likelihood plus lambda1 * ||theta||_1."""
-    return _loss(rows @ theta, labels)[0] + lambda1 * float(np.abs(theta).sum())
-
-
 def kkt_residual(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
                  lambda1: float) -> float:
     """Largest violation of the L1 optimality conditions at theta."""

@@ -13,6 +13,15 @@ DAY0 = 1_262_476_800
 DAY = 86_400
 
 
+def logistic_objective(theta, rows, labels, lambda1) -> float:
+    """Negative log-likelihood plus lambda1 * ||theta||_1: the objective
+    oracle of the L1 logistic solver."""
+    u = rows @ theta
+    # log(1 + e^u) as max(u, 0) + log1p(e^-|u|): stable on both tails
+    loss = float((np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))) - labels * u).sum())
+    return loss + lambda1 * float(np.abs(theta).sum())
+
+
 class Rating(NamedTuple):
     """One train event: the per-event form the scalar oracles read."""
 

@@ -18,7 +18,7 @@ from hhattrib import evaluate, factorize, generative, logistic, temporal
 from hhattrib.cli import main
 from hhattrib.corpus import Household, SynthConfig, TestEvent, cv_split, synth_generate
 
-from conftest import as_columns, as_test_columns, event
+from conftest import as_columns, as_test_columns, event, logistic_objective
 from test_factorize import naive_cost
 
 
@@ -237,11 +237,11 @@ def test_criterion_09_l1_logistic():
         labels = (rng.random(n) < 0.5).astype(float)
         lam = float(rng.uniform(0.02, 0.5))
         theta = logistic.fit_logistic(rows, labels, lam)
-        ours = logistic.logistic_objective(theta, rows, labels, lam)
+        ours = logistic_objective(theta, rows, labels, lam)
         best = math.inf
         for start_point in (np.zeros(p), np.full(p, 0.7), -np.full(p, 0.7)):
             res = scipy.optimize.minimize(
-                logistic.logistic_objective, start_point,
+                logistic_objective, start_point,
                 args=(rows, labels, lam), method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-12,
                          "maxiter": 60_000, "maxfev": 60_000})

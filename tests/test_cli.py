@@ -480,33 +480,54 @@ def _drop_last_household(workspace):
 
 
 def test_evaluate_household_missing_from_file_is_usage_error(workspace, capsys):
+    """evaluate and classify name the households file that lacks a test
+    event's household."""
     preds = workspace / "preds.tsv"
     assert main(["classify", *data_args(workspace), "--classifier", "prior-day",
                  "--bins", "4", "--out", str(preds)]) == 0
     households, missing = _drop_last_household(workspace)
-    code = main(["evaluate", "--households", str(households),
-                 "--test", str(workspace / "data" / "test.tsv"),
-                 "--predictions", str(preds), "--out", str(workspace / "report.tsv")])
-    assert code == 2
-    assert f"{households}: no household {missing}," in capsys.readouterr().err
+    data = ["--households", str(households), "--test", str(workspace / "data" / "test.tsv")]
+    for argv in (["evaluate", *data, "--predictions", str(preds)],
+                 ["classify", *data, "--train", str(workspace / "data" / "train.tsv"),
+                  "--classifier", "prior-day", "--bins", "4"]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(workspace / "out.tsv")]) == 2, argv[0]
+        assert (capsys.readouterr().err
+                == f"error: {households}: no household {missing}, which has test events\n")
 
 
 def test_roc_household_missing_from_file_is_usage_error(workspace, capsys):
+    """The residual and the posterior roc name the households file that lacks
+    a test event's household."""
     model = fit_model(workspace)
     households, missing = _drop_last_household(workspace)
-    code = main(["roc", "--households", str(households),
-                 "--test", str(workspace / "data" / "test.tsv"),
-                 "--classifier", "residual", "--model", str(model),
-                 "--out", str(workspace / "roc.tsv")])
-    assert code == 2
-    assert f"{households}: no household {missing}," in capsys.readouterr().err
+    data = ["roc", "--households", str(households),
+            "--test", str(workspace / "data" / "test.tsv")]
+    for argv in ([*data, "--classifier", "residual", "--model", str(model)],
+                 [*data, "--classifier", "prior-day", "--bins", "4",
+                  "--train", str(workspace / "data" / "train.tsv")]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(workspace / "roc.tsv")]) == 2, argv
+        assert (capsys.readouterr().err
+                == f"error: {households}: no household {missing}, which has test events\n")
+
+
+# the field and token that each message's dump row is damaged with; any other
+# row loses a field
+DUMP_DAMAGE = {"bad predicted member 'x'": (3, "x"), "bad posterior 'x'": (4, "x"),
+               "negative member id -1": (3, "-1"),
+               "posterior 1.5 outside [0, 1]": (4, "1.5"),
+               "non-finite posterior 'nan'": (4, "nan")}
 
 
 @pytest.mark.parametrize("dump, row, message", [
     ("predictions", 2, "expected 4 fields, got 3"),
-    ("predictions", 3, "invalid literal for int() with base 10: 'x'"),
+    ("predictions", 3, "bad predicted member 'x'"),
     ("posteriors", 2, "expected 5 fields, got 4"),
-    ("posteriors", 4, "could not convert string to float: 'x'"),
+    ("posteriors", 4, "bad posterior 'x'"),
+    ("posteriors", 3, "negative member id -1"),
+    ("posteriors", 4, "posterior 1.5 outside [0, 1]"),
+    ("posteriors", 5, "non-finite posterior 'nan'"),
 ])
 def test_evaluate_malformed_dump_row_names_file_and_line(workspace, capsys, dump, row,
                                                          message):
@@ -517,8 +538,9 @@ def test_evaluate_malformed_dump_row_names_file_and_line(workspace, capsys, dump
     path = preds if dump == "predictions" else post
     lines = path.read_text().splitlines()
     fields = lines[row - 1].split("\t")
-    if "'x'" in message:
-        fields[-1] = "x"
+    if message in DUMP_DAMAGE:
+        field, token = DUMP_DAMAGE[message]
+        fields[field] = token
     else:
         del fields[1]
     lines[row - 1] = "\t".join(fields)
@@ -548,7 +570,9 @@ def test_dump_integer_beyond_int64_names_file(workspace, capsys, dump):
                  "--predictions", str(preds), "--posteriors", str(post),
                  "--out", str(workspace / "report.tsv")])
     assert code == 2
-    assert f"error: {path}: an integer outside the int64 range" in capsys.readouterr().err
+    name = "predicted member" if dump == "predictions" else "member id"
+    assert (f"error: {path}:2: {name} 99999999999999999999 outside the int64 range"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("name, field", [("train.tsv", 3), ("train.tsv", 0),

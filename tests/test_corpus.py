@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import functools
 import gc
 import hashlib
 import re
@@ -12,7 +13,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhattrib import corpus, temporal
+from hhattrib import cli, corpus, temporal
 from hhattrib.corpus import (
     Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, ParseError,
     RangeError, StructureError, SynthConfig, TestColumns, TestEvent, _fields, _parse_float,
@@ -108,6 +109,15 @@ def per_line_parse_ratings(path):
     return as_columns(events)
 
 
+def per_line(parse):
+    """``parse`` with `_parse_chunks` failing, so that `read_table` reads every
+    file by its per-line path."""
+    def parse_lines(path):
+        with mock.patch.object(corpus, "_parse_chunks", side_effect=ValueError):
+            return parse(path)
+    return parse_lines
+
+
 def outcome(parse, path):
     """Columns, or the class, message and line number of the error raised."""
     try:
@@ -193,7 +203,7 @@ def test_parse_ratings_memory_is_chunked(tmp_path):
     path.write_text("".join(f"{k % 500}\t{k // 500}\t{k % 101}\t{10 ** 9 + k}\n"
                             for k in range(20_000)))
     peaks = []
-    for parse in (parse_ratings, corpus._parse_ratings_lines):
+    for parse in (parse_ratings, per_line(parse_ratings)):
         gc.collect()
         tracemalloc.start()
         try:
@@ -336,19 +346,81 @@ def test_parse_test_events_matches_per_line_parser(tmp_path_factory, case, chunk
     text, mixed, bad_line_no = case
     path = tmp_path_factory.mktemp("parse") / "t.tsv"
     path.write_bytes(text.encode("utf-8"))
-    want = outcome(lambda p: corpus._parse_test_lines(p, TEST_HOUSEHOLDS), path)
+    parse = functools.partial(parse_test_events, households=TEST_HOUSEHOLDS)
+    want = outcome(per_line(parse), path)
     with mock.patch.object(corpus, "_CHUNK", chunk):
-        got = outcome(lambda p: parse_test_events(p, TEST_HOUSEHOLDS), path)
-        chunked = outcome(lambda p: corpus._parse_test_chunks(p, TEST_HOUSEHOLDS), path)
+        got = outcome(parse, path)
+        chunked = outcome(
+            lambda p: TestColumns(*corpus._parse_chunks(p, corpus.TEST_FIELDS, False)), path)
     if bad_line_no is None:
         assert isinstance(want, TestColumns), want
         assert_same_columns(got, want)
-        if not mixed:   # a file that mixes widths is left to the per-line parser
+        if not mixed or isinstance(chunked, TestColumns):
+            # a chunk that mixes widths is left to the per-line parser
             assert_same_columns(chunked, want)
     else:
         assert want[2] == bad_line_no and str(path) in want[1]
         assert got == want
-        assert not isinstance(chunked, TestColumns)
+        if "not in household" not in want[1]:   # checked after the chunk reader
+            assert not isinstance(chunked, TestColumns)
+
+
+DUMP_TOKENS = ["x", "-1", "1.5", "nan", "inf", str(2 ** 70), "2.5", "1_0", "+3", "1e0",
+               "household"]
+
+
+@st.composite
+def dump_files(draw):
+    """(fields, text) of a prediction or posterior dump: a header or none, one
+    delimiter, blank lines and CRLF endings, some bad tokens and widths."""
+    fields = draw(st.sampled_from([cli._PREDICTION_FIELDS, cli._POSTERIOR_FIELDS]))
+    sep = draw(st.sampled_from(["\t", ",", " "]))
+    good = st.lists(st.integers(0, 10 ** 6).map(str), min_size=4, max_size=4)
+    if fields is cli._POSTERIOR_FIELDS:
+        good = st.builds(lambda ints, value: [*ints, value], good,
+                         st.sampled_from(["0.0", "1.0", "0.5", "0.25", "1e-3", "-0.0",
+                                          repr(1 / 3)]))
+    one_bad = st.builds(lambda row, k, token: row[:k] + [token] + row[k + 1:],
+                        good, st.integers(0, len(fields) - 1), st.sampled_from(DUMP_TOKENS))
+    width = st.builds(lambda row, n: (row * 2)[:n], good, st.integers(1, 7))
+    rows = draw(st.lists(good, max_size=15))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):   # bad rows
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.one_of(one_bad, width))
+    if draw(st.booleans()):   # household movie timestamp predicted|member [posterior]
+        rows.insert(0, [field.name.split()[0] for field in fields])
+    text = ""
+    for row in rows:
+        while draw(st.integers(0, 5)) == 0:   # blank lines
+            text += draw(st.sampled_from(["\n", " \n", "\r\n"]))
+        text += sep.join(row) + draw(st.sampled_from(["\n", "\r\n"]))
+    return fields, text
+
+
+@given(dump_files(), st.integers(1, 80))
+@example((cli._PREDICTION_FIELDS, "\nhousehold\tmovie\n1\t2\t3\t4\n"), 1)
+@example((cli._PREDICTION_FIELDS, "1\t2\t3\t4\nhousehold\tmovie\n"), 80)
+@example((cli._POSTERIOR_FIELDS, "1,2,3,4,nan\n"), 80)
+@example((cli._POSTERIOR_FIELDS, "1 2 3 4 1.5\n"), 80)
+@example((cli._POSTERIOR_FIELDS, "1 2 3 -4 0.5\n"), 80)
+@settings(max_examples=200, deadline=None)
+def test_read_dump_matches_per_line_parser(tmp_path_factory, case, chunk):
+    """`read_table` on a prediction or posterior dump returns the per-line
+    path's columns or raises its error (class, message and line), whatever
+    the chunk size."""
+    fields, text = case
+    path = tmp_path_factory.mktemp("dump") / "d.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    read = functools.partial(corpus.read_table, fields=fields, header=True)
+    want = outcome(per_line(read), path)
+    with mock.patch.object(corpus, "_CHUNK", chunk):
+        got = outcome(read, path)
+    if isinstance(want, list):
+        assert isinstance(got, list), got
+        for ours, theirs in zip(got, want, strict=True):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    else:
+        assert got == want
+        assert want[0] in (ParseError, RangeError) and f"{path}:{want[2]}: " in want[1]
 
 
 def test_event_columns_are_not_iterable(small_dataset):

@@ -25,13 +25,13 @@ from hhattrib.evaluate import (
 from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.logistic import (
     FEATURE_ORDER, FeatureConfig, _sigmoid, feature_matrix, fit_household, fit_households,
-    fit_logistic, kkt_residual, logistic_objective, member_probabilities,
+    fit_logistic, kkt_residual, member_probabilities,
     save_logit_models, standardize_apply, standardize_fit,
 )
 
 from conftest import (
     DAY, DAY0, anon_event, as_columns, as_test_columns, bin_of, event, hour_of,
-    read_logit_dump, weekday_of,
+    logistic_objective, read_logit_dump, weekday_of,
 )
 
 
