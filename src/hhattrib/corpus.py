@@ -19,7 +19,9 @@ outside the library.
 """
 
 import copy
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -385,17 +387,23 @@ def read_table(path, fields: tuple[Field, ...], header: bool = False) -> list[np
     naming the file and line."""
     try:
         return _parse_chunks(path, fields, header)
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, DeprecationWarning):
         pass
     return _parse_lines(path, fields, header)
 
 
 def _parse_chunks(path, fields, header) -> list[np.ndarray]:
-    """`read_table` in chunks of lines, which, split at newlines only as file
-    iteration splits them, must all have every field or all but an optional
-    last one. Each column is converted by the ``int`` or ``float`` of its
-    dtype, as in `_parse_lines`, and range-checked as an array. Any failure
-    raises a bare ValueError or OverflowError, for `_parse_lines` to locate.
+    """`read_table` in chunks of lines, split at newlines only as file
+    iteration splits them. Every line of a chunk must have as many fields as
+    its first non-blank one: every field, or all but an optional last one.
+    One `np.loadtxt` converts each chunk into the fields' dtypes: it splits
+    at the whitespace `str.split` splits at, and it refuses every token that
+    ``int`` or ``float`` refuses, but also some they accept (``1_0``, digits
+    other than ASCII), which `_parse_lines` then reads. Older numpy reads a
+    float such as ``1.5`` into an int column with only a DeprecationWarning,
+    so that warning is raised as an error. The columns are range-checked as
+    arrays. Any failure raises a bare ValueError, OverflowError or
+    DeprecationWarning, for `_parse_lines` to locate.
     """
     widths = {len(fields), len(fields) - fields[-1].optional}
     # per column, an empty array of its dtype, then one array per chunk
@@ -405,19 +413,21 @@ def _parse_chunks(path, fields, header) -> list[np.ndarray]:
             if header and lines[0].startswith("household"):   # the file's first line
                 del lines[0]
             header = False
-            text = "".join(lines).replace("\t", " ").replace(",", " ")
-            counts = set(map(len, map(str.split, text.split("\n")))) - {0}
-            if len(counts) > 1 or not counts <= widths:
+            width = next(filter(None, map(len, map(_fields, lines))), 0)
+            if not width:   # blank lines only
+                continue
+            if width not in widths:
                 raise ValueError("lines of another width")
-            width = max(counts, default=len(fields))
-            tokens = text.split()
-            rows = len(tokens) // width
+            text = "".join(lines).replace("\t", " ").replace(",", " ")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(io.StringIO(text), comments=None, ndmin=1, dtype=[
+                    (field.name, field.dtype) for field in fields[:width]])
             for k, (field, part) in enumerate(zip(fields, parts)):
                 if k == width:   # the optional field, left out
-                    part.append(np.full(rows, -1, field.dtype))
+                    part.append(np.full(len(table), -1, field.dtype))
                     continue
-                column = np.fromiter(map(float if np.dtype(field.dtype).kind == "f" else int,
-                                         tokens[k::width]), field.dtype, rows)
+                column = table[field.name].copy()   # not a view that keeps the chunk
                 if column.min(initial=0) < 0 or (
                         field.upper is not None and not (column <= field.upper).all()):
                     raise ValueError("a value out of range")

@@ -13,8 +13,10 @@ of each bin's sparse event-count and rating-sum matrices with the factors.
 residual classifier and the Gaussian scores read their rating gaps from it.
 """
 
+import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,33 @@ from .corpus import Binning, EventColumns, bin_column, derive_binning
 log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
+_BITS = np.arange(64, dtype=np.uint64)
+
+
+def _xorshift(words: np.ndarray) -> np.ndarray:
+    """One xorshift64 state step of each word of a uint64 array, in place."""
+    words ^= words >> np.uint64(12)
+    words ^= words << np.uint64(25)
+    words ^= words >> np.uint64(27)
+    return words
+
+
+def _gf2_apply(matrix: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """A 64x64 GF(2) matrix, held as the images of the unit words (matrix[b]
+    is the image of bit b), applied to each word of a uint64 array."""
+    bits = (words[:, None] >> _BITS) & np.uint64(1)
+    return np.bitwise_xor.reduce(matrix * bits, axis=1)
+
+
+# the state step taken 2**k times, as a GF(2) matrix, by k; filled by squaring
+_JUMPS = {0: _xorshift(np.uint64(1) << _BITS)}
+
+
+def _jump(k: int) -> np.ndarray:
+    if k not in _JUMPS:
+        half = _jump(k - 1)
+        _JUMPS[k] = _gf2_apply(half, half)
+    return _JUMPS[k]
 
 
 class Xorshift64Star:
@@ -43,20 +72,37 @@ class Xorshift64Star:
         z ^= z >> 31
         self._state = z if z != 0 else 0x9E3779B97F4A7C15
 
-    def next_uint64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
-
-    def uniform(self) -> float:
-        """One double in [0, 1), from the top 53 bits of the next output."""
-        return (self.next_uint64() >> 11) * 2.0 ** -53
-
     def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(count)], dtype=float)
+        """The stream's next ``count`` doubles in [0, 1), each from the top 53
+        bits of the next output, as the README's one-at-a-time loop draws them;
+        the state afterwards is that loop's.
+
+        The draws are cut into lanes of 2**k consecutive steps, k about half
+        of log2(count) less 2, which balances the per-step numpy calls against
+        the jump-ahead work. Lane i starts 2**k * i steps ahead, reached by
+        jump matrices from the lanes before it (lane 1 from lane 0, lanes 2-3
+        from lanes 0-1, ...); then every lane steps at once.
+        """
+        log2_steps = max(0, round(math.log2(max(count, 1)) / 2) - 2)
+        steps = 1 << log2_steps
+        lanes = -(-count // steps)
+        states = np.empty((steps, lanes), np.uint64)   # fails here if it cannot be mapped
+        words = np.empty(lanes, np.uint64)
+        words[:1] = self._state
+        filled, k = 1, log2_steps
+        while filled < lanes:
+            more = min(filled, lanes - filled)
+            words[filled:filled + more] = _gf2_apply(_jump(k), words[:more])
+            filled, k = filled + more, k + 1
+        for row in states:
+            row[...] = _xorshift(words)
+        if count:
+            self._state = int(states[(count - 1) % steps, (count - 1) // steps])
+        states *= np.uint64(0x2545F4914F6CDD1D)
+        states >>= np.uint64(11)
+        values = np.empty((lanes, steps))
+        np.multiply(states.T, 2.0 ** -53, out=values)
+        return values.ravel()[:count]
 
 
 @dataclass(frozen=True)
@@ -122,26 +168,30 @@ class TemporalFactorModel:
 # Ridge block solvers
 # ---------------------------------------------------------------------------
 
-def ridge_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (grams[k] + alpha I) w_k = rhs[k] for every system of a (k, r, r) stack.
+_SAFE_SHIFT = 1e-10   # alpha at least this share of the largest gram diagonal needs no pivot test
 
-    One stacked Cholesky reads the pivots and one solve answers the systems
-    that pass; a single system is a stack of one. A system whose smallest
-    squared pivot is at most 1e-12 of its largest diagonal entry is
-    numerically singular, even when LAPACK does not raise; it is reachable
-    only when alpha == 0. Those systems, or the whole stack if the stacked
-    factorization raises, take one batched pseudo-inverse and so the
-    minimum-norm solution. Its cutoff is the pivot test's 1e-12: smaller
-    eigenvalues are rounding noise, and inverting them raises the cost.
+
+def ridge_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve (grams[k] + alpha I) w_k = rhs[k] for every system of a (k, r, r) stack
+    of Gram (positive semidefinite) matrices.
+
+    A system whose smallest squared Cholesky pivot is at most 1e-12 of its
+    largest diagonal entry is numerically singular, even when LAPACK does not
+    raise. With alpha > 0 every squared pivot is at least about alpha, so
+    when alpha is at least `_SAFE_SHIFT` of the stack's largest gram diagonal
+    no system can fail that test and one solve answers the stack. Otherwise a
+    stacked Cholesky reads the pivots (`_weak_systems`) and one solve answers
+    the systems that pass; a single system is a stack of one. The weak
+    systems, or the whole stack if the stacked factorization raises, take
+    one batched pseudo-inverse and so the minimum-norm solution. Its cutoff
+    is the pivot test's 1e-12: smaller eigenvalues are rounding noise, and
+    inverting them raises the cost.
     """
     systems = grams + alpha * np.eye(grams.shape[-1])
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(systems), axis1=1, axis2=2) ** 2
-    except np.linalg.LinAlgError:
-        weak = np.ones(len(systems), dtype=bool)
-    else:
-        scale = np.maximum(np.max(np.diagonal(systems, axis1=1, axis2=2), axis=1), 1e-300)
-        weak = np.min(pivots, axis=1) <= 1e-12 * scale
+    if alpha > 0 and alpha >= _SAFE_SHIFT * np.max(np.diagonal(grams, axis1=1, axis2=2),
+                                                   initial=0.0):
+        return np.linalg.solve(systems, rhs[..., None])[..., 0]
+    weak = _weak_systems(systems)
     out = np.empty_like(rhs)
     strong = ~weak
     out[strong] = np.linalg.solve(systems[strong], rhs[strong, :, None])[..., 0]
@@ -149,6 +199,17 @@ def ridge_solve(grams: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
         inverse = np.linalg.pinv(systems[weak], rcond=1e-12, hermitian=True)
         out[weak] = (inverse @ rhs[weak, :, None])[..., 0]
     return out
+
+
+def _weak_systems(systems: np.ndarray) -> np.ndarray:
+    """Which systems of a stack fail the pivot test: every one if the stacked
+    Cholesky raises."""
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(systems), axis1=1, axis2=2) ** 2
+    except np.linalg.LinAlgError:
+        return np.ones(len(systems), dtype=bool)
+    scale = np.maximum(np.max(np.diagonal(systems, axis1=1, axis2=2), axis=1), 1e-300)
+    return np.min(pivots, axis=1) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +371,18 @@ def predict(model: TemporalFactorModel, users, movies, stamps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MODEL_MAGIC = "temporal-factor-model 1"
+_ARRAYS = ("U", "V", "Z")
+_SLICE = 1 << 12   # values of a model array formatted at a time
+_PIECE = 1 << 16   # characters of a model array line parsed at a time
+_FLOAT_TEXT = re.compile(r"[0-9.e+\-naif ]*")   # what repr floats and spaces are made of
 
 
 def _dump_array(fh, name, values):
-    fh.write(name + " " + " ".join(repr(float(v)) for v in values) + "\n")
+    """``name`` and the reprs of ``values`` on one line, a slice at a time."""
+    fh.write(name)
+    for start in range(0, max(len(values), 1), _SLICE):   # "name \n" for an empty array
+        fh.write(" " + " ".join(map(repr, values[start:start + _SLICE].tolist())))
+    fh.write("\n")
 
 
 def save_model(model: TemporalFactorModel, path) -> None:
@@ -332,23 +401,71 @@ def save_model(model: TemporalFactorModel, path) -> None:
         _dump_array(fh, "Z", model.user_bias.transpose(1, 0).ravel())
 
 
+def _model_fields(path) -> dict:
+    """Each line after the magic line by its first token: the other tokens,
+    the last line of a name winning. `_array_fields` reads the file first and
+    gives U, V and Z as float arrays; if it refuses the file, the file is
+    read again here as whole lines of tokens."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fields = _array_fields(fh)
+    if fields is not None:
+        return fields
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != _MODEL_MAGIC:
+        raise ValueError(f"{path}: not a factor model file")
+    return {name: rest.split() for name, _, rest in (line.partition(" ") for line in lines[1:])}
+
+
+def _array_fields(fh) -> dict | None:
+    """`_model_fields` of an open file whose U, V and Z lines are parsed
+    `_PIECE` characters at a time by `np.loadtxt`, with no string per value;
+    None for a first line other than the magic line, for a piece of another
+    line that is not one whole line as `str.splitlines` splits (a line
+    longer than a piece, a last line with no line break), or for a piece of
+    an array line with a character a repr float does not use (which could
+    split lines or tokens unlike `str.split`) or with a token that does not
+    parse."""
+    try:
+        if fh.readline() not in (_MODEL_MAGIC + "\n", _MODEL_MAGIC):
+            return None
+        fields = {}
+        while piece := fh.readline(_PIECE):
+            name, space, rest = piece.partition(" ")
+            if not (space and name in _ARRAYS):
+                if piece.splitlines() != [piece[:-1]]:   # one line, whole
+                    return None
+                name, _, rest = piece[:-1].partition(" ")
+                fields[name] = rest.split()
+                continue
+            parts, text = [], rest
+            while True:
+                last = piece.endswith("\n") or len(piece) < _PIECE   # the line ends here
+                text, _, carry = (text.rstrip("\n"), "", "") if last else text.rpartition(" ")
+                if not _FLOAT_TEXT.fullmatch(text):
+                    return None
+                if text.strip(" "):
+                    parts.append(np.loadtxt(io.StringIO(text), comments=None, ndmin=1))
+                if last:
+                    break
+                piece = fh.readline(_PIECE)
+                text = carry + piece
+            fields[name] = np.concatenate([np.empty(0), *parts])
+    except ValueError:   # a value loadtxt refuses, or bytes that are not UTF-8
+        return None
+    return fields
+
+
 def load_model(path) -> TemporalFactorModel:
     """Read a model written by save_model.
 
     Raises ValueError naming the file and the field when the magic line
     or a field is missing, malformed, or of the wrong length for dims.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _MODEL_MAGIC:
-        raise ValueError(f"{path}: not a factor model file")
-    fields = {}
-    for line in lines[1:]:
-        name, _, rest = line.partition(" ")
-        fields[name] = rest.split()
+    fields = _model_fields(path)
 
     def field(name, length, convert):
-        values = fields.get(name)
+        values = fields.pop(name, None)
         if values is None:
             raise ValueError(f"{path}: missing field {name!r}")
         if len(values) != length:
@@ -369,14 +486,12 @@ def load_model(path) -> TemporalFactorModel:
     ))
     binning = field("binning", 4, lambda bv: Binning(
         int(bv[1]), int(bv[2]), int(bv[3]), kind=bv[0]))
-    U = field("U", m * r * T, lambda v: np.array(v, dtype=float))
-    V = field("V", n * r * T, lambda v: np.array(v, dtype=float))
-    Z = field("Z", m * T, lambda v: np.array(v, dtype=float))
+    tensors = []   # field() pops each array, so its file-order values go once transposed
+    for name, shape, axes in (("U", (m, r, T), (2, 0, 1)), ("V", (n, r, T), (2, 0, 1)),
+                              ("Z", (m, T), (1, 0))):
+        values = field(name, math.prod(shape), lambda v: np.asarray(v, dtype=float))
+        tensors.append(np.ascontiguousarray(values.reshape(shape).transpose(axes)))
     try:
-        return TemporalFactorModel(
-            np.ascontiguousarray(U.reshape(m, r, T).transpose(2, 0, 1)),
-            np.ascontiguousarray(V.reshape(n, r, T).transpose(2, 0, 1)),
-            np.ascontiguousarray(Z.reshape(m, T).transpose(1, 0)), binning, params,
-        )
+        return TemporalFactorModel(*tensors, binning, params)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

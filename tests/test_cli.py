@@ -94,6 +94,23 @@ def test_fit_rerun_identical(workspace, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_fit_huge_user_id_fails_fast(tmp_path):
+    # a user id of 10^15 asks for about 10^17 initial factor entries: the
+    # draw fails at its first allocation, not after growing toward an
+    # out-of-memory kill
+    train = tmp_path / "train.tsv"
+    train.write_text(f"{10 ** 15}\t0\t50\t1000\n0\t1\t60\t2000\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-m", "hhattrib.cli", "fit", "--train", str(train),
+         "--out", str(tmp_path / "model.txt")],
+        env=env, capture_output=True, text=True, timeout=10, check=False)
+    assert result.returncode != 0 and result.stderr
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["transmogrify"]) == 2
 

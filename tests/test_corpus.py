@@ -3,8 +3,10 @@ import datetime
 import functools
 import gc
 import hashlib
+import io
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,9 +128,15 @@ def outcome(parse, path):
         return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
+# Tokens where np.loadtxt and int/float could disagree sit beside plain ones:
+# underscores, signs, leading zeros, bare points, underflow, digits other
+# than ASCII, int64 overflow, hex, and a "#" that is no comment.
 TOKENS = ["0", "7", "42", "100", "50.5", "1e2", "-0", "+3", "1_0", "\u0663", " 8",
-          "nan", "inf", "-1", "101", str(2 ** 70), "x", "2.5"]
-SEPARATORS = [" ", "\t", ",", "  ", " ,\t", "\x0c", "\u2028", "\x1c", "\x85"]
+          "nan", "inf", "-1", "101", str(2 ** 70), "x", "2.5", "+5", "007", ".5", "5.",
+          "1e-400", "-0.0", "\u0661\u0660", "5_0", str(2 ** 63), "0x10", "#", "5#3", "1e",
+          "\x00"]
+SEPARATORS = [" ", "\t", ",", "  ", " ,\t", "\x0c", "\u2028", "\x1c", "\x85", "\xa0",
+              "\x0b", "\x1d", "\x1e", "\x1f", " # "]
 
 
 @st.composite
@@ -161,6 +169,14 @@ def ratings_files(draw):
 @example("1 2 3 4\x0c5 6 7 8\n", 1024)
 @example("1 2 3 4\u20285 6 7 8\n", 1024)
 @example("1 2 50 4\n1 2 50 4", 1)
+@example("7 1_0 50 4\n7 11 5_0 4\n", 1024)
+@example("7 10 1e-400 4\n+7 007 .5 5\n", 1024)
+@example("1 2 3 4\n5 6 7 8\x0b9 10 11 12\n", 1024)
+@example("1 2 50 4 # a comment\n", 1024)
+@example("1 2 50 4\n\x1f\xa0\n3 4 50 5\n", 1024)
+@example(f"1 2 50 {2 ** 63}\n", 1024)
+@example("1 2 50 4\n3 4 50 5 # c\n", 1024)
+@example("1 2 50 4\n3 4 50 5#3\n", 1024)
 @example(f"1 {2 ** 70} 50 4\n", 1024)
 @example("1 2 50 4\n\n3 4 101 5\n", 8)
 @example("1 2 50 4\n-1 2 50 4\n", 1024)
@@ -180,6 +196,48 @@ def test_parse_ratings_matches_per_line_parser(tmp_path_factory, text, chunk):
         assert_same_columns(got, want)
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("line, chunked", [
+    ("+5 007 .5 4", True), ("5 7 5. -0", True), ("5 7 1e-400 4", True),
+    ("5 7 -0 4", True), ("5\xa07\x0b50\x1c4", True), ("5\x1f7\x85 50\u2028\t4", True),
+    ("1_0 7 50 4", False), ("5 7 5_0 4", False), ("\u0661 7 50 4", False),
+    ("5 7 \u0665 4", False), ("5 7 50 \uff14", False), ("", True), (" \x0c\xa0", True),
+])
+@pytest.mark.parametrize("chunk", [1, 1 << 16])   # 1: a chunk per line, blank ones too
+def test_chunk_reader_reads_or_defers(tmp_path, line, chunked, chunk):
+    # each line is valid for int and float (or blank): np.loadtxt reads it to
+    # the per-line path's bits, or refuses it and read_table reads it line by line
+    path = tmp_path / "r.tsv"
+    path.write_text(f"1 2 50 3\n{line}\n", encoding="utf-8")
+    want = corpus._parse_lines(path, corpus.RATINGS_FIELDS, False)
+    with mock.patch.object(corpus, "_CHUNK", chunk):
+        try:
+            got = corpus._parse_chunks(path, corpus.RATINGS_FIELDS, False)
+        except ValueError:
+            got = None
+        assert (got is not None) == chunked
+        read = corpus.read_table(path, corpus.RATINGS_FIELDS)
+    for columns in ([got] if chunked else []) + [read]:
+        for ours, theirs in zip(columns, want, strict=True):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+def test_chunk_reader_defers_on_a_deprecation_warning(tmp_path):
+    # older numpy reads "2.5" into an int column as 2, with only a
+    # DeprecationWarning: the warning must send the file line by line
+    path = tmp_path / "r.tsv"
+    path.write_text("2.5 7 50 4\n")
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return loadtxt(io.StringIO("2 7 50 4\n"), **kwargs)
+
+    with mock.patch.object(np, "loadtxt", warning_loadtxt):
+        with pytest.raises(ParseError, match=":1: bad user id '2.5'"):
+            parse_ratings(path)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -366,7 +424,8 @@ def test_parse_test_events_matches_per_line_parser(tmp_path_factory, case, chunk
 
 
 DUMP_TOKENS = ["x", "-1", "1.5", "nan", "inf", str(2 ** 70), "2.5", "1_0", "+3", "1e0",
-               "household"]
+               "household", "007", ".5", "5.", "1e-400", "-0", "\u0663", str(2 ** 63), "0x10",
+               "#", "1\xa02", "1\x0b2", "1\u20282"]
 
 
 @st.composite

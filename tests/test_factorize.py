@@ -1,4 +1,7 @@
+import gc
 import logging
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hhattrib import factorize
 from hhattrib.corpus import (
     Binning, Household, derive_binning, make_dataset,
 )
@@ -291,6 +295,34 @@ def test_stacked_fallback_matches_scalar_oracle(name, grams, rhs, alpha, raises)
     if name == "weak pivots next to strong systems":
         # solve would answer (1, 0) and (1, 0); the minimum norm is (0.5, 0.5)
         np.testing.assert_allclose(got[[0, 2]], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+
+
+def random_gram_stack(rng, count, rank):
+    """Gram matrices A A^T of random (rank, j) designs, j from 0 (an all-zero
+    gram) to 2 * rank, so that some are singular, scaled across nine decades."""
+    grams = []
+    for _ in range(count):
+        A = rng.normal(size=(rank, int(rng.integers(0, 2 * rank + 1))))
+        grams.append(10.0 ** rng.uniform(-3, 6) * (A @ A.T))
+    return np.array(grams)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-12, 1.0 + 1e-6, 10.0])
+def test_ridge_shift_floor_needs_no_pivot_test(factor):
+    # alpha at and just above _SAFE_SHIFT of the stack's largest gram
+    # diagonal: the pivot test marks no system weak, and the one-solve path
+    # gives the pivot path's bits
+    rng = np.random.default_rng(43)
+    for rank in (1, 2, 4, 10):
+        grams = random_gram_stack(rng, 80, rank)
+        rhs = rng.normal(size=(80, rank))
+        alpha = factor * factorize._SAFE_SHIFT * np.max(
+            np.diagonal(grams, axis1=1, axis2=2))
+        assert not factorize._weak_systems(grams + alpha * np.eye(rank)).any()
+        one_solve = ridge_solve(grams, rhs, alpha)
+        with mock.patch.object(factorize, "_SAFE_SHIFT", np.inf):   # the pivot path
+            pivoted = ridge_solve(grams, rhs, alpha)
+        assert one_solve.tobytes() == pivoted.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +709,26 @@ def test_classifier_rest_tie_breaks_to_smaller_id():
 # RNG and serialization
 # ---------------------------------------------------------------------------
 
+class ScalarXorshift64Star(Xorshift64Star):
+    """The stream one value at a time, as the README writes it: the oracle of
+    Xorshift64Star.uniforms."""
+
+    def next_uint64(self) -> int:
+        x = self._state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & (2 ** 64 - 1)
+        x ^= x >> 27
+        self._state = x
+        return (x * 0x2545F4914F6CDD1D) & (2 ** 64 - 1)
+
+    def uniform(self) -> float:
+        """One double in [0, 1), from the top 53 bits of the next output."""
+        return (self.next_uint64() >> 11) * 2.0 ** -53
+
+    def uniforms(self, count: int) -> np.ndarray:
+        return np.array([self.uniform() for _ in range(count)], dtype=float)
+
+
 def test_xorshift_stream_properties():
     gen = Xorshift64Star(123)
     values = gen.uniforms(2000)
@@ -685,6 +737,40 @@ def test_xorshift_stream_properties():
     again = Xorshift64Star(123).uniforms(2000)
     assert np.array_equal(values, again)
     assert not np.array_equal(values, Xorshift64Star(124).uniforms(2000))
+
+
+@given(st.one_of(st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)),
+       st.lists(st.one_of(st.integers(0, 70), st.integers(0, 10 ** 5)),
+                min_size=1, max_size=2))
+@example(0, [0, 1])
+@example(2 ** 64 - 1, [10 ** 5])
+@example(5, [432, 1144])      # a 1-bin rank-4 fit of 108 users and 286 movies
+@example(9, [63, 64, 65])     # around a change of lane length
+@example(3, [18, 3, 2])
+@settings(max_examples=40, deadline=None)
+def test_uniforms_match_the_scalar_stream(seed, counts):
+    # calls back to back, as the user then the movie factors draw: each call
+    # gives the scalar loop's doubles and leaves the generator in its state
+    gen, oracle = Xorshift64Star(seed), ScalarXorshift64Star(seed)
+    for count in counts:
+        got = gen.uniforms(count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert got.tobytes() == oracle.uniforms(count).tobytes()
+        assert gen._state == oracle._state
+
+
+def test_init_factors_match_the_scalar_stream():
+    got = _init_factors(13, 7, 3, 5, 11)
+    with mock.patch.object(factorize, "Xorshift64Star", ScalarXorshift64Star):
+        want = _init_factors(13, 7, 3, 5, 11)
+    for ours, theirs in zip(got, want, strict=True):
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_uniforms_impossible_count_fails_at_once():
+    # the lane output is allocated before any jump-ahead work
+    with pytest.raises(MemoryError):
+        Xorshift64Star(0).uniforms(10 ** 18)
 
 
 def test_model_serialization_round_trip(tmp_path):
@@ -702,6 +788,113 @@ def test_model_serialization_round_trip(tmp_path):
     assert again.binning == model.binning
     save_model(again, tmp_path / "model2.txt")
     assert (tmp_path / "model.txt").read_bytes() == (tmp_path / "model2.txt").read_bytes()
+
+
+def generator_dump_array(fh, name, values):
+    """One array line, one repr per value through a generator: the oracle of
+    the sliced writer."""
+    fh.write(name + " " + " ".join(repr(float(v)) for v in values) + "\n")
+
+
+def edge_model(m=5, n=3, rank=2, bins=3, seed=19):
+    """A model whose arrays hold -0.0, the smallest subnormal and 1e308."""
+    rng = np.random.default_rng(seed)
+    U, V = rng.normal(size=(bins, m, rank)), rng.normal(size=(bins, n, rank)) * 1e-3
+    Z = rng.uniform(0, 100, size=(bins, m))
+    U.flat[:3] = [-0.0, 5e-324, 1e308]
+    V.flat[-2:] = [-5e-324, -0.0]
+    Z.flat[1] = -1e308
+    return TemporalFactorModel(U, V, Z, Binning(bins, 10, 1000),
+                               FactorParams(rank=rank, bin_count=bins, seed=seed))
+
+
+def assert_same_model(got, want):
+    for name in ("user_factors", "movie_factors", "user_bias"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.binning, got.params) == (want.binning, want.params)
+
+
+@pytest.mark.parametrize("slice_size", [1, 2, 3, 7, 14, 29, 30, 31, 1 << 12])
+def test_model_file_bytes_match_the_generator_writer(tmp_path, slice_size):
+    # U has 30 values and Z 15: slices that divide them, that leave one
+    # over, and that are longer
+    model = edge_model()
+    with mock.patch.object(factorize, "_dump_array", generator_dump_array):
+        save_model(model, tmp_path / "want.txt")
+    with mock.patch.object(factorize, "_SLICE", slice_size):
+        save_model(model, tmp_path / "got.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    flat = {"U": model.user_factors.transpose(1, 2, 0).ravel(),
+            "V": model.movie_factors.transpose(1, 2, 0).ravel(),
+            "Z": model.user_bias.transpose(1, 0).ravel()}
+    # the longest other line, "params ...\n", is 36 characters: pieces of at
+    # least that cut array values, and one piece holds a whole line; a
+    # shorter piece cuts a line the array reader only takes whole, so the
+    # whole-line reader takes the file
+    for piece in (3, 35, 36, 41, 64, 1 << 16):
+        with mock.patch.object(factorize, "_PIECE", piece):
+            with open(tmp_path / "got.txt", encoding="utf-8") as fh:
+                fields = factorize._array_fields(fh)
+            if piece < 36:
+                assert fields is None
+            else:
+                for name, values in flat.items():
+                    assert fields[name].tobytes() == values.tobytes(), name
+            assert_same_model(load_model(tmp_path / "got.txt"), model)
+
+
+def test_model_file_memory_is_sliced(tmp_path):
+    # writing and reading hold the arrays, a copy of at most one more, and a
+    # slice or piece of text: never a string per value or the whole file
+    model = edge_model(m=5000, n=300, rank=4, bins=12)
+    arrays = sum(a.nbytes for a in (model.user_factors, model.movie_factors,
+                                    model.user_bias))
+    path = tmp_path / "model.txt"
+    for action in (lambda: save_model(model, path), lambda: load_model(path)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            action()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * arrays + (2 << 20), (peak, arrays)
+
+
+MODEL_EDITS = ["x", " ", "  ", "\n", "\x0c", "\x1c", "\x85", "\u2028", "\t", "_", "e", "-",
+               ".", "nan", "inf", "1e", "\u0663", "\xa0", "U ", "Z 1", "#", "\r", "\x00"]
+
+
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(MODEL_EDITS + [""])),
+                min_size=1, max_size=3),
+       st.sampled_from([5, 40, 1 << 16]))
+@example([(0, "")], 1 << 16)
+@settings(max_examples=150, deadline=None)
+def test_load_model_matches_the_whole_line_reader(tmp_path_factory, edits, piece):
+    # a model file with characters inserted ("" deletes one): the array
+    # reader gives the whole-line reader's model or raises its message
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(edge_model(m=3, n=2, rank=2, bins=2), path)
+    text = path.read_text()
+    for at, edit in edits:
+        at %= len(text) + 1
+        text = text[:at] + edit + text[at + (not edit):]
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    # an array reader that refuses every file leaves the whole-line reader
+    for fields in (lambda fh: None, factorize._array_fields):
+        with mock.patch.object(factorize, "_array_fields", fields), \
+                mock.patch.object(factorize, "_PIECE", piece):
+            try:
+                outcomes.append(load_model(path))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+    want, got = outcomes
+    if isinstance(want, TemporalFactorModel):
+        assert isinstance(got, TemporalFactorModel), got
+        assert_same_model(got, want)
+    else:
+        assert got == want
 
 
 def test_weekday_binned_factor_variant():
