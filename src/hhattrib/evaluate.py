@@ -86,18 +86,14 @@ class AttributionReport:
     annotations: dict = field(default_factory=dict)
 
 
-def aggregate(scores: dict[int, HouseholdScore],
-              households: dict[int, Household]) -> Aggregates:
+def aggregate(scores: dict[int, HouseholdScore]) -> Aggregates:
     """Unweighted means of household misclassification, overall and by size."""
     if not scores:
         raise ValueError("no households with test events")
     overall = [s.misclassification for s in scores.values()]
     by_size = {}
     for size in (2, 3, 4):
-        values = [
-            s.misclassification for hid, s in scores.items()
-            if households[hid].size == size
-        ]
+        values = [s.misclassification for s in scores.values() if s.size == size]
         by_size[size] = float(np.mean(values)) if values else None
     return Aggregates(
         overall=float(np.mean(overall)),
@@ -140,13 +136,16 @@ def build_report(test: TestColumns, predictions, households, posteriors=None,
                  annotations=None) -> AttributionReport:
     """Per-household, per-member and aggregate attribution metrics: bincounts
     over (household in id order, member slot) cells, and the per-member AUCs
-    from one sort of the cells of a `Posteriors` matrix."""
+    from one sort of the cells of a `Posteriors` matrix. Each event's members
+    are its `member_rows` row, taken from the posteriors when given."""
     predictions = np.asarray(predictions, dtype=np.intp)
     if len(test) != len(predictions):
         raise ValueError("one prediction per test event required")
     if (test.true_user < 0).any():
         raise ValueError("evaluation requires events with ground truth")
-    members = member_rows(households, test)[1]
+    members = member_rows(households, test)[1] if posteriors is None else posteriors.members
+    if len(members) != len(test) or not np.isin(test.household, list(households)).all():
+        raise ValueError("posteriors do not match the test events' households")
     ids, width = sorted(households), members.shape[1]
     keys = np.searchsorted(ids, test.household)
     cells = keys[:, None] * width + np.arange(width)   # each slot's cell
@@ -165,8 +164,6 @@ def build_report(test: TestColumns, predictions, households, posteriors=None,
 
     auc_mean, auc_per = (None, {})
     if posteriors is not None:
-        if not np.array_equal(posteriors.members, members):
-            raise ValueError("posteriors do not match the test events' households")
         real = members >= 0
         kept, values = _grouped_auc(cells[real], posteriors.values[real], is_truth[real])
         auc_per = {(ids[g // width], households[ids[g // width]].members[g % width]): value
@@ -176,7 +173,7 @@ def build_report(test: TestColumns, predictions, households, posteriors=None,
         test=test,
         predictions=predictions,
         per_household=scores,
-        aggregate=aggregate(scores, households),
+        aggregate=aggregate(scores),
         auc_mean=auc_mean,
         auc_per=auc_per,
         annotations=dict(annotations or {}),
@@ -320,15 +317,16 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
                           sigma_model, logit_models)
 
 
-def member_rows(households, test: TestColumns):
+def member_rows(households, test: TestColumns, table=None):
     """Each event's household row in map order, and that household's members
-    in file order, padded with -1 to the largest household size. An event
+    in file order, padded with -1 to the largest household size: its row of
+    ``table``, the households' `member_table` (built when not given). An event
     whose household is not in the map is a ValueError naming the first."""
     rows = household_index(households, test.household)
     if (rows < 0).any():
         raise ValueError(f"test event for unknown household "
                          f"{int(test.household[(rows < 0).argmax()])}")
-    return rows, member_table(households)[rows]
+    return rows, (member_table(households) if table is None else table)[rows]
 
 
 def _gap_matrix(model, members, test: TestColumns) -> np.ndarray:
@@ -368,7 +366,8 @@ def classify_events(fitted: FittedPipeline, test: TestColumns):
     against the rest's.
     """
     name = fitted.config.classifier
-    rows, members = member_rows(fitted.households, test)
+    rows, members = member_rows(fitted.households, test,
+                                None if fitted.priors is None else fitted.priors.members)
     if name == "residual":
         gaps = _gap_matrix(fitted.model, members, test)
         first = fitted.config.alpha * gaps[:, 0] < gaps[:, 1:].min(axis=1)

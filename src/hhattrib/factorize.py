@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .corpus import Binning, EventColumns, bin_column, derive_binning
 
@@ -275,6 +274,7 @@ def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=N
     After each iteration, progress (if given) receives the iteration
     number, the model and its training cost.
     """
+    import scipy.sparse   # here, not at import: about 22 MB resident, needed by fits only
     if not train.user.size:
         raise ValueError("empty training set")
     T = params.bin_count
@@ -298,20 +298,25 @@ def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=N
         per_bin.append((C, X, C.T, X.T, count, np.bincount(u, x, m),
                         count > 0, np.bincount(v, minlength=n) > 0))
 
+    if progress:   # each event's row of the (T*m, r) and (T*n, r) views, for its cost
+        rows = bins * m + users, bins * n + movies
+    # C @ V[b] from bin b's last Z block: V[b] does not change before its next U block
+    CV = [C @ V[b] for b, (C, *_) in enumerate(per_bin)]
     for k in range(params.iterations):
         for b, (C, X, Ct, Xt, count, total, user_rows, movie_rows) in enumerate(per_bin):
             Ub, Vb, Zb = U[b], V[b], Z[b]  # views: each block reads the last update
-            _refresh(U, b, _grams(C, Vb), X @ Vb - Zb[:, None] * (C @ Vb), user_rows,
+            _refresh(U, b, _grams(C, Vb), X @ Vb - Zb[:, None] * CV[b], user_rows,
                      lam, params.xi_u)
             hook("u", b + 1, model)
             _refresh(V, b, _grams(Ct, Ub), Xt @ Ub - Ct @ (Zb[:, None] * Ub), movie_rows,
                      lam, params.xi_v)
             hook("v", b + 1, model)
-            _refresh(Z, b, count, total - np.einsum("ir,ir->i", Ub, C @ Vb), user_rows,
+            CV[b] = C @ Vb
+            _refresh(Z, b, count, total - np.einsum("ir,ir->i", Ub, CV[b]), user_rows,
                      0.0, params.xi_z)
             hook("z", b + 1, model)
         if progress:
-            progress(k + 1, model, cost(model, train))
+            progress(k + 1, model, _objective(model, ratings - _fitted(model, *rows)))
     return model
 
 
@@ -328,7 +333,12 @@ def residuals(train: EventColumns, model: TemporalFactorModel) -> np.ndarray:
 
 def cost(model: TemporalFactorModel, train) -> float:
     """Regularized squared-error objective the fitting routine minimizes."""
-    total = 0.5 * float(np.sum(residuals(train, model) ** 2))
+    return _objective(model, residuals(train, model))
+
+
+def _objective(model: TemporalFactorModel, errors: np.ndarray) -> float:
+    """`cost` of the model given its training residuals."""
+    total = 0.5 * float(np.sum(errors ** 2))
     p = model.params
     for tensor, lam, xi in (
         (model.user_factors, p.reg_lambda, p.xi_u),
@@ -359,11 +369,21 @@ def predict(model: TemporalFactorModel, users, movies, stamps) -> np.ndarray:
     known = movies < model.movie_count
     for movie in movies[~known].tolist():
         log.debug("movie %s unknown to the factor model, user bias only", movie)
-    bins = bin_column(stamps, model.binning)
-    bias = model.user_bias[bins, users]
-    products = np.einsum("...r,...r->...", model.user_factors[bins, users],
-                         model.movie_factors[bins, np.where(known, movies, 0)])
-    return np.where(known, bias + products, bias)
+    rows = bin_column(stamps, model.binning)   # each bin, then each user's row
+    movie_rows = rows * model.movie_count + np.where(known, movies, 0)
+    rows = rows * model.user_count + users
+    fitted = _fitted(model, rows, movie_rows)
+    return fitted if known.all() else np.where(known, fitted, model.user_bias.ravel().take(rows))
+
+
+def _fitted(model: TemporalFactorModel, user_rows, movie_rows) -> np.ndarray:
+    """Bias plus factor product at rows of the (T*m, r) and (T*n, r) views,
+    row b*m + i being user i in bin b (b*n + j movie j)."""
+    rank = model.rank
+    products = np.einsum("...r,...r->...",
+                         model.user_factors.reshape(-1, rank).take(user_rows, axis=0),
+                         model.movie_factors.reshape(-1, rank).take(movie_rows, axis=0))
+    return model.user_bias.ravel().take(user_rows) + products
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ posteriors.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +27,18 @@ log = logging.getLogger(__name__)
 SCOPES = ("infinite", "global", "per_user")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaModel:
     """Residual standard deviations at the chosen scope, floored below.
 
     ``infinite`` drops the Gaussian factor entirely; ``global`` shares a
-    single value; ``per_user`` keeps one value per user, falling back to
-    the global one for users with too few residuals.
+    single value; ``per_user`` keeps one value per user of the factor model
+    in ``sigma_by_user``, the global one for users with too few residuals.
     """
 
     scope: str
     sigma_all: float
-    sigma_by_user: dict[int, float]
+    sigma_by_user: np.ndarray = field(default_factory=lambda: np.empty(0))
     floor: float = 0.5
 
     def __post_init__(self):
@@ -47,8 +47,7 @@ class SigmaModel:
         if self.floor <= 0:
             raise ValueError("floor must be positive")
         if self.scope != "infinite":
-            stored = [self.sigma_all, *self.sigma_by_user.values()]
-            if any(s < self.floor for s in stored):
+            if self.sigma_all < self.floor or (self.sigma_by_user < self.floor).any():
                 raise ValueError("every stored sigma must be >= floor")
 
     @property
@@ -60,11 +59,11 @@ class SigmaModel:
         """Each user's scale: its own under ``per_user`` when it has one, else
         the global value (infinite for the ``infinite`` scope)."""
         users = np.asarray(users, dtype=np.intp)
-        size = max(int(users.max(initial=-1)), *self.sigma_by_user, -1) + 1
-        lookup = np.full(size, self.sigma_all)
+        out = np.full(users.shape, self.sigma_all)
         if self.scope == "per_user":
-            lookup[list(self.sigma_by_user)] = list(self.sigma_by_user.values())
-        return lookup[users]
+            inside = users < len(self.sigma_by_user)
+            out[inside] = self.sigma_by_user[users[inside]]
+        return out
 
 
 def estimate_sigma(train: EventColumns, model: TemporalFactorModel, scope: str,
@@ -72,26 +71,29 @@ def estimate_sigma(train: EventColumns, model: TemporalFactorModel, scope: str,
     """Population std of training residuals, overall and optionally per user.
 
     Users with fewer than ``min_residuals`` residuals inherit the global
-    value. All stored values are floored to keep densities finite.
+    value. All stored values are floored to keep densities finite. Users with
+    c residuals share one `np.std(axis=1)` of a (users, c) block, which
+    reduces each row as it would the user's own 1-d array.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope {scope!r} not in {SCOPES}")
     if not train.user.size:
         raise ValueError("cannot estimate sigma from an empty training set")
     if scope == "infinite":
-        return SigmaModel("infinite", math.inf, {}, floor)
+        return SigmaModel("infinite", math.inf, floor=floor)
     errors = residuals(train, model)
     sigma_all = max(floor, float(np.std(errors)))
-    by_user: dict[int, float] = {}
-    if scope == "per_user":
-        # a stable sort keeps each user's residuals in event order
-        order = np.argsort(train.user, kind="stable")
-        users, starts = np.unique(train.user[order], return_index=True)
-        for user, mine in zip(users.tolist(), np.split(errors[order], starts[1:])):
-            if len(mine) < min_residuals:
-                by_user[user] = sigma_all
-            else:
-                by_user[user] = max(floor, float(np.std(mine)))
+    if scope == "global":
+        return SigmaModel(scope, sigma_all, floor=floor)
+    # a stable sort keeps each user's residuals in event order
+    order = np.argsort(train.user, kind="stable")
+    users, starts, counts = np.unique(train.user[order], return_index=True,
+                                      return_counts=True)
+    by_user = np.full(model.user_count, sigma_all)   # residuals() checked the users
+    for count in np.unique(counts[counts >= min_residuals]).tolist():
+        group = counts == count
+        block = errors[order[starts[group][:, None] + np.arange(count)]]
+        by_user[users[group]] = np.maximum(floor, np.std(block, axis=1))
     return SigmaModel(scope, sigma_all, by_user, floor)
 
 

@@ -32,7 +32,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .corpus import (
     SECONDS_PER_DAY, Binning, Dataset, EventColumns, Household, bin_column, member_table,
@@ -45,6 +44,10 @@ log = logging.getLogger(__name__)
 # L-BFGS pairs kept, and the projected gradient that hands over to the polish
 _MEMORY = 20
 _HANDOVER_PG = 1e-3
+
+# scipy's LAPACK triangular solve, bound by the first solve: scipy.linalg holds
+# about 28 MB of resident memory that a process fitting no unified model need not
+dtrtrs = None
 
 FEATURE_ORDER = "abcde"
 
@@ -211,6 +214,9 @@ def _split_steps(rows, labels, lambda1, w, history, pairs, *, max_iter, pg_tol):
     """The iterations of _split_descend from the split point w, with the last
     ``pairs`` (s, y) pairs in ``history`` oldest first; returns the split
     point they reach and leaves its pairs in ``history``."""
+    global dtrtrs
+    if dtrtrs is None:
+        from scipy.linalg.lapack import dtrtrs
     def gradient(u, e):
         g = rows.T @ (_sigmoid(u, e) - labels)
         return np.concatenate((g + lambda1, lambda1 - g))

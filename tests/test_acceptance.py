@@ -134,7 +134,7 @@ def test_criterion_05_infinite_sigma_reduction():
     model = factorize.fit_lowrank_temporal(dataset.train, params,
                                            dataset.user_count,
                                            dataset.movie_count)
-    sigma = generative.SigmaModel("infinite", math.inf, {})
+    sigma = generative.SigmaModel("infinite", math.inf)
     checked = 0
     for epsilon in (0.0, 0.5):
         priors = temporal.fit_priors(dataset.train, dataset.households,

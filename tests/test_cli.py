@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,47 @@ def test_fit_huge_user_id_fails_fast(tmp_path):
         env=env, capture_output=True, text=True, timeout=10, check=False)
     assert result.returncode != 0 and result.stderr
     assert not (tmp_path / "model.txt").exists()
+
+
+SCIPY_PROBE = textwrap.dedent("""
+    import contextlib, io, sys
+    import hhattrib.cli
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = hhattrib.cli.main(list(argv))
+        assert code == 0, (argv, code)
+        return sorted({name.split(".")[1] for name in sys.modules
+                       if name.startswith(("scipy.sparse", "scipy.linalg"))})
+
+    d = sys.argv[1]
+    data = ["--households", f"{d}/a/households.tsv", "--test", f"{d}/a/test.tsv"]
+    train = ["--train", f"{d}/a/train.tsv"]
+    assert run("baseline", "--size2", "3") == []
+    assert run("synth", "--config", f"{d}/synth.cfg", "--out", f"{d}/a") == []
+    assert run("classify", *train, *data, "--classifier", "prior-day", "--bins", "4",
+               "--out", f"{d}/p.tsv", "--dump-posteriors", f"{d}/post.tsv") == []
+    assert run("evaluate", *data, "--predictions", f"{d}/p.tsv",
+               "--posteriors", f"{d}/post.tsv", "--out", f"{d}/r.tsv") == []
+    assert run("fit", *train, "--out", f"{d}/m.txt", "--rank", "2", "--bins", "4",
+               "--iterations", "3") == ["sparse"]
+    assert run("classify", *train, *data, "--classifier", "unified", "--model",
+               f"{d}/m.txt", "--out", f"{d}/u.tsv") == ["linalg", "sparse"]
+""")
+
+
+def test_scipy_is_imported_only_by_fits_and_unified_solves(tmp_path):
+    # scipy.sparse (the ALS fit) and scipy.linalg (the unified family's
+    # triangular solves) hold about 29 MB of resident memory between them;
+    # commands that fit no factor model and no logistic model load neither
+    (tmp_path / "synth.cfg").write_text(
+        "households_size2 = 3\nhouseholds_size3 = 1\nevents_per_user = 30\nseed = 4\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
 
 
 def test_unknown_subcommand_exits_2():

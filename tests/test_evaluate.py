@@ -391,7 +391,7 @@ def reference_build_report(test_events, predictions, households, posteriors=None
     if posteriors is not None:
         auc_mean, auc_per = reference_auc_report(test_events, posteriors, households)
     return AttributionReport(as_test_columns(test_events), np.array(predictions, np.intp),
-                             scores, aggregate(scores, households), auc_mean, auc_per)
+                             scores, aggregate(scores), auc_mean, auc_per)
 
 
 @st.composite
@@ -635,8 +635,8 @@ def reference_scores(fitted, train, ev, counts):
     scores = {}
     for member, q in priors.items():
         sigma = sigma_model.sigma_all
-        if sigma_model.scope == "per_user":
-            sigma = sigma_model.sigma_by_user.get(member, sigma)
+        if sigma_model.scope == "per_user" and member < len(sigma_model.sigma_by_user):
+            sigma = float(sigma_model.sigma_by_user[member])
         gap = ev.rating - reference_predict(model, member, ev)
         scores[member] = -math.inf if q == 0.0 else (
             math.log(q) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)

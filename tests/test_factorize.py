@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hhattrib import factorize
 from hhattrib.corpus import (
-    Binning, Household, derive_binning, make_dataset,
+    Binning, Household, bin_column, derive_binning, make_dataset,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.factorize import (
@@ -21,7 +21,7 @@ from hhattrib.factorize import (
     save_model,
 )
 
-from conftest import DAY0, Rating, anon_event, as_columns, as_test_columns, bin_of, event
+from conftest import DAY, DAY0, Rating, anon_event, as_columns, as_test_columns, bin_of, event
 
 
 def naive_cost(model, train):
@@ -675,6 +675,66 @@ def test_residuals_gather_matches_predict():
         residuals(as_columns([event(0, n)]), model)
     with pytest.raises(ValueError, match="user"):
         residuals(as_columns([event(-1, 0)]), model)
+
+
+def oracle_predict(model, users, movies, stamps):
+    """predict by two-array gathers from the (T, m, r) and (T, n, r) tensors:
+    the oracle of its flat-row gathers."""
+    users, movies = np.asarray(users, dtype=np.intp), np.asarray(movies, dtype=np.intp)
+    known = movies < model.movie_count
+    bins = bin_column(stamps, model.binning)
+    bias = model.user_bias[bins, users]
+    products = np.einsum("...r,...r->...", model.user_factors[bins, users],
+                         model.movie_factors[bins, np.where(known, movies, 0)])
+    return np.where(known, bias + products, bias)
+
+
+@pytest.mark.parametrize("bins", [1, 12])
+def test_predict_matches_the_two_array_gather(bins):
+    rng = np.random.default_rng(bins)
+    m, n, rank, count = 9, 7, 3, 60
+    model = TemporalFactorModel(
+        rng.normal(size=(bins, m, rank)), rng.normal(size=(bins, n, rank)),
+        rng.uniform(0, 100, size=(bins, m)), Binning(bins, DAY0, 70 * DAY),
+        FactorParams(rank=rank, bin_count=bins))
+    stamps = DAY0 + rng.integers(-DAY, 80 * DAY, count)   # some clamped to an end bin
+    movies = rng.integers(0, n + 3, count)                # some unknown to the model
+    members = rng.integers(-1, m, (count, 4))             # -1 pads, as in _gap_matrix
+    members[:, 0] = rng.integers(0, m, count)
+    for case in ((members[:, 0], movies, stamps),
+                 (np.where(members >= 0, members, members[:, :1]), movies[:, None],
+                  stamps[:, None]),
+                 (members[:, 0], movies[:1], stamps[:, None]),
+                 (members[0, 0], movies[0], stamps[0]),
+                 ([[0, 1]], [[n]], [[DAY0]])):
+        got, want = predict(model, *case), oracle_predict(model, *case)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@given(
+    ratings=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                               st.floats(1.0, 100.0), st.integers(0, 40)),
+                     min_size=1, max_size=30),
+    bins=st.integers(1, 4),
+    rank=st.integers(1, 3),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+@example(ratings=REPEATED_RATINGS, bins=3, rank=2, seed=4)
+def test_progress_cost_is_cost_and_leaves_the_fit(ratings, bins, rank, seed):
+    # the fit scores itself from each event's flat rows; cost() goes through
+    # predict: both must give the same bits, and reading the cost must not
+    # move a factor
+    train = as_columns([event(u, v, rating=x, day=t % 7, week=t // 7)
+                        for u, v, x, t in ratings])
+    params = FactorParams(rank=rank, xi_u=1.5, xi_v=2.5, xi_z=0.5, bin_count=bins,
+                          iterations=3, seed=seed)
+    seen = []
+    model = fit_lowrank_temporal(train, params, 7, 6, progress=lambda k, mod, value: (
+        seen.append((k, value, cost(mod, train)))))
+    assert [k for k, _, _ in seen] == [1, 2, 3]
+    assert all(value == want for _, value, want in seen)
+    assert_same_model(model, fit_lowrank_temporal(train, params, 7, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hhattrib.corpus import Binning, Household, SynthConfig, cv_split, synth_generate
+from hhattrib.corpus import (
+    Binning, EventColumns, Household, SynthConfig, cv_split, synth_generate,
+)
 from hhattrib.evaluate import (
     FittedPipeline, PipelineConfig, classify_events, fit_and_classify,
 )
@@ -85,14 +87,51 @@ def test_sigma_per_user_equals_masked_reference(planted_dataset):
     sigma = estimate_sigma(train, model, "per_user", min_residuals=27)
     errors = residuals(train, model)
     users = train.user
-    want = {}
+    want = np.full(model.user_count, sigma.sigma_all)
     for user in np.unique(users):
         mine = errors[users == user]
-        want[int(user)] = (sigma.sigma_all if len(mine) < 27
-                           else max(0.5, float(np.std(mine))))
-    assert sigma.sigma_by_user == want
-    fallbacks = sum(value == sigma.sigma_all for value in want.values())
-    assert 0 < fallbacks < len(want)
+        want[user] = (sigma.sigma_all if len(mine) < 27
+                      else max(0.5, float(np.std(mine))))
+    assert np.array_equal(sigma.sigma_by_user, want)
+    fallbacks = sum(want[np.unique(users)] == sigma.sigma_all)
+    assert 0 < fallbacks < len(np.unique(users))
+
+
+def oracle_sigma_by_user(train, model, sigma_all, floor, min_residuals):
+    """One np.std per user over the user's residuals in event order: the
+    oracle of estimate_sigma's count groups."""
+    errors = residuals(train, model)
+    order = np.argsort(train.user, kind="stable")
+    users, starts = np.unique(train.user[order], return_index=True)
+    want = np.full(model.user_count, sigma_all)
+    for user, mine in zip(users.tolist(), np.split(errors[order], starts[1:])):
+        if len(mine) >= min_residuals:
+            want[user] = max(floor, float(np.std(mine)))
+    return want
+
+
+@pytest.mark.parametrize("seed, floor", [(0, 0.5), (1, 0.5), (2, 29.0)])
+def test_sigma_count_groups_match_the_per_user_loop(seed, floor):
+    # heavy-tailed counts, as among CAMRa users: from 1 to thousands of
+    # residuals per user, some users with none, events interleaved
+    rng = np.random.default_rng(seed)
+    m, n, bins = 400, 50, 3
+    counts = np.minimum((rng.pareto(0.8, m) * 3).astype(int) + 1, 4000)
+    counts[:4] = 0, 1, 4, 3000
+    users = rng.permutation(np.repeat(np.arange(m), counts))
+    train = EventColumns(users, rng.integers(0, n, len(users)),
+                         rng.uniform(0, 100, len(users)),
+                         rng.integers(0, 10 ** 6, len(users)))
+    model = TemporalFactorModel(
+        rng.normal(size=(bins, m, 2)), rng.normal(size=(bins, n, 2)),
+        rng.uniform(40, 60, size=(bins, m)), Binning(bins, 0, 10 ** 6),
+        FactorParams(rank=2, bin_count=bins))
+    assert len(np.unique(counts)) > 30
+    sigma = estimate_sigma(train, model, "per_user", floor=floor)
+    want = oracle_sigma_by_user(train, model, sigma.sigma_all, floor, 5)
+    assert np.array_equal(sigma.sigma_by_user, want)
+    assert np.array_equal(sigma.sigmas(np.arange(m + 2)),
+                          np.append(want, [sigma.sigma_all] * 2))
 
 
 def test_sigma_planted_noise_recovered():
@@ -123,7 +162,7 @@ def test_joint_score_infinite_sigma_is_prior(pair_household):
     model = flat_model([10.0, 90.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
     priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
-    sigma = SigmaModel("infinite", math.inf, {})
+    sigma = SigmaModel("infinite", math.inf)
     _, post = classify(pair_household, anon_event(0, 0, rating=95.0), model, priors, sigma)
     assert post == dict(zip(pair_household.members, priors.shares[0, 0].tolist()))
 
@@ -140,7 +179,7 @@ def test_joint_score_zero_prior_zeroes_score():
 def test_posterior_normalization_cases(pair_household):
     model = flat_model([50.0, 50.0])
     priors = uniform_priors(pair_household)
-    sigma = SigmaModel("global", 10.0, {})
+    sigma = SigmaModel("global", 10.0)
     _, post = classify(pair_household, anon_event(0, 0, rating=50.0), model, priors,
                        sigma)
     assert post[0] == pytest.approx(0.5)
@@ -152,7 +191,7 @@ def test_posterior_ratio():
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
     priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.0)
-    sigma = SigmaModel("global", 10.0, {})
+    sigma = SigmaModel("global", 10.0)
     _, post = classify(household, anon_event(0, 0, rating=50.0), model, priors, sigma)
     # equal densities, priors 0.75 / 0.25
     assert post[0] == pytest.approx(0.75)
@@ -163,7 +202,7 @@ def test_posterior_uniform_fallback_when_all_zero():
     household = Household(0, (0, 1, 2))
     model = flat_model([0.0, 0.0, 0.0])
     priors = uniform_priors(household)
-    sigma = SigmaModel("global", 0.5, {})
+    sigma = SigmaModel("global", 0.5)
     # rating 100 vs predictions 0: density underflows to exactly 0
     _, post = classify(household, anon_event(0, 0, rating=100.0), model, priors, sigma)
     assert post == {0: pytest.approx(1 / 3), 1: pytest.approx(1 / 3),
@@ -175,7 +214,7 @@ def test_far_rating_goes_to_closer_member(pair_household):
     # closer prediction (40) ahead of the farther one (10).
     model = flat_model([10.0, 40.0])
     priors = uniform_priors(pair_household)
-    sigma = SigmaModel("global", 1.0, {})
+    sigma = SigmaModel("global", 1.0)
     ev = anon_event(0, 0, rating=100.0)
     assert classify(pair_household, ev, model, priors, sigma) == (1, {0: 0.0, 1: 1.0})
 
@@ -215,7 +254,7 @@ def test_normalize_degenerate_is_uniform_and_logged(scores, log_space, caplog):
 def test_generative_residual_decides_under_equal_priors(pair_household):
     model = flat_model([80.0, 20.0])
     priors = uniform_priors(pair_household)
-    sigma = SigmaModel("global", 10.0, {})
+    sigma = SigmaModel("global", 10.0)
     ev = anon_event(0, 0, rating=78.0)
     assert classify(pair_household, ev, model, priors, sigma)[0] == 0
 
@@ -225,7 +264,7 @@ def test_generative_prior_decides_under_equal_residuals():
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(9)] + [event(1, 20)]
     priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.0)
-    sigma = SigmaModel("global", 10.0, {})
+    sigma = SigmaModel("global", 10.0)
     ev = anon_event(0, 0, rating=58.0)
     assert classify(household, ev, model, priors, sigma)[0] == 0
 
@@ -234,7 +273,7 @@ def test_generative_scale_invariance_of_decision(pair_household):
     model = flat_model([30.0, 70.0])
     priors = uniform_priors(pair_household)
     for scale in (0.5, 2.0, 100.0):
-        sigma = SigmaModel("global", 12.0, {})
+        sigma = SigmaModel("global", 12.0)
         ev = anon_event(0, 0, rating=64.0)
         predicted, post = classify(pair_household, ev, model, priors, sigma)
         scaled = {m: scale * v for m, v in post.items()}
@@ -245,7 +284,7 @@ def test_generative_scale_invariance_of_decision(pair_household):
 def test_generative_smaller_residual_always_wins(pair_household):
     rng = np.random.default_rng(17)
     priors = uniform_priors(pair_household)
-    sigma = SigmaModel("global", 7.0, {})
+    sigma = SigmaModel("global", 7.0)
     for _ in range(50):
         predictions = rng.uniform(10, 90, size=2)
         model = flat_model(list(predictions))
@@ -263,7 +302,7 @@ def test_infinite_sigma_reduces_to_prior_classifier(planted_dataset):
     params = FactorParams(rank=2, bin_count=4, iterations=4, seed=5)
     model = fit_lowrank_temporal(dataset.train, params,
                                  dataset.user_count, dataset.movie_count)
-    sigma = SigmaModel("infinite", math.inf, {})
+    sigma = SigmaModel("infinite", math.inf)
     for epsilon in (0.0, 0.5):
         priors = fit_priors(dataset.train, dataset.households, model.binning, epsilon)
         for mode in ("uniform", "bin", "day"):
