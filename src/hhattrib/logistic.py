@@ -327,9 +327,13 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
     return theta, residual
 
 
-def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
+def fit_logistic(rows: np.ndarray, labels, lambda1: float, *, start=None,
                  max_iter: int = 50_000, kkt_tol: float = 1e-10) -> np.ndarray:
-    """Minimize the L1-regularized logistic loss from a zero start.
+    """Minimize the L1-regularized logistic loss from ``start``.
+
+    ``start`` (one finite value per column, copied; zero when None) only
+    shortens the path: the problem is convex and every start runs to the
+    same KKT tolerance.
 
     Two phases, both deterministic: projected L-BFGS on the split form
     until its projected gradient is at most 1e-3, which settles the
@@ -349,7 +353,9 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
     if lambda1 < 0:
         raise ValueError(f"lambda1 {lambda1} must be >= 0")
 
-    theta = np.zeros(rows.shape[1])
+    theta = np.zeros(rows.shape[1]) if start is None else np.array(start, dtype=float)
+    if theta.shape != (rows.shape[1],) or not np.isfinite(theta).all():
+        raise ValueError("start must be one finite value per column")
     budget = max_iter
     # The L-BFGS phase only needs to get close and settle the support;
     # the Newton polish does the final descent, so hand over early.
@@ -377,7 +383,8 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *,
 
 def fit_household(train: EventColumns, household: Household, config: FeatureConfig,
                   model: TemporalFactorModel | None = None,
-                  binning: Binning | None = None) -> tuple[np.ndarray, Standardization]:
+                  binning: Binning | None = None,
+                  start: np.ndarray | None = None) -> tuple[np.ndarray, Standardization]:
     """One logistic model per member, sharing rows and standardization.
 
     Returns the members' thetas, one row per member in file order, and the
@@ -385,7 +392,8 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
     across members: each training event counts as a positive example for
     exactly its rater. Members whose labels are all zero or all one are
     still fit (the L1 term keeps theta bounded). In a two-member household
-    the second member's theta is the first's negated.
+    the second member's theta is the first's negated. ``start``, one row
+    per member, gives each fitted member's `fit_logistic` start.
     """
     events = train[np.isin(train.user, household.members)]
     if len(events.user) < 2:
@@ -394,7 +402,7 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
     stats = standardize_fit(rows)
     scaled = standardize_apply(stats, rows)
     thetas = []
-    for member in household.members:
+    for k, member in enumerate(household.members):
         labels = (events.user == member).astype(float)
         if labels.min() == labels.max():
             log.debug("household %s member %s: one-sided labels",
@@ -402,21 +410,25 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
         if household.size == 2 and thetas:
             thetas.append(-thetas[0])
         else:
-            thetas.append(fit_logistic(scaled, labels, config.lambda1))
+            thetas.append(fit_logistic(scaled, labels, config.lambda1,
+                                       start=None if start is None else start[k]))
     return np.array(thetas), stats
 
 
 def fit_households(dataset: Dataset, config: FeatureConfig,
                    model: TemporalFactorModel | None = None,
-                   binning: Binning | None = None) -> StackedLogits:
+                   binning: Binning | None = None,
+                   start: np.ndarray | None = None) -> StackedLogits:
     """``fit_household`` for every household of the dataset, each on its own
-    train events in train order, stacked into one StackedLogits."""
+    train events in train order, stacked into one StackedLogits. ``start``,
+    in the layout of ``StackedLogits.theta``, gives each household its row."""
     households, rows = dataset.households, dataset.household_rows()
     order = np.argsort(rows, kind="stable")
     bounds = np.searchsorted(rows[order], np.arange(len(households) + 1))
     thetas, stats = zip(*[
-        fit_household(dataset.train[order[lo:hi]], hh, config, model, binning)
-        for hh, lo, hi in zip(households.values(), bounds, bounds[1:])])
+        fit_household(dataset.train[order[lo:hi]], hh, config, model, binning,
+                      None if start is None else start[h, :hh.size])
+        for h, (hh, lo, hi) in enumerate(zip(households.values(), bounds, bounds[1:]))])
     table = member_table(households)
     theta = np.zeros((*table.shape, len(stats[0].mean)))
     theta[table >= 0] = np.concatenate(thetas)   # row-major: file order per row

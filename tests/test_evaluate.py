@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhattrib import evaluate, logistic
 from hhattrib.corpus import (
     Binning, Household, SynthConfig, cv_split, derive_binning, make_dataset,
     synth_generate,
@@ -22,7 +23,8 @@ from hhattrib.generative import SCOPES
 from hhattrib.logistic import FeatureConfig, feature_matrix
 
 from conftest import (
-    anon_event, as_columns, as_test_columns, bin_of, event, rating_events, weekday_of,
+    anon_event, as_columns, as_test_columns, bin_of, event, logistic_objective,
+    rating_events, weekday_of,
 )
 
 
@@ -521,6 +523,59 @@ def test_run_cv_identical_seeds_zero_std(cv_dataset):
                               factor_params=FactorParams(bin_count=4))
     result = run_cv(cv_dataset, pipeline, seeds=(9, 9, 9), fraction=0.05)
     assert result.metrics["P"].std == 0.0
+
+
+UNIFIED_CV = PipelineConfig(
+    "unified", factor_params=FactorParams(rank=2, bin_count=4, iterations=4, seed=2),
+    features=FeatureConfig(rating=False, lambda1=0.1))
+CV_SEEDS = (1, 2, 3)
+
+
+def test_unified_cv_matches_cold_splits(cv_dataset, monkeypatch):
+    """Warm-started splits give the cold splits' predictions, their
+    posteriors within the oracle-solver tolerance, and their P and AUC."""
+    solves, warm_splits = [], []
+    fit = logistic.fit_logistic
+
+    def record_solve(rows, labels, lam, **kwargs):
+        theta = fit(rows, labels, lam, **kwargs)
+        solves.append((rows, labels, lam, kwargs.get("start"), theta))
+        return theta
+
+    def record_split(split, pipeline):
+        warm_splits.append(fit_and_classify(split, pipeline))
+        return warm_splits[-1]
+
+    monkeypatch.setattr(logistic, "fit_logistic", record_solve)
+    monkeypatch.setattr(evaluate, "fit_and_classify", record_split)
+    result = run_cv(cv_dataset, UNIFIED_CV, CV_SEEDS, fraction=0.08)
+    monkeypatch.undo()
+    splits = [cv_split(cv_dataset, 0.08, seed) for seed in CV_SEEDS]
+    cold = [fit_and_classify(split, UNIFIED_CV) for split in splits]
+
+    warm = [(rows, labels, lam, theta) for rows, labels, lam, start, theta in solves
+            if start is not None]
+    assert len(warm) == 3 * (len(solves) - len(warm))   # the parent fit starts cold
+    for rows, labels, lam, theta in warm:
+        assert logistic.kkt_residual(theta, rows, labels, lam) <= 1e-10
+        want = logistic_objective(fit(rows, labels, lam), rows, labels, lam)
+        assert abs(logistic_objective(theta, rows, labels, lam) - want) <= 1e-10
+    reports = []
+    for split, (got, got_posteriors), (predictions, posteriors) in zip(
+            splits, warm_splits, cold):
+        assert np.array_equal(got, predictions)
+        assert np.abs(got_posteriors.values - posteriors.values).max() <= 1e-8
+        reports.append(build_report(split.test, predictions, cv_dataset.households,
+                                    posteriors=posteriors))
+    assert result.metrics["P"].values == tuple(r.aggregate.overall for r in reports)
+    assert result.metrics["AUC"].values == tuple(r.auc_mean for r in reports)
+
+
+def test_unified_cv_split_values_do_not_depend_on_seed_order(cv_dataset):
+    forward = run_cv(cv_dataset, UNIFIED_CV, CV_SEEDS, fraction=0.08)
+    backward = run_cv(cv_dataset, UNIFIED_CV, CV_SEEDS[::-1], fraction=0.08)
+    for key in ("P", "AUC"):
+        assert backward.metrics[key].values == forward.metrics[key].values[::-1]
 
 
 def test_fit_and_classify_families(cv_dataset):

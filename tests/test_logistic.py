@@ -303,6 +303,67 @@ def test_fit_logistic_input_validation():
         fit_logistic(np.ones((3, 2)), [0.0, 1.0, 1.0], -0.5)
 
 
+def criterion_9_designs(count=20):
+    """Random designs drawn as criterion 9 draws them."""
+    rng = np.random.default_rng(900)
+    for _ in range(count):
+        n, p = int(rng.integers(15, 70)), int(rng.integers(2, 8))
+        rows = rng.normal(size=(n, p))
+        labels = (rng.random(n) < 1 / (1 + np.exp(-rows @ rng.normal(size=p)))).astype(float)
+        yield rows, labels, float(rng.uniform(0.05, 1.0))
+
+
+def test_warm_starts_reach_the_cold_optimum():
+    rng = np.random.default_rng(901)
+    for rows, labels, lam in criterion_9_designs():
+        cold = fit_logistic(rows, labels, lam)
+        want = logistic_objective(cold, rows, labels, lam)
+        for start in (cold, -cold, rng.normal(size=rows.shape[1])):
+            theta = fit_logistic(rows, labels, lam, start=start)
+            assert kkt_residual(theta, rows, labels, lam) <= 1e-10
+            assert abs(logistic_objective(theta, rows, labels, lam) - want) <= 1e-10
+
+
+def test_start_at_the_optimum_takes_fewer_loss_evaluations(monkeypatch):
+    evaluations = []
+    loss = logistic._loss
+    monkeypatch.setattr(logistic, "_loss", lambda *a: evaluations.append(1) or loss(*a))
+    for rows, labels, lam in criterion_9_designs(8):
+        theta = fit_logistic(rows, labels, lam)
+        cold = len(evaluations)
+        fit_logistic(rows, labels, lam, start=theta)
+        assert len(evaluations) - cold < cold
+        evaluations.clear()
+
+
+def test_zero_start_is_the_cold_start():
+    for rows, labels, lam in criterion_9_designs(8):
+        assert np.array_equal(fit_logistic(rows, labels, lam, start=np.zeros(rows.shape[1])),
+                              fit_logistic(rows, labels, lam))
+
+
+def test_warm_start_with_huge_lambda_returns_exact_zero():
+    rng = np.random.default_rng(1)
+    rows = rng.normal(size=(25, 4))
+    labels = (rng.random(25) < 0.5).astype(float)
+    theta = fit_logistic(rows, labels, 1e6, start=np.array([3.0, -2.0, 0.5, 0.0]))
+    assert np.all(theta == 0.0)
+
+
+def test_warm_start_leaves_the_callers_array():
+    rows, labels, lam = next(criterion_9_designs(1))
+    start = np.linspace(-1.0, 1.0, rows.shape[1])
+    kept = start.copy()
+    theta = fit_logistic(rows, labels, lam, start=start)
+    assert np.array_equal(start, kept) and theta is not start
+
+
+@pytest.mark.parametrize("start", [np.zeros(3), np.zeros((2, 2)), np.array([0.0, np.nan])])
+def test_bad_start_is_rejected(start):
+    with pytest.raises(ValueError, match="start"):
+        fit_logistic(np.ones((3, 2)), [0.0, 1.0, 1.0], 0.1, start=start)
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_complementary_labels_give_negated_theta(seed):
