@@ -22,6 +22,7 @@ import copy
 import io
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -163,7 +164,7 @@ class Household:
             )
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"household {self.id} repeats a member")
-        if min(self.members) < 0:   # -1 pads member_table
+        if min(self.members) < 0:   # -1 pads Households.table
             raise RangeError(f"household {self.id}: negative member id {min(self.members)}")
 
     @property
@@ -171,48 +172,75 @@ class Household:
         return len(self.members)
 
 
-def member_table(households: dict[int, Household]) -> np.ndarray:
-    """Members of each household in file order, one row per household in map
-    order, padded with -1 to the largest household size."""
-    width = max((hh.size for hh in households.values()), default=0)
-    table = np.full((len(households), width), -1, dtype=np.intp)
-    for row, hh in zip(table, households.values()):
-        row[:hh.size] = hh.members
-    return table
+class Households(Mapping):
+    """The declared households, read-only, as a map household id -> Household
+    in the order given, with the layout every layer reads, built once:
+    ``ids``, the household ids in map order, and ``table``, each household's
+    members in file order, one row per household in map order, padded with
+    -1 to the largest household size.
 
+    A map key that is not its household's id, and a user in two households,
+    are errors.
+    """
 
-def household_index(households: dict[int, Household], ids) -> np.ndarray:
-    """Each household id's row in map order; -1 for an id the map lacks."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if not households:
-        return np.full(len(ids), -1, dtype=np.intp)
-    keys = np.fromiter(households, np.int64, len(households))
-    order = np.argsort(keys)
-    rows = order[np.minimum(np.searchsorted(keys, ids, sorter=order), len(keys) - 1)]
-    return np.where(keys[rows] == ids, rows, -1)
+    def __init__(self, households):
+        self._map = dict(households)
+        for hid, hh in self._map.items():
+            if hid != hh.id:
+                raise ValueError(f"household map key {hid} != id {hh.id}")
+        width = max((hh.size for hh in self._map.values()), default=0)
+        self.table = np.full((len(self._map), width), -1, dtype=np.intp)
+        for row, hh in zip(self.table, self._map.values()):
+            row[:hh.size] = hh.members
+        members = self.table[self.table >= 0]   # map order, then file order
+        repeat = np.ones(len(members), dtype=bool)
+        repeat[np.unique(members, return_index=True)[1]] = False   # first occurrences
+        if repeat.any():
+            raise DuplicateError(f"user {members[repeat.argmax()]} in two households")
+        self.ids = np.fromiter(self._map, np.intp, len(self._map))
+        self._order = np.argsort(self.ids)
+        # each user's row; the last entry, -1, serves user -1 and users beyond
+        self._user_row = np.full(members.max(initial=-1) + 2, -1)
+        self._user_row[members] = np.nonzero(self.table >= 0)[0]
+        self.table.flags.writeable = self.ids.flags.writeable = False
 
+    def __getitem__(self, hid) -> Household:
+        return self._map[hid]
 
-def _outside_household(households, rows, truths) -> np.ndarray:
-    """Whether each event's true user (-1: none) is missing from its household,
-    the one at map row ``rows``; an unknown household (-1) is not checked."""
-    check = (rows >= 0) & (truths >= 0)
-    outside = np.zeros(len(rows), dtype=bool)
-    outside[check] = ~(member_table(households)[rows[check]]
-                       == truths[check, None]).any(axis=1)
-    return outside
+    def __iter__(self):
+        return iter(self._map)
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+    def __repr__(self) -> str:
+        return f"Households({self._map!r})"
+
+    def rows(self, ids) -> np.ndarray:
+        """Each household id's row in map order; -1 for an id the map lacks."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not self._map:
+            return np.full(len(ids), -1, dtype=np.intp)
+        rows = self._order[np.minimum(np.searchsorted(self.ids, ids, sorter=self._order),
+                                      len(self.ids) - 1)]
+        return np.where(self.ids[rows] == ids, rows, -1)
+
+    def user_rows(self, users) -> np.ndarray:
+        """Each user's household row in map order; -1 for a user in no
+        household and for user -1."""
+        return self._user_row[np.minimum(users, len(self._user_row) - 1)]
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Training events, households, test events and ``member_of`` (member ->
-    household).
+    """Training events, households and test events.
 
     The train is ``EventColumns`` and the test ``TestColumns``; a split keeps
-    its own slice of its parent's train.
+    its own slice of its parent's train and its parent's households.
     """
 
     train: EventColumns
-    households: dict[int, Household]
+    households: Households
     test: TestColumns
     user_count: int
     movie_count: int
@@ -231,32 +259,14 @@ class Dataset:
                 raise DuplicateError(f"duplicate train pair {(user, movie)}")
             event = (user, movie, float(self.train.rating[first]), int(self.train.stamp[first]))
             raise ValueError(f"event {event} exceeds declared dimensions")
-        owner = {}
-        for hid, hh in self.households.items():
-            if hid != hh.id:
-                raise ValueError(f"household map key {hid} != id {hh.id}")
-            for member in hh.members:
-                if member in owner:
-                    raise DuplicateError(f"user {member} in two households")
-                owner[member] = hid
-        object.__setattr__(self, "member_of", owner)
-        rows = household_index(self.households, self.test.household)
-        bad = (rows < 0) | _outside_household(self.households, rows, self.test.true_user)
+        rows, truths = self.households.rows(self.test.household), self.test.true_user
+        bad = (rows < 0) | (truths >= 0) & (self.households.user_rows(truths) != rows)
         if bad.any():   # the first bad event in file order
             first = bad.argmax()
             hid = int(self.test.household[first])
             if rows[first] < 0:
                 raise ValueError(f"test event for unknown household {hid}")
-            raise ValueError(f"true_user {int(self.test.true_user[first])} "
-                             f"not in household {hid}")
-
-    def household_rows(self) -> np.ndarray:
-        """Each train event's household as its row in map order; -1 for the
-        events of users in no household."""
-        row_of = {hid: row for row, hid in enumerate(self.households)}
-        lookup = np.full(max(self.user_count, max(self.member_of, default=-1) + 1), -1)
-        lookup[list(self.member_of)] = [row_of[hid] for hid in self.member_of.values()]
-        return lookup[self.train.user]
+            raise ValueError(f"true_user {int(truths[first])} not in household {hid}")
 
 
 @dataclass(frozen=True)
@@ -465,8 +475,8 @@ def parse_ratings(path) -> EventColumns:
     return EventColumns(*read_table(path, RATINGS_FIELDS))
 
 
-def parse_households(path) -> dict[int, Household]:
-    """Read a households file into a map household id -> Household."""
+def parse_households(path) -> Households:
+    """Read a households file into Households, in file order."""
     out: dict[int, Household] = {}
     for line_no, fields in _lines(path):
         if not 3 <= len(fields) <= 5:
@@ -485,7 +495,10 @@ def parse_households(path) -> dict[int, Household]:
         out[hid] = Household(hid, members)
     if not out:
         raise StructureError(f"{path}: no households, need at least one")
-    return out
+    try:
+        return Households(out)
+    except DuplicateError as exc:
+        raise DuplicateError(f"{path}: {exc}") from None
 
 
 def parse_test_events(path, households) -> TestColumns:
@@ -493,8 +506,9 @@ def parse_test_events(path, households) -> TestColumns:
     `read_table`; a true user outside its line's household, checked on the
     columns, is an error at that line."""
     test = TestColumns(*read_table(path, TEST_FIELDS))
-    rows = household_index(households, test.household)
-    outside = _outside_household(households, rows, test.true_user)
+    rows, truths = households.rows(test.household), test.true_user
+    # an unknown household (-1) is check_households's error
+    outside = (rows >= 0) & (truths >= 0) & (households.user_rows(truths) != rows)
     if outside.any():
         first = int(outside.argmax())
         line_no = next(islice(_lines(path), first, None))[0]
@@ -505,7 +519,7 @@ def parse_test_events(path, households) -> TestColumns:
 
 def check_households(test: TestColumns, households, path) -> None:
     """A usage error naming ``path`` if a test event's household is not in it."""
-    missing = household_index(households, test.household) < 0
+    missing = households.rows(test.household) < 0
     if missing.any():
         raise ConfigError(f"{path}: no household {int(test.household[missing.argmax()])}, "
                           f"which has test events")
@@ -525,7 +539,7 @@ def write_ratings(columns: EventColumns, path) -> None:
                       for user, movie, rating, stamp in rows)
 
 
-def write_households(households: dict[int, Household], path) -> None:
+def write_households(households: Households, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for hid in households:
             members = "\t".join(str(m) for m in households[hid].members)
@@ -546,16 +560,18 @@ def write_test_events(test: TestColumns, path) -> None:
 def make_dataset(columns: EventColumns, households,
                  test: TestColumns | None = None) -> Dataset:
     """Assemble a Dataset, deriving user/movie counts from the data; no test
-    events if ``test`` is None."""
+    events if ``test`` is None. ``households`` is a Households or a map
+    household id -> Household."""
     if test is None:
         test = TestColumns(*(np.empty(0, dtype) for dtype in _TEST_DTYPES))
-    members = [m for hh in households.values() for m in hh.members]
+    if not isinstance(households, Households):
+        households = Households(households)
     return Dataset(
         train=columns,
-        households=dict(households),
+        households=households,
         test=test,
-        user_count=max([int(columns.user.max(initial=-1)), *members,
-                        int(test.true_user.max(initial=-1))]) + 1,
+        user_count=max(int(columns.user.max(initial=-1)), int(households.table.max(initial=-1)),
+                       int(test.true_user.max(initial=-1))) + 1,
         movie_count=max(int(columns.movie.max(initial=-1)),
                         int(test.movie.max(initial=-1))) + 1,
     )
@@ -610,13 +626,12 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction {fraction} outside (0, 1)")
     rng = np.random.default_rng(seed)
-    rows = dataset.household_rows()
+    rows = dataset.households.user_rows(dataset.train.user)
     hide = rows >= 0   # member events, then the hidden ones among them
     hide[hide] = rng.random(int(hide.sum())) < fraction
-    hids = np.fromiter(dataset.households, np.intp, len(dataset.households))
     moved = dataset.train[hide]
-    hidden = TestColumns(hids[rows[hide]], moved.movie, moved.rating, moved.stamp,
-                         moved.user)
+    hidden = TestColumns(dataset.households.ids[rows[hide]], moved.movie, moved.rating,
+                         moved.stamp, moved.user)
     split = copy.copy(dataset)   # no __post_init__: not validated again
     vars(split).update(train=dataset.train[~hide], test=hidden)
     return split
@@ -783,7 +798,7 @@ def synth_generate(config: SynthConfig, seed: int | None = None) -> Dataset:
     movies, ratings, stamps = map(np.concatenate, train)
     return Dataset(
         train=EventColumns(users, movies.astype(np.intp, copy=False), ratings, stamps),
-        households=households,
+        households=Households(households),
         test=TestColumns(*(np.concatenate(column).astype(dtype, copy=False)
                            for column, dtype in zip(test, _TEST_DTYPES))),
         user_count=user_count,

@@ -18,10 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import factorize, generative, logistic, temporal
-from .corpus import (
-    Binning, Dataset, Household, TestColumns, cv_split, derive_binning, household_index,
-    member_table,
-)
+from .corpus import Binning, Dataset, Households, TestColumns, cv_split, derive_binning
 
 CLASSIFIERS = (
     "residual",
@@ -57,7 +54,7 @@ class HouseholdScore:
 @dataclass(frozen=True, eq=False)
 class Posteriors:
     """Test-event posteriors as one matrix: ``members`` holds each event's
-    `member_table` row (file order, -1 padding) and ``values`` the
+    `Households.table` row (file order, -1 padding) and ``values`` the
     `normalize_rows` output in the same slots. ``posteriors[i]`` builds
     event i's {member: probability} dict, in file order, only when asked."""
 
@@ -132,19 +129,19 @@ def _grouped_auc(groups, scores, positive):
     return keep, 1.0 - inversions[keep] / (pos[keep] * neg[keep])
 
 
-def build_report(test: TestColumns, predictions, households, posteriors=None,
+def build_report(test: TestColumns, predictions, households: Households, posteriors=None,
                  annotations=None) -> AttributionReport:
     """Per-household, per-member and aggregate attribution metrics: bincounts
     over (household in id order, member slot) cells, and the per-member AUCs
     from one sort of the cells of a `Posteriors` matrix. Each event's members
-    are its `member_rows` row, taken from the posteriors when given."""
+    are its `member_rows` row."""
     predictions = np.asarray(predictions, dtype=np.intp)
     if len(test) != len(predictions):
         raise ValueError("one prediction per test event required")
     if (test.true_user < 0).any():
         raise ValueError("evaluation requires events with ground truth")
-    members = member_rows(households, test)[1] if posteriors is None else posteriors.members
-    if len(members) != len(test) or not np.isin(test.household, list(households)).all():
+    members = member_rows(households, test)[1]
+    if posteriors is not None and posteriors.values.shape != members.shape:
         raise ValueError("posteriors do not match the test events' households")
     ids, width = sorted(households), members.shape[1]
     keys = np.searchsorted(ids, test.household)
@@ -283,7 +280,7 @@ class FittedPipeline:
     """A pipeline's fitted parts; only those its family uses are set."""
 
     config: PipelineConfig
-    households: dict[int, Household]
+    households: Households
     binning: Binning
     model: factorize.TemporalFactorModel | None = None
     priors: temporal.TemporalPriors | None = None
@@ -320,16 +317,15 @@ def fit_pipeline(dataset: Dataset, pipeline: PipelineConfig,
                           sigma_model, logit_models)
 
 
-def member_rows(households, test: TestColumns, table=None):
-    """Each event's household row in map order, and that household's members
-    in file order, padded with -1 to the largest household size: its row of
-    ``table``, the households' `member_table` (built when not given). An event
-    whose household is not in the map is a ValueError naming the first."""
-    rows = household_index(households, test.household)
+def member_rows(households: Households, test: TestColumns):
+    """Each event's household row in map order, and that row of the
+    households' ``table``. An event whose household is not in the map is a
+    ValueError naming the first."""
+    rows = households.rows(test.household)
     if (rows < 0).any():
         raise ValueError(f"test event for unknown household "
                          f"{int(test.household[(rows < 0).argmax()])}")
-    return rows, (member_table(households) if table is None else table)[rows]
+    return rows, households.table[rows]
 
 
 def _gap_matrix(model, members, test: TestColumns) -> np.ndarray:
@@ -357,7 +353,7 @@ def classify_events(fitted: FittedPipeline, test: TestColumns):
     per test event, plus a `Posteriors` matrix (None for the residual
     classifier).
     The family fills one score matrix for the whole split, one row per
-    event and one column per member in `member_table` slot order; the
+    event and one column per member in `Households.table` slot order; the
     prediction is the row argmax (smaller user id on exact ties), the
     posterior the row's normalization, with no per-event dicts.
 
@@ -369,8 +365,7 @@ def classify_events(fitted: FittedPipeline, test: TestColumns):
     against the rest's.
     """
     name = fitted.config.classifier
-    rows, members = member_rows(fitted.households, test,
-                                None if fitted.priors is None else fitted.priors.members)
+    rows, members = member_rows(fitted.households, test)
     if name == "residual":
         gaps = _gap_matrix(fitted.model, members, test)
         first = fitted.config.alpha * gaps[:, 0] < gaps[:, 1:].min(axis=1)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (
-    SECONDS_PER_DAY, Binning, Dataset, EventColumns, Household, bin_column, member_table,
+    SECONDS_PER_DAY, Binning, Dataset, EventColumns, Household, Households, bin_column,
     weekday_column,
 )
 from .factorize import TemporalFactorModel, _dump_array
@@ -95,7 +95,7 @@ class Standardization:
 
 @dataclass(frozen=True, eq=False)
 class StackedLogits:
-    """Every household's member models in the layout of ``member_table``.
+    """Every household's member models in the layout of ``Households.table``.
 
     ``theta[h, k]`` is the coefficient vector of member slot k of household
     row h (households in map order, members in file order); padded slots
@@ -422,16 +422,15 @@ def fit_households(dataset: Dataset, config: FeatureConfig,
     """``fit_household`` for every household of the dataset, each on its own
     train events in train order, stacked into one StackedLogits. ``start``,
     in the layout of ``StackedLogits.theta``, gives each household its row."""
-    households, rows = dataset.households, dataset.household_rows()
+    households, rows = dataset.households, dataset.households.user_rows(dataset.train.user)
     order = np.argsort(rows, kind="stable")
     bounds = np.searchsorted(rows[order], np.arange(len(households) + 1))
     thetas, stats = zip(*[
         fit_household(dataset.train[order[lo:hi]], hh, config, model, binning,
                       None if start is None else start[h, :hh.size])
         for h, (hh, lo, hi) in enumerate(zip(households.values(), bounds, bounds[1:]))])
-    table = member_table(households)
-    theta = np.zeros((*table.shape, len(stats[0].mean)))
-    theta[table >= 0] = np.concatenate(thetas)   # row-major: file order per row
+    theta = np.zeros((*households.table.shape, len(stats[0].mean)))
+    theta[households.table >= 0] = np.concatenate(thetas)   # row-major: file order per row
     return StackedLogits(theta, np.array([s.mean for s in stats]),
                          np.array([s.scale for s in stats]), config)
 
@@ -459,8 +458,7 @@ def member_probabilities(models: StackedLogits, rows: np.ndarray, stamps: np.nda
 _LOGIT_MAGIC = "logit-models 1"
 
 
-def save_logit_models(models: StackedLogits, households: dict[int, Household],
-                      path) -> None:
+def save_logit_models(models: StackedLogits, households: Households, path) -> None:
     """One record per member: households in map order, members in file order."""
     config = f"{models.config.letters} {repr(models.config.lambda1)}"
     with open(path, "w", encoding="utf-8") as fh:

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (
-    Binning, DuplicateError, EventColumns, Household, bin_column, member_table,
-    weekday_column,
-)
+from .corpus import Binning, EventColumns, Households, bin_column, weekday_column
 
 log = logging.getLogger(__name__)
 
@@ -33,17 +30,16 @@ class UndefinedProfileError(ValueError):
 class TemporalPriors:
     """Smoothed member probabilities of every household, overall / per bin / per day.
 
-    ``shares[h, c, k]`` is the probability of member ``members[h, k]`` of
-    household ``households[h]`` under condition c: 0 is unconditional,
-    1..T the time bins and T+1..T+7 the weekdays, Sunday first. Households
-    keep the order of the map they were fitted on and members their file
-    order; padded slots (member -1) hold 0. Conditional entries are NaN
-    when the conditioning value was never observed and smoothing is zero;
-    scoring falls back to the unconditional prior there.
+    ``shares[h, c, k]`` is the probability of member ``households.table[h, k]``
+    under condition c: 0 is unconditional, 1..T the time bins and T+1..T+7
+    the weekdays, Sunday first. Households keep the order of the map they
+    were fitted on and members their file order; padded slots (member -1)
+    hold 0. Conditional entries are NaN when the conditioning value was never
+    observed and smoothing is zero; scoring falls back to the unconditional
+    prior there.
     """
 
-    households: tuple[int, ...]
-    members: np.ndarray   # (H, width) intp, see corpus.member_table
+    households: Households
     shares: np.ndarray    # (H, 1 + T + 7, width)
     binning: Binning
     epsilon: float
@@ -81,7 +77,7 @@ def _average_tv(profiles) -> float:
     return total / (size * (size - 1))
 
 
-def fit_priors(train: EventColumns, households: dict[int, Household], binning: Binning,
+def fit_priors(train: EventColumns, households: Households, binning: Binning,
                epsilon: float = 0.5) -> TemporalPriors:
     """Every household's member probabilities, smoothed by epsilon.
 
@@ -96,11 +92,9 @@ def fit_priors(train: EventColumns, households: dict[int, Household], binning: B
     if epsilon < 0:
         raise ValueError(f"epsilon {epsilon} must be >= 0")
     T = binning.bin_count
-    table = member_table(households)
+    table = households.table
     real = table >= 0
     members = table[real]
-    if len(np.unique(members)) != len(members):
-        raise DuplicateError("a user belongs to two households")
     place_of = np.full(max(int(members.max(initial=-1)),
                            int(train.user.max(initial=-1))) + 1, -1)
     place_of[members] = np.flatnonzero(real)   # row-major slot of each member
@@ -119,21 +113,20 @@ def fit_priors(train: EventColumns, households: dict[int, Household], binning: B
                                        + epsilon * sizes[:, None, None])
     empty = np.isnan(shares[:, 0, 0])
     if empty.any():
-        raise UndefinedProfileError(f"household {list(households)[empty.argmax()]} "
+        raise UndefinedProfileError(f"household {households.ids[empty.argmax()]} "
                                     "has no training events and epsilon = 0")
-    return TemporalPriors(tuple(households), table,
-                          np.where(real[:, None, :], shares, 0.0), binning, epsilon)
+    return TemporalPriors(households, np.where(real[:, None, :], shares, 0.0), binning,
+                          epsilon)
 
 
 def prior_matrix(priors: TemporalPriors, mode: str, rows: np.ndarray,
                  stamps: np.ndarray) -> np.ndarray:
     """Member probabilities of events of the households at ``rows``, stamped ``stamps``.
 
-    One row per event, one column per member slot of ``priors.members``;
-    rows index the households in the order of the map fit_priors was
-    given. Undefined conditionals (possible only with epsilon = 0) fall
-    back to the unconditional prior, with one debug record per (event,
-    member).
+    One row per event, one column per member slot of the households'
+    ``table``; rows index the households in the order of their map.
+    Undefined conditionals (possible only with epsilon = 0) fall back to the
+    unconditional prior, with one debug record per (event, member).
     """
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
@@ -146,7 +139,7 @@ def prior_matrix(priors: TemporalPriors, mode: str, rows: np.ndarray,
         condition = 1 + priors.binning.bin_count + weekday_column(stamps)
     values = priors.shares[rows, condition]
     undefined = np.isnan(values)
-    for hid in np.asarray(priors.households)[rows[np.nonzero(undefined)[0]]].tolist():
+    for hid in priors.households.ids[rows[np.nonzero(undefined)[0]]].tolist():
         log.debug("household %s: undefined %s conditional, falling back to prior",
                   hid, mode)
     return np.where(undefined, prior, values)
@@ -156,17 +149,16 @@ def prior_matrix(priors: TemporalPriors, mode: str, rows: np.ndarray,
 # Histogram exports (plot-ready tables)
 # ---------------------------------------------------------------------------
 
-def weekday_histogram(train: EventColumns, households: dict[int, Household]):
+def weekday_histogram(train: EventColumns, households: Households):
     """Rows (household, member, count_sun, ..., count_sat) for every member."""
-    members = [member for hh in households.values() for member in hh.members]
-    size = max(members + [int(train.user.max(initial=-1))]) + 1
+    size = max(int(households.table.max(initial=-1)), int(train.user.max(initial=-1))) + 1
     counts = np.bincount(train.user * 7 + weekday_column(train.stamp),
                          minlength=7 * size).reshape(size, 7)
     return [(hid, member, *counts[member].tolist())
             for hid, hh in households.items() for member in hh.members]
 
 
-def tv_histogram(train, households: dict[int, Household]):
+def tv_histogram(train, households: Households):
     """Rows (household, average total variation) across all households.
 
     Every member's weekday profile, the fraction of the member's events on

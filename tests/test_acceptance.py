@@ -16,7 +16,9 @@ import scipy.optimize
 
 from hhattrib import evaluate, factorize, generative, logistic, temporal
 from hhattrib.cli import main
-from hhattrib.corpus import Household, SynthConfig, TestEvent, cv_split, synth_generate
+from hhattrib.corpus import (
+    Household, Households, SynthConfig, TestEvent, cv_split, synth_generate,
+)
 
 from conftest import as_columns, as_test_columns, event, logistic_objective
 from test_factorize import naive_cost
@@ -263,7 +265,7 @@ def report_auc(scores, flags):
     posteriors = evaluate.Posteriors(np.tile([0, 1], (len(events), 1)),
                                      np.column_stack([scores, 1.0 - scores]))
     report = evaluate.build_report(events, [0] * len(events),
-                                   {0: Household(0, (0, 1))}, posteriors)
+                                   Households({0: Household(0, (0, 1))}), posteriors)
     return report.auc_per.get((0, 0))
 
 

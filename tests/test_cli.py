@@ -10,7 +10,7 @@ import pytest
 
 from hhattrib import cli, evaluate, factorize, logistic
 from hhattrib.cli import main
-from hhattrib.corpus import load_dataset, member_table
+from hhattrib.corpus import load_dataset
 
 from conftest import read_logit_dump
 
@@ -420,7 +420,7 @@ def test_classify_matches_library_pipeline(workspace, monkeypatch, classifier):
         records = read_logit_dump(logit)
         assert [head[:2] for head, *_ in records] == [
             (hid, member) for hid, hh in dataset.households.items() for member in hh.members]
-        thetas = fitted.logit_models.theta[member_table(dataset.households) >= 0]
+        thetas = fitted.logit_models.theta[dataset.households.table >= 0]
         for (_, theta, _, _), want in zip(records, thetas, strict=True):
             assert np.array_equal(theta, want)
 
@@ -698,6 +698,33 @@ def test_empty_households_file_is_usage_error(tmp_path, capsys, classifier):
     assert code == 2
     assert (capsys.readouterr().err
             == f"error: {households}: no households, need at least one\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate", "roc"])
+def test_user_in_two_households_names_the_file(workspace, capsys, command):
+    """A households file that puts a user in two households is a usage error
+    naming that file, in every command that reads one."""
+    data = workspace / "data"
+    households = data / "households.tsv"
+    if command == "classify":
+        argv = ["classify", *data_args(workspace), "--classifier", "prior-day",
+                "--bins", "4"]
+    elif command == "evaluate":
+        predictions = workspace / "preds.tsv"
+        assert main(["classify", *data_args(workspace), "--classifier", "prior-day",
+                     "--bins", "4", "--out", str(predictions)]) == 0
+        argv = ["evaluate", *data_args(workspace)[2:], "--predictions", str(predictions)]
+    else:
+        argv = ["roc", *data_args(workspace)[2:], "--classifier", "residual",
+                "--model", str(fit_model(workspace))]
+    capsys.readouterr()
+    user = households.read_text().split()[1]   # the first household's first member
+    with households.open("a") as fh:
+        fh.write(f"999\t100000\t{user}\n")
+    out = workspace / "out.tsv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {households}: user {user} in two households\n"
     assert not out.exists()
 
 

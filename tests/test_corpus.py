@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from hhattrib import cli, corpus, temporal
 from hhattrib.corpus import (
-    Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, ParseError,
+    Binning, ConfigError, Dataset, DuplicateError, EventColumns, Household, Households,
+    ParseError,
     RangeError, StructureError, SynthConfig, TestColumns, TestEvent, _fields, _parse_float,
     _parse_int, bin_column, cv_split, derive_binning, load_dataset, make_dataset,
     parse_households, parse_ratings, parse_test_events, read_synth_config, synth_generate,
@@ -279,6 +280,14 @@ def test_parse_households_basic(tmp_path):
     assert parse_households(path) == {3: Household(3, (10, 11))}
 
 
+def test_parse_households_user_in_two_households(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text("0 1 2\n5 3 2 1\n")
+    with pytest.raises(DuplicateError) as raised:
+        parse_households(path)
+    assert str(raised.value) == f"{path}: user 2 in two households"
+
+
 def test_parse_households_too_small(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("3 10\n")
@@ -303,7 +312,7 @@ def test_parse_households_duplicate(tmp_path):
 def test_parse_test_events_optional_truth(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("1 5 60 900\n1 6 70 901 10\n")
-    events = parse_test_events(path, {1: Household(1, (10, 11))})
+    events = parse_test_events(path, Households({1: Household(1, (10, 11))}))
     assert events.true_user.tolist() == [-1, 10]
     assert [ev.true_user for ev in events] == [None, 10]
 
@@ -326,7 +335,7 @@ def test_parse_ratings_checks_each_line(tmp_path, line, message):
 def test_parse_test_events_true_user_outside_household(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("0 1 60 900 10\n0 1 60 901 12\n7 1 60 902 12\n")
-    households = {0: Household(0, (10, 11))}
+    households = Households({0: Household(0, (10, 11))})
     with pytest.raises(ValueError) as raised:
         parse_test_events(path, households)
     assert str(raised.value) == f"{path}:2: true_user 12 not in household 0"
@@ -342,11 +351,11 @@ def test_parse_test_events_checks_each_line(tmp_path, line, message):
     path = tmp_path / "t.txt"
     path.write_text(f"0 1 60 900\n{line}\n")
     with pytest.raises(RangeError) as raised:
-        parse_test_events(path, {})
+        parse_test_events(path, Households({}))
     assert str(raised.value) == f"{path}:2: {message}"
 
 
-TEST_HOUSEHOLDS = {0: Household(0, (10, 11)), 3: Household(3, (12, 13, 14))}
+TEST_HOUSEHOLDS = Households({0: Household(0, (10, 11)), 3: Household(3, (12, 13, 14))})
 # (field, bad tokens): each token makes a line fail whatever the file
 BAD_TOKENS = [(0, ["x", "1.5", "-1", str(2 ** 70)]), (1, ["x", "-2", str(2 ** 64)]),
               (2, ["x", "101", "-0.5", "nan", "inf"]), (3, ["x", "2.5", "-4"])]
@@ -493,7 +502,7 @@ def test_event_invariants():
     with pytest.raises(ValueError):
         Household(0, (1, 1))
     with pytest.raises(RangeError, match="household 0: negative member id -1"):
-        Household(0, (-1, 1))   # -1 pads member_table
+        Household(0, (-1, 1))   # -1 pads Households.table
 
 
 def test_dataset_invariants():
@@ -516,7 +525,7 @@ def test_dataset_names_first_bad_test_event(test, message):
     events = as_test_columns(TestEvent(hid, k, 50.0, DAY0, truth)
                              for k, (hid, truth) in enumerate(test))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Dataset(as_columns([event(0, 0)]), {0: Household(0, (0, 1))}, events,
+        Dataset(as_columns([event(0, 0)]), Households({0: Household(0, (0, 1))}), events,
                 user_count=10, movie_count=5)
 
 
@@ -538,9 +547,71 @@ def test_dataset_names_first_bad_test_event(test, message):
 ])
 def test_dataset_names_first_offending_event(train, error, message):
     with pytest.raises(error, match=message) as raised:
-        Dataset(as_columns(train), {0: Household(0, (0, 1))}, (), user_count=2,
+        Dataset(as_columns(train), Households({0: Household(0, (0, 1))}), (), user_count=2,
                 movie_count=5)
     assert isinstance(raised.value, DuplicateError) == (error is DuplicateError)
+
+
+# ---------------------------------------------------------------------------
+# Households
+# ---------------------------------------------------------------------------
+
+@st.composite
+def household_maps(draw, min_size=1):
+    """A map household id -> 2-4 member ids, no member in two households."""
+    sizes = draw(st.dictionaries(st.integers(0, 10 ** 6), st.integers(2, 4),
+                                 min_size=min_size, max_size=20))
+    total = sum(sizes.values())
+    users = iter(draw(st.lists(st.integers(0, 10 ** 6), min_size=total, max_size=total,
+                               unique=True)))
+    return {hid: [next(users) for _ in range(size)] for hid, size in sizes.items()}
+
+
+def test_households_reject_a_key_that_is_not_the_id():
+    with pytest.raises(ValueError, match=r"^household map key 1 != id 2$"):
+        Households({0: Household(0, (0, 1)), 1: Household(2, (2, 3))})
+
+
+def test_households_reject_user_in_two_households():
+    # the first repeat in map order, then file order, is named: user 2, not 1
+    with pytest.raises(DuplicateError, match="^user 2 in two households$"):
+        Households({0: Household(0, (0, 1, 2)), 5: Household(5, (3, 2, 1))})
+
+
+def test_households_layout_is_read_only(small_dataset):
+    households = small_dataset.households
+    for array in (households.table, households.ids):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    assert households.table.tolist() == [[0, 1], [2, 3]]
+    assert households.ids.tolist() == [0, 1]
+
+
+def test_cv_split_keeps_the_parent_households(small_dataset):
+    split = cv_split(small_dataset, 0.3, seed=4)
+    assert split.households is small_dataset.households
+    assert cv_split(split, 0.5, seed=5).households is small_dataset.households
+
+
+@given(st.data(), household_maps(min_size=0))
+@settings(max_examples=60, deadline=None)
+def test_households_layout_matches_dict_lookups(data, members):
+    """ids, table, rows and user_rows against dict lookups, with unknown
+    ids, user -1 and users beyond every member among the queries."""
+    households = Households({hid: Household(hid, tuple(ids)) for hid, ids in members.items()})
+    row_of = {hid: row for row, hid in enumerate(members)}
+    owner = {user: row_of[hid] for hid, ids in members.items() for user in ids}
+    width = max(map(len, members.values()), default=0)
+    assert households.ids.tolist() == list(members)
+    assert households.table.tolist() == [ids + [-1] * (width - len(ids))
+                                         for ids in members.values()]
+    known = st.sampled_from(list(members)) if members else st.nothing()
+    ids = data.draw(st.lists(known | st.integers(0, 2 * 10 ** 6), max_size=20))
+    assert households.rows(ids).tolist() == [row_of.get(hid, -1) for hid in ids]
+    known = st.sampled_from([*owner, -1])
+    users = data.draw(st.lists(known | st.integers(0, 2 * 10 ** 6), max_size=20))
+    assert households.user_rows(np.array(users, dtype=np.intp)).tolist() == [
+        owner.get(user, -1) for user in users]
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +652,7 @@ def _reparsed(parse, write, directory, text):
 DELIMITERS = st.sampled_from(["\t", ",", " ", "  "])
 
 
-@given(st.dictionaries(st.integers(0, 10 ** 6),
-                       st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=4,
-                                unique=True),
-                       min_size=1, max_size=20),
-       DELIMITERS)
+@given(household_maps(), DELIMITERS)
 @settings(max_examples=40, deadline=None)
 def test_round_trip_arbitrary_households(tmp_path_factory, members, sep):
     text = "".join(sep.join(map(str, (hid, *ids))) + "\n" for hid, ids in members.items())
@@ -607,7 +674,7 @@ def test_round_trip_arbitrary_households(tmp_path_factory, members, sep):
 @settings(max_examples=40, deadline=None)
 def test_round_trip_arbitrary_test_events(tmp_path_factory, rows, sep):
     text = "".join(sep.join(repr(f) for f in row if f is not None) + "\n" for row in rows)
-    parsed, again = _reparsed(lambda path: parse_test_events(path, {}), write_test_events,
+    parsed, again = _reparsed(lambda path: parse_test_events(path, Households({})), write_test_events,
                               tmp_path_factory.mktemp("rt"), text)
     assert list(parsed) == [TestEvent(*row) for row in rows]
     assert_same_columns(again, parsed)
@@ -743,12 +810,18 @@ def test_cv_split_expected_size():
     assert 20 <= np.mean(sizes) <= 60
 
 
+def member_of(households):
+    """Each member's household id."""
+    return {member: hid for hid, hh in households.items() for member in hh.members}
+
+
 def _reference_cv_split(dataset, fraction, seed):
     """One rng.random() per household member's event, in train order."""
     rng = np.random.default_rng(seed)
+    owner = member_of(dataset.households)
     keep, hidden = [], []
     for ev in rating_events(dataset.train):
-        hid = dataset.member_of.get(ev.user)
+        hid = owner.get(ev.user)
         if hid is not None and rng.random() < fraction:
             hidden.append(TestEvent(hid, ev.movie, ev.rating, ev.timestamp, ev.user))
         else:
@@ -781,7 +854,7 @@ def test_cv_split_matches_per_event_draws(seed, fraction):
 def _per_event_hidden(dataset, fraction, seed):
     """cv_split's hidden events built one TestEvent at a time from the one
     draw over the member events, as the per-event split built them."""
-    owner = dataset.member_of
+    owner = member_of(dataset.households)
     member_events = [ev for ev in rating_events(dataset.train) if ev.user in owner]
     draws = np.random.default_rng(seed).random(len(member_events))
     return [TestEvent(owner[ev.user], ev.movie, ev.rating, ev.timestamp, ev.user)
@@ -812,11 +885,10 @@ def test_cv_split_replace_revalidates(small_dataset):
     split = cv_split(small_dataset, 0.3, seed=4)
     again = dataclasses.replace(split)   # full construction, checks included
     assert_same_columns(again.train, split.train)
-    assert (again.households, again.test, again.member_of) == (
-        split.households, split.test, split.member_of)
+    assert (again.households, again.test) == (split.households, split.test)
     subset = dataclasses.replace(split, train=split.train[::2])
     assert_same_columns(subset.train, split.train[::2])
-    assert subset.member_of == split.member_of
+    assert subset.households is split.households
     with pytest.raises(DuplicateError):
         dataclasses.replace(split, train=split.train[np.r_[:len(split.train), 0]])
 

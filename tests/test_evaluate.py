@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hhattrib import evaluate, logistic
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, cv_split, derive_binning, make_dataset,
+    Binning, Household, Households, SynthConfig, cv_split, derive_binning, make_dataset,
     synth_generate,
 )
 from hhattrib.evaluate import (
@@ -28,7 +28,7 @@ from conftest import (
 )
 
 
-HOUSEHOLDS = {0: Household(0, (0, 1)), 1: Household(1, (2, 3, 4))}
+HOUSEHOLDS = Households({0: Household(0, (0, 1)), 1: Household(1, (2, 3, 4))})
 
 
 def events_with_truth(spec):
@@ -90,7 +90,7 @@ def test_aggregate_mean_and_size_classes():
 
 def test_aggregate_single_size_class():
     events = events_with_truth([(0, 0), (0, 1)])
-    report = build_report(events, [0, 1], {0: HOUSEHOLDS[0]})
+    report = build_report(events, [0, 1], Households({0: HOUSEHOLDS[0]}))
     assert report.aggregate.overall == report.aggregate.size2 == 0.0
     assert report.aggregate.size3 is None and report.aggregate.size4 is None
 
@@ -203,7 +203,7 @@ def test_roc_posterior_threshold_sweep():
     events = events_with_truth([(0, 0), (0, 0), (0, 1), (0, 1)])
     posteriors = [{0: 0.9, 1: 0.1}, {0: 0.6, 1: 0.4},
                   {0: 0.45, 1: 0.55}, {0: 0.2, 1: 0.8}]
-    households = {0: HOUSEHOLDS[0]}
+    households = Households({0: HOUSEHOLDS[0]})
     points = roc_sweep_posterior(events, as_posteriors(households, events, posteriors),
                                  households, [0.0, 0.5, 1.0])
     assert points[0].tpr_first == 1.0 and points[0].tpr_rest == 0.0
@@ -291,6 +291,7 @@ def roc_cases(draw):
     for hid, size in zip(hids, sizes):
         households[hid] = Household(hid, tuple(users[start:start + size]))
         start += size
+    households = Households(households)
     events, posteriors = [], []
     levels = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0)
     for hid in hids:
@@ -332,7 +333,7 @@ def test_roc_sweeps_match_reference(case):
 
 @pytest.mark.parametrize("missing", [0, 3, 9])   # before, between and after the ids
 def test_member_rows_names_a_household_missing_from_the_map(missing):
-    households = {5: Household(5, (0, 1)), 2: Household(2, (2, 3, 4))}
+    households = Households({5: Household(5, (0, 1)), 2: Household(2, (2, 3, 4))})
     known = as_test_columns([anon_event(2, 0), anon_event(5, 1), anon_event(2, 2)])
     rows, members = member_rows(households, known)
     assert rows.tolist() == [1, 0, 1]
@@ -410,6 +411,7 @@ def report_cases(draw):
     for hid, size in zip(hids, sizes):
         households[hid] = Household(hid, tuple(users[start:start + size]))
         start += size
+    households = Households(households)
     outsider = len(users)   # in no household
     levels = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
     events, predictions, posteriors = [], [], []
@@ -746,6 +748,7 @@ def scoring_cases(draw):
     for hid, size in zip(hids, sizes):
         households[hid] = Household(hid, tuple(users[start:start + size]))
         start += size
+    households = Households(households)
     ratings, days, weeks = (st.sampled_from([20.0, 50.0, 80.0]), st.integers(0, 6),
                             st.integers(0, 3))
     train = [event(user, movie, rating=draw(ratings), day=draw(days), week=draw(weeks))

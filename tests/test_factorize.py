@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hhattrib import factorize
 from hhattrib.corpus import (
-    Binning, Household, bin_column, derive_binning, make_dataset,
+    Binning, Household, Households, bin_column, derive_binning, make_dataset,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.factorize import (
@@ -749,7 +749,7 @@ def classify_residual(predictions, household, ev, alpha):
         np.array([predictions], dtype=float), Binning(1, 0, 10 ** 10),
         FactorParams(rank=1, bin_count=1, iterations=1))
     fitted = FittedPipeline(PipelineConfig("residual", alpha=alpha),
-                            {household.id: household}, model.binning, model)
+                            Households({household.id: household}), model.binning, model)
     return classify_events(fitted, as_test_columns([ev]))[0][0]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hhattrib.corpus import (
-    Binning, EventColumns, Household, SynthConfig, cv_split, synth_generate,
+    Binning, EventColumns, Household, Households, SynthConfig, cv_split, synth_generate,
 )
 from hhattrib.evaluate import (
     FittedPipeline, PipelineConfig, classify_events, fit_and_classify,
@@ -35,12 +35,13 @@ def flat_model(user_biases, n_movies=4, rank=2):
 
 def uniform_priors(household, binning=BINNING):
     train = [event(member, idx) for idx, member in enumerate(household.members)]
-    return fit_priors(as_columns(train), {household.id: household}, binning, epsilon=1.0)
+    return fit_priors(as_columns(train), Households({household.id: household}), binning,
+                      epsilon=1.0)
 
 
 def classify(household, ev, model, priors, sigma, mode="uniform"):
     """gen-mode's (prediction, posterior) for one event."""
-    fitted = FittedPipeline(PipelineConfig(f"gen-{mode}"), {household.id: household},
+    fitted = FittedPipeline(PipelineConfig(f"gen-{mode}"), Households({household.id: household}),
                             model.binning, model, priors, sigma)
     predictions, posteriors = classify_events(fitted, as_test_columns([ev]))
     return predictions[0], posteriors[0]
@@ -161,7 +162,8 @@ def test_sigma_rejects_empty_train():
 def test_joint_score_infinite_sigma_is_prior(pair_household):
     model = flat_model([10.0, 90.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING,
+                        epsilon=0.0)
     sigma = SigmaModel("infinite", math.inf)
     _, post = classify(pair_household, anon_event(0, 0, rating=95.0), model, priors, sigma)
     assert post == dict(zip(pair_household.members, priors.shares[0, 0].tolist()))
@@ -190,7 +192,7 @@ def test_posterior_ratio():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), Households({0: household}), BINNING, epsilon=0.0)
     sigma = SigmaModel("global", 10.0)
     _, post = classify(household, anon_event(0, 0, rating=50.0), model, priors, sigma)
     # equal densities, priors 0.75 / 0.25
@@ -263,7 +265,7 @@ def test_generative_prior_decides_under_equal_residuals():
     household = Household(0, (0, 1))
     model = flat_model([50.0, 50.0])
     train = [event(0, m) for m in range(9)] + [event(1, 20)]
-    priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), Households({0: household}), BINNING, epsilon=0.0)
     sigma = SigmaModel("global", 10.0)
     ev = anon_event(0, 0, rating=58.0)
     assert classify(household, ev, model, priors, sigma)[0] == 0

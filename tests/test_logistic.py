@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from hhattrib import logistic
 from hhattrib.corpus import (
-    Binning, Household, SynthConfig, cv_split, derive_binning, make_dataset,
-    member_table, synth_generate,
+    Binning, Household, Households, SynthConfig, cv_split, derive_binning, make_dataset,
+    synth_generate,
 )
 from hhattrib.evaluate import (
     FittedPipeline, PipelineConfig, classify_events, fit_and_classify,
@@ -738,7 +738,7 @@ def test_classify_tie_breaks_to_smaller_id():
     models = fit_one(train, household, only("a", 1e6))
     probe = anon_event(0, 50, day=0)
     assert probabilities(models, [probe])[0].tolist() == [0.5, 0.5]  # both thetas are 0
-    assert classify_logistic(models, {0: household}, [probe]) == [2]
+    assert classify_logistic(models, Households({0: household}), [probe]) == [2]
 
 
 def test_member_probabilities_equal_one_event_scoring(planted_dataset):
@@ -753,7 +753,7 @@ def test_member_probabilities_equal_one_event_scoring(planted_dataset):
             for i, ev in enumerate(events)]
     got = member_probabilities(models, rows, *arrays(events), binning=binning)
     assert got.tolist() == np.array(want).tolist()
-    padded = member_table(households)[rows] < 0
+    padded = households.table[rows] < 0
     assert {len(households[ev.household].members) for ev in events} == {2, 3, 4}
     assert got[padded].tolist() == [0.5] * int(padded.sum())
 
@@ -763,7 +763,7 @@ def test_classifier_depends_only_on_probability_order():
     models = fit_one(train, household, only("ab", 0.1))
     probe = anon_event(0, 50, day=0, hour=20)
     probs = dict(zip(household.members, probabilities(models, [probe])[0]))
-    assert classify_logistic(models, {0: household}, [probe]) == [max(
+    assert classify_logistic(models, Households({0: household}), [probe]) == [max(
         sorted(probs), key=lambda member: (probs[member], -member))]
 
 
@@ -849,7 +849,7 @@ def test_one_sided_labels_still_fit():
 def test_logit_model_dump_round_trip(tmp_path):
     """One record per member, households in map order and members in file
     order, with every array as fitted; padded slots are not written."""
-    households = {5: Household(5, (3, 1, 4)), 2: Household(2, (0, 2))}
+    households = Households({5: Household(5, (3, 1, 4)), 2: Household(2, (0, 2))})
     train = [event(user, 10 * user + k, rating=20.0 * (k % 5), day=(user + k) % 7)
              for user in range(5) for k in range(8)]
     models = fit_households(make_dataset(as_columns(train), households), only("ae", 0.2))

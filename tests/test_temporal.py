@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    SECONDS_PER_WEEK, Binning, DuplicateError, Household, SynthConfig,
-    derive_binning, synth_generate,
+    SECONDS_PER_WEEK, Binning, Household, Households, SynthConfig, derive_binning,
+    synth_generate,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.temporal import (
@@ -28,8 +28,8 @@ DAYS = 1 + BINNING.bin_count   # the first weekday condition of BINNING's priors
 
 def share(priors, hid, member, condition):
     """Member's probability under a condition: 0, a bin 1..T or T+1+weekday."""
-    h = priors.households.index(hid)
-    return priors.shares[h, condition, priors.members[h].tolist().index(member)]
+    h = list(priors.households).index(hid)
+    return priors.shares[h, condition, priors.households.table[h].tolist().index(member)]
 
 
 def day_profile(train, user):
@@ -53,15 +53,15 @@ def reference_tv(train, household):
 
 def household_tv(train, household):
     """tv_histogram's value for one household."""
-    [(_, value)] = tv_histogram(as_columns(train), {household.id: household})
+    [(_, value)] = tv_histogram(as_columns(train), Households({household.id: household}))
     return value
 
 
 def library_profile(train, user):
     """A member's weekday profile as tv_histogram reads it: weekday_histogram's
     counts over their total (the second member, user + 1000, is a filler)."""
-    (_, _, *counts), _ = weekday_histogram(as_columns(train),
-                                          {0: Household(0, (user, user + 1000))})
+    (_, _, *counts), _ = weekday_histogram(
+        as_columns(train), Households({0: Household(0, (user, user + 1000))}))
     return np.array(counts) / sum(counts)
 
 
@@ -154,28 +154,28 @@ def test_tv_distance_equals_half_l1_form():
 
 def test_prior_counts(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.0)
     assert share(priors, 0, 0, 0) == pytest.approx(0.75)
     assert share(priors, 0, 1, 0) == pytest.approx(0.25)
 
 
 def test_prior_day_conditional(pair_household):
     train = [event(0, m, day=0) for m in range(4)] + [event(1, 9, day=2)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.0)
     assert share(priors, 0, 0, DAYS) == 1.0
     assert share(priors, 0, 1, DAYS) == 0.0
 
 
 def test_prior_smoothing_on_empty_conditional(pair_household):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=1.0)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=1.0)
     assert share(priors, 0, 0, DAYS + 1) == pytest.approx(0.5)  # no Monday events
     assert share(priors, 0, 1, DAYS + 1) == pytest.approx(0.5)
 
 
 def test_prior_epsilon_zero_flags_undefined(pair_household, caplog):
     train = [event(0, 0, day=0), event(1, 1, day=0)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.0)
     assert math.isnan(share(priors, 0, 0, DAYS + 1))
     # scoring falls back to the unconditional prior, one record per member
     stamps = np.array([anon_event(0, 5, day=1).timestamp, anon_event(0, 5).timestamp])
@@ -186,17 +186,12 @@ def test_prior_epsilon_zero_flags_undefined(pair_household, caplog):
 
 
 def test_prior_epsilon_zero_rejects_household_without_events():
-    households = {0: Household(0, (0, 1)), 5: Household(5, (2, 3))}
+    households = Households({0: Household(0, (0, 1)), 5: Household(5, (2, 3))})
     train = [event(0, 0), event(1, 1)]
     with pytest.raises(UndefinedProfileError, match="household 5 has no training"):
         fit_priors(as_columns(train), households, BINNING, epsilon=0.0)
-    assert fit_priors(as_columns(train), households, BINNING, epsilon=0.5).households == (0, 5)
-
-
-def test_priors_reject_user_in_two_households():
-    households = {0: Household(0, (0, 1)), 1: Household(1, (1, 2))}
-    with pytest.raises(DuplicateError, match="two households"):
-        fit_priors(as_columns([event(0, 0), event(1, 1), event(2, 2)]), households, BINNING)
+    priors = fit_priors(as_columns(train), households, BINNING, epsilon=0.5)
+    assert priors.households is households and tuple(households) == (0, 5)
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6),
@@ -205,7 +200,7 @@ def test_priors_reject_user_in_two_households():
 @settings(max_examples=80)
 def test_priors_match_brute_force_counting(assignments):
     # two households, members listed out of id order; user 5 is in neither
-    households = {0: Household(0, (0, 1)), 7: Household(7, (4, 2, 3))}
+    households = Households({0: Household(0, (0, 1)), 7: Household(7, (4, 2, 3))})
     for hh in households.values():
         if not {user for user, _, _ in assignments} & set(hh.members):
             assignments += [(hh.members[0], 0, 0)]
@@ -213,8 +208,8 @@ def test_priors_match_brute_force_counting(assignments):
               for idx, (user, day, week) in enumerate(assignments)]
     binning = derive_binning(as_columns(events), 3)
     priors = fit_priors(as_columns(events), households, binning, epsilon=0.0)
-    assert priors.households == (0, 7)
-    np.testing.assert_array_equal(priors.members, [[0, 1, -1], [4, 2, 3]])
+    assert priors.households is households and tuple(households) == (0, 7)
+    np.testing.assert_array_equal(households.table, [[0, 1, -1], [4, 2, 3]])
     for hid, hh in households.items():
         ours = [e for e in events if e.user in hh.members]
         for member in hh.members:
@@ -265,7 +260,7 @@ def _reference_priors(train, household, binning, epsilon):
 def test_priors_equal_per_event_reference(binning, count, epsilon):
     rng = rng_for(count)
     # users 5 and 6 belong to no household; members listed out of id order
-    households = {0: Household(0, (1, 0)), 7: Household(7, (4, 2, 3))}
+    households = Households({0: Household(0, (1, 0)), 7: Household(7, (4, 2, 3))})
     events = [event(int(user), idx, day=int(day), week=int(week), hour=int(hour))
               for idx, (user, day, week, hour) in enumerate(zip(
                   rng.integers(0, 7, count), rng.integers(0, 7, count),
@@ -285,21 +280,22 @@ def test_priors_equal_per_event_reference(binning, count, epsilon):
 # ---------------------------------------------------------------------------
 
 def classify_prior(priors, mode, ev, household):
-    fitted = FittedPipeline(PipelineConfig(f"prior-{mode}"), {household.id: household},
-                            priors.binning, priors=priors)
+    fitted = FittedPipeline(PipelineConfig(f"prior-{mode}"),
+                            Households({household.id: household}), priors.binning,
+                            priors=priors)
     return classify_events(fitted, as_test_columns([ev]))[0][0]
 
 
 def test_classify_prior_uniform(pair_household):
     train = [event(0, m) for m in range(3)] + [event(1, 9)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.0)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.0)
     assert classify_prior(priors, "uniform", anon_event(0, 50), pair_household) == 0
 
 
 def test_classify_prior_day(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + \
             [event(1, m + 10, day=4) for m in range(5)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.5)
     assert classify_prior(priors, "day", anon_event(0, 50, day=0), pair_household) == 0
     assert classify_prior(priors, "day", anon_event(0, 50, day=4), pair_household) == 1
 
@@ -307,14 +303,14 @@ def test_classify_prior_day(pair_household):
 def test_classify_prior_tie_breaks_to_smaller_id():
     household = Household(0, (7, 3))
     train = [event(7, 0), event(3, 1)]
-    priors = fit_priors(as_columns(train), {0: household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), Households({0: household}), BINNING, epsilon=0.5)
     assert share(priors, 0, 7, 0) == share(priors, 0, 3, 0)
     assert classify_prior(priors, "uniform", anon_event(0, 50), household) == 3
 
 
 def test_classify_prior_ignores_rating(pair_household):
     train = [event(0, m, day=0) for m in range(3)] + [event(1, 9, day=4)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.5)
     low = anon_event(0, 50, rating=1.0, day=0)
     high = anon_event(0, 50, rating=99.0, day=0)
     assert classify_prior(priors, "day", low, pair_household) == \
@@ -324,7 +320,7 @@ def test_classify_prior_ignores_rating(pair_household):
 def test_classify_prior_weekly_shift_invariance(pair_household):
     train = [event(0, m, day=m % 3) for m in range(5)] + \
             [event(1, m + 10, day=3 + m % 3) for m in range(7)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.5)
     for day in range(7):
         probe = anon_event(0, 50, day=day)
         shifted = anon_event(0, 50, day=day, week=21)  # +147 days = 21 weeks
@@ -334,7 +330,7 @@ def test_classify_prior_weekly_shift_invariance(pair_household):
 
 def test_classify_prior_bad_mode(pair_household):
     train = [event(0, 0), event(1, 1)]
-    priors = fit_priors(as_columns(train), {0: pair_household}, BINNING, epsilon=0.5)
+    priors = fit_priors(as_columns(train), Households({0: pair_household}), BINNING, epsilon=0.5)
     with pytest.raises(ValueError):
         prior_matrix(priors, "hourly", np.array([0]), np.array([DAY0]))
 
@@ -353,7 +349,7 @@ def test_weekday_histogram_counts(small_dataset):
 
 def test_weekday_histogram_equals_per_event_counts(planted_dataset):
     # members 900 and 901 lie beyond every planted user; 900 has no events
-    households = {**planted_dataset.households, 99: Household(99, (900, 901))}
+    households = Households({**planted_dataset.households, 99: Household(99, (900, 901))})
     train = rating_events(planted_dataset.train[::2]) + [event(901, 0, day=3)]
     want = {(hid, m): [0] * 7 for hid, hh in households.items() for m in hh.members}
     member_of = {m: hid for hid, hh in households.items() for m in hh.members}
@@ -381,6 +377,6 @@ def test_tv_histogram_matches_household_tv_on_many_households():
 
 
 def test_tv_histogram_member_without_events(small_dataset):
-    households = {**small_dataset.households, 2: Household(2, (7, 8))}
+    households = Households({**small_dataset.households, 2: Household(2, (7, 8))})
     with pytest.raises(UndefinedProfileError, match="user 7 has no training events"):
         tv_histogram(small_dataset.train, households)
