@@ -259,8 +259,8 @@ class PipelineConfig:
     sigma_scope: str = "per_user"
     epsilon: float = 0.5
     alpha: float = 1.0
-    # unified only: the fit's starting thetas, as StackedLogits.theta lays them out
-    logit_start: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # unified only: a cold fit of these households whose thetas and pairs start the solves
+    logit_start: logistic.StackedLogits | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.classifier not in CLASSIFIERS:
@@ -416,18 +416,18 @@ def run_cv(dataset: Dataset, pipeline: PipelineConfig, seeds,
     Reported as mean and sample standard deviation across splits.
 
     The unified family is first fitted once, cold, on the whole dataset,
-    and each split's logistic solves start from that fit's thetas. They
-    reach the cold optimum in about half the work. The extra fit costs
-    about one cold split: one split runs slower, two about break even, and
-    three or more run faster. A split's result depends only on the dataset
-    and its own seed.
+    and each split's logistic solves start from that fit's thetas and last
+    L-BFGS (s, y) pairs. They reach the cold optimum in about a third of
+    the work. The extra fit costs about one cold split: one split runs
+    slower, two or more run faster. A split's result depends only on the
+    dataset and its own seed.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("need at least one split seed")
     if pipeline.classifier == "unified":
         parent = fit_pipeline(dataset, pipeline).logit_models
-        pipeline = replace(pipeline, logit_start=parent.theta)
+        pipeline = replace(pipeline, logit_start=parent)
     collected: dict[str, list[float]] = {}
     for seed in seeds:
         split = cv_split(dataset, fraction, seed)

@@ -18,7 +18,8 @@ The solver runs projected L-BFGS (numpy plus LAPACK triangular solves) on
 the smooth split form theta = w+ - w-, w >= 0 (Schmidt, Fung and Rosales
 2007), then a sign-fixed Newton polish on the support found there until
 the L1 subgradient (KKT) residual is tiny or the budget is spent; a fit
-that stops above the tolerance says so in a DEBUG record.
+that stops above the tolerance says so in a DEBUG record. Cross-validation
+starts its splits' solves from the full-train fit's thetas and (s, y) pairs.
 
 A two-member household needs one solve, not two. The model has no
 intercept, so the loss of theta on the labels 1 - y equals the loss of
@@ -100,10 +101,14 @@ class StackedLogits:
     ``theta[h, k]`` is the coefficient vector of member slot k of household
     row h (households in map order, members in file order); padded slots
     hold zeros. ``mean[h]`` and ``scale[h]`` standardize household h's
-    feature rows.
+    feature rows. ``pairs`` holds the ``last_pairs`` of each solved member,
+    in ``theta`` order: a two-member household's mirror is never solved.
+    Given to ``fit_households`` as ``start``, thetas and pairs warm-start a
+    refit's solves (cross-validation's splits); the refit keeps no pairs.
     """
 
-    theta: np.ndarray   # (H, width, p)
+    theta: np.ndarray          # (H, width, p)
+    pairs: np.ndarray | None   # (solved members, 2, _MEMORY, 2p)
     mean: np.ndarray    # (H, p)
     scale: np.ndarray   # (H, p)
     config: FeatureConfig
@@ -192,7 +197,7 @@ def kkt_residual(theta: np.ndarray, rows: np.ndarray, labels: np.ndarray,
     return float(viol.max())
 
 
-def _split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol):
+def _split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol, pairs=None):
     """Projected L-BFGS on the split form theta = w+ - w-, w >= 0.
 
     Minimizes nll(X (w+ - w-)) + lambda1 * sum(w) to a projected gradient
@@ -202,18 +207,23 @@ def _split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol):
     backtracking along the projection arc to Armijo. The product's triangle
     takes two LAPACK dtrtrs solves, 3 us each at 20x20 where np.linalg.inv
     took 27 us. A triangle dtrtrs reports singular, like a product that is
-    not a descent direction, leaves the negative gradient.
+    not a descent direction, leaves the negative gradient. The history starts
+    from the nonzero pairs of ``pairs`` (read, never written); returns theta
+    and the history it ends with, both in fit_logistic's layout.
     """
     w = np.concatenate((np.maximum(theta, 0.0), np.maximum(-theta, 0.0)))
-    w = _split_steps(rows, labels, lambda1, w, np.empty((2, _MEMORY, len(w))), 0,
-                     max_iter=max_iter, pg_tol=pg_tol)
-    return w[:len(theta)] - w[len(theta):]
+    history = np.zeros((2, _MEMORY, len(w)))
+    given = history[:, :0] if pairs is None else pairs[:, pairs.any(axis=(0, 2))]
+    history[:, :given.shape[1]] = given
+    w, _ = _split_steps(rows, labels, lambda1, w, history, given.shape[1],
+                        max_iter=max_iter, pg_tol=pg_tol)
+    return w[:len(theta)] - w[len(theta):], history
 
 
 def _split_steps(rows, labels, lambda1, w, history, pairs, *, max_iter, pg_tol):
     """The iterations of _split_descend from the split point w, with the last
     ``pairs`` (s, y) pairs in ``history`` oldest first; returns the split
-    point they reach and leaves its pairs in ``history``."""
+    point they reach and its pair count, and leaves its pairs in ``history``."""
     global dtrtrs
     if dtrtrs is None:
         from scipy.linalg.lapack import dtrtrs
@@ -261,7 +271,7 @@ def _split_steps(rows, labels, lambda1, w, history, pairs, *, max_iter, pg_tol):
         pairs = min(pairs + 1, _MEMORY)
         history[:, pairs - 1] = trial - w, new_grad - grad
         w, f, grad = trial, f_trial, new_grad
-    return w
+    return w, pairs
 
 
 def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
@@ -327,13 +337,15 @@ def _polish_active_set(rows, labels, lambda1, theta, kkt_tol, rounds=25):
     return theta, residual
 
 
-def fit_logistic(rows: np.ndarray, labels, lambda1: float, *, start=None,
-                 max_iter: int = 50_000, kkt_tol: float = 1e-10) -> np.ndarray:
+def fit_logistic(rows: np.ndarray, labels, lambda1: float, *, start=None, pairs=None,
+                 last_pairs=None, max_iter: int = 50_000, kkt_tol: float = 1e-10) -> np.ndarray:
     """Minimize the L1-regularized logistic loss from ``start``.
 
-    ``start`` (one finite value per column, copied; zero when None) only
-    shortens the path: the problem is convex and every start runs to the
-    same KKT tolerance.
+    ``start`` (one finite value per column, copied; zero when None) and
+    ``pairs`` (the first L-BFGS phase's (s, y) pairs, read only) only shorten
+    the path: the problem is convex and every start runs to the same KKT
+    tolerance. ``last_pairs`` receives the last L-BFGS phase's pairs. Both
+    are (2, _MEMORY, 2 * columns), oldest first and zero in empty slots.
 
     Two phases, both deterministic: projected L-BFGS on the split form
     until its projected gradient is at most 1e-3, which settles the
@@ -356,14 +368,21 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *, start=None,
     theta = np.zeros(rows.shape[1]) if start is None else np.array(start, dtype=float)
     if theta.shape != (rows.shape[1],) or not np.isfinite(theta).all():
         raise ValueError("start must be one finite value per column")
+    pairs = None if pairs is None else np.asarray(pairs, dtype=float)
+    if pairs is not None and (pairs.shape != (2, _MEMORY, 2 * rows.shape[1])
+                              or not np.isfinite(pairs).all()):
+        raise ValueError(f"pairs must be finite values of shape (2, {_MEMORY}, 2 * columns)")
     budget = max_iter
     # The L-BFGS phase only needs to get close and settle the support;
     # the Newton polish does the final descent, so hand over early.
     pg_tol = max(kkt_tol, _HANDOVER_PG)
     for _ in range(8):
         phase = min(budget, 600)
-        theta = _split_descend(rows, labels, lambda1, theta, max_iter=phase,
-                               pg_tol=pg_tol)
+        theta, history = _split_descend(rows, labels, lambda1, theta, max_iter=phase,
+                                        pg_tol=pg_tol, pairs=pairs)
+        pairs = None   # later phases start with an empty history
+        if last_pairs is not None:
+            last_pairs[...] = history
         budget -= phase
         if kkt_residual(theta, rows, labels, lambda1) <= kkt_tol:
             return theta
@@ -384,7 +403,8 @@ def fit_logistic(rows: np.ndarray, labels, lambda1: float, *, start=None,
 def fit_household(train: EventColumns, household: Household, config: FeatureConfig,
                   model: TemporalFactorModel | None = None,
                   binning: Binning | None = None,
-                  start: np.ndarray | None = None) -> tuple[np.ndarray, Standardization]:
+                  start: np.ndarray | None = None, pairs=None,
+                  last_pairs=None) -> tuple[np.ndarray, Standardization]:
     """One logistic model per member, sharing rows and standardization.
 
     Returns the members' thetas, one row per member in file order, and the
@@ -392,8 +412,9 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
     across members: each training event counts as a positive example for
     exactly its rater. Members whose labels are all zero or all one are
     still fit (the L1 term keeps theta bounded). In a two-member household
-    the second member's theta is the first's negated. ``start``, one row
-    per member, gives each fitted member's `fit_logistic` start.
+    the second member's theta is the first's negated. ``start`` (a row per
+    member), ``pairs`` and ``last_pairs`` (a row per solved member: only the
+    first of two) give each solved member's `fit_logistic` arguments.
     """
     events = train[np.isin(train.user, household.members)]
     if len(events.user) < 2:
@@ -410,28 +431,44 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
         if household.size == 2 and thetas:
             thetas.append(-thetas[0])
         else:
-            thetas.append(fit_logistic(scaled, labels, config.lambda1,
-                                       start=None if start is None else start[k]))
+            thetas.append(fit_logistic(
+                scaled, labels, config.lambda1, start=None if start is None else start[k],
+                pairs=None if pairs is None else pairs[k],
+                last_pairs=None if last_pairs is None else last_pairs[k]))
     return np.array(thetas), stats
 
 
 def fit_households(dataset: Dataset, config: FeatureConfig,
                    model: TemporalFactorModel | None = None,
                    binning: Binning | None = None,
-                   start: np.ndarray | None = None) -> StackedLogits:
+                   start: StackedLogits | None = None) -> StackedLogits:
     """``fit_household`` for every household of the dataset, each on its own
-    train events in train order, stacked into one StackedLogits. ``start``,
-    in the layout of ``StackedLogits.theta``, gives each household its row."""
+    train events in train order, stacked into one StackedLogits. ``start``, a
+    cold fit of the same households and features, gives each solved member
+    its theta and pairs; a start of another shape is a ValueError."""
     households, rows = dataset.households, dataset.households.user_rows(dataset.train.user)
+    empty = dataset.train[:0]
+    p = feature_matrix(empty.stamp, empty.movie, empty.rating, config, model, binning).shape[1]
+    shape = (*households.table.shape, p)
+    edges = np.cumsum([0, *(1 if hh.size == 2 else hh.size for hh in households.values())])
+    pairs_shape = (int(edges[-1]), 2, _MEMORY, 2 * p)
+    warm = start is not None
+    if warm and (start.theta.shape, np.shape(start.pairs)) != (shape, pairs_shape):
+        raise ValueError(f"start theta {start.theta.shape} and pairs {np.shape(start.pairs)} "
+                         f"do not fit theta {shape} and pairs {pairs_shape}")
+    pairs = None if warm else np.zeros(pairs_shape)
     order = np.argsort(rows, kind="stable")
     bounds = np.searchsorted(rows[order], np.arange(len(households) + 1))
     thetas, stats = zip(*[
         fit_household(dataset.train[order[lo:hi]], hh, config, model, binning,
-                      None if start is None else start[h, :hh.size])
-        for h, (hh, lo, hi) in enumerate(zip(households.values(), bounds, bounds[1:]))])
-    theta = np.zeros((*households.table.shape, len(stats[0].mean)))
+                      start=start.theta[h, :hh.size] if warm else None,
+                      pairs=start.pairs[first:last] if warm else None,
+                      last_pairs=None if warm else pairs[first:last])
+        for h, (hh, lo, hi, first, last) in enumerate(zip(
+            households.values(), bounds, bounds[1:], edges, edges[1:]))])
+    theta = np.zeros(shape)
     theta[households.table >= 0] = np.concatenate(thetas)   # row-major: file order per row
-    return StackedLogits(theta, np.array([s.mean for s in stats]),
+    return StackedLogits(theta, pairs, np.array([s.mean for s in stats]),
                          np.array([s.scale for s in stats]), config)
 
 

@@ -541,7 +541,7 @@ def test_unified_cv_matches_cold_splits(cv_dataset, monkeypatch):
 
     def record_solve(rows, labels, lam, **kwargs):
         theta = fit(rows, labels, lam, **kwargs)
-        solves.append((rows, labels, lam, kwargs.get("start"), theta))
+        solves.append((rows, labels, lam, kwargs.get("start"), kwargs.get("pairs"), theta))
         return theta
 
     def record_split(split, pipeline):
@@ -555,9 +555,12 @@ def test_unified_cv_matches_cold_splits(cv_dataset, monkeypatch):
     splits = [cv_split(cv_dataset, 0.08, seed) for seed in CV_SEEDS]
     cold = [fit_and_classify(split, UNIFIED_CV) for split in splits]
 
-    warm = [(rows, labels, lam, theta) for rows, labels, lam, start, theta in solves
+    warm = [(rows, labels, lam, theta) for rows, labels, lam, start, pairs, theta in solves
             if start is not None]
     assert len(warm) == 3 * (len(solves) - len(warm))   # the parent fit starts cold
+    # every warm solve also starts from the parent member's L-BFGS pairs
+    assert all((start is None) == (pairs is None) for _, _, _, start, pairs, _ in solves)
+    assert all(pairs.any() for *_, pairs, _ in solves if pairs is not None)
     for rows, labels, lam, theta in warm:
         assert logistic.kkt_residual(theta, rows, labels, lam) <= 1e-10
         want = logistic_objective(fit(rows, labels, lam), rows, labels, lam)

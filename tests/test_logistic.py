@@ -2,10 +2,12 @@ import itertools
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from hhattrib.corpus import (
     synth_generate,
 )
 from hhattrib.evaluate import (
-    FittedPipeline, PipelineConfig, classify_events, fit_and_classify,
+    FittedPipeline, PipelineConfig, classify_events, fit_and_classify, fit_pipeline,
 )
 from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.logistic import (
@@ -364,6 +366,75 @@ def test_bad_start_is_rejected(start):
         fit_logistic(np.ones((3, 2)), [0.0, 1.0, 1.0], 0.1, start=start)
 
 
+def fit_with_pairs(rows, labels, lam, **kwargs):
+    """fit_logistic's theta and the last L-BFGS pairs it receives."""
+    last = np.zeros((2, logistic._MEMORY, 2 * rows.shape[1]))
+    return fit_logistic(rows, labels, lam, last_pairs=last, **kwargs), last
+
+
+def subsample(rows, labels, rng, share=0.96):
+    """A cross-validation split's rows: a share of them, in order."""
+    keep = np.sort(rng.choice(len(rows), int(round(share * len(rows))), replace=False))
+    return rows[keep], labels[keep]
+
+
+def test_no_pairs_and_zero_pairs_are_the_cold_start():
+    for rows, labels, lam in criterion_9_designs():
+        cold = fit_logistic(rows, labels, lam)
+        zeros = np.zeros((2, logistic._MEMORY, 2 * rows.shape[1]))
+        assert np.array_equal(fit_logistic(rows, labels, lam, pairs=None), cold)
+        assert np.array_equal(fit_logistic(rows, labels, lam, pairs=zeros), cold)
+        theta, last = fit_with_pairs(rows, labels, lam)
+        assert np.array_equal(theta, cold) and last.any()
+
+
+def test_warm_pairs_reach_the_cold_optimum():
+    rng = np.random.default_rng(902)
+    designs = list(criterion_9_designs())
+    for i, (rows, labels, lam) in enumerate(designs):
+        want = logistic_objective(fit_logistic(rows, labels, lam), rows, labels, lam)
+        sub_theta, sub_pairs = fit_with_pairs(*subsample(rows, labels, rng), lam)
+        other = next(d for d in designs[i + 1:] + designs[:i] if d[0].shape[1] == rows.shape[1])
+        random_pairs = rng.normal(scale=10.0, size=sub_pairs.shape)
+        for pairs in (sub_pairs, fit_with_pairs(*other)[1], random_pairs):
+            for start in (None, sub_theta):
+                theta = fit_logistic(rows, labels, lam, start=start, pairs=pairs)
+                assert kkt_residual(theta, rows, labels, lam) <= 1e-10
+                assert abs(logistic_objective(theta, rows, labels, lam) - want) <= 1e-10
+
+
+def test_warm_pairs_take_fewer_loss_evaluations(monkeypatch):
+    rng = np.random.default_rng(903)
+    evaluations = []
+    loss = logistic._loss
+    monkeypatch.setattr(logistic, "_loss", lambda *a: evaluations.append(1) or loss(*a))
+    counts = {"theta": 0, "theta and pairs": 0}
+    for rows, labels, lam in criterion_9_designs():
+        theta, pairs = fit_with_pairs(*subsample(rows, labels, rng), lam)
+        for kind, kwargs in (("theta", {}), ("theta and pairs", {"pairs": pairs})):
+            evaluations.clear()
+            fit_logistic(rows, labels, lam, start=theta, **kwargs)
+            counts[kind] += len(evaluations)
+    assert counts["theta and pairs"] < counts["theta"], counts
+
+
+def test_warm_pairs_leave_the_callers_array():
+    rows, labels, lam = next(criterion_9_designs(1))
+    pairs = fit_with_pairs(rows, labels, lam)[1]
+    kept = pairs.copy()
+    fit_logistic(rows, labels, lam, pairs=pairs, last_pairs=np.zeros_like(pairs))
+    assert np.array_equal(pairs, kept)
+
+
+@pytest.mark.parametrize("pairs", [np.zeros((2, logistic._MEMORY, 2)),
+                                   np.zeros((2, logistic._MEMORY - 1, 4)),
+                                   np.zeros((logistic._MEMORY, 4)),
+                                   np.full((2, logistic._MEMORY, 4), np.inf)])
+def test_bad_pairs_are_rejected(pairs):
+    with pytest.raises(ValueError, match="pairs"):
+        fit_logistic(np.ones((3, 2)), [0.0, 1.0, 1.0], 0.1, pairs=pairs)
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_complementary_labels_give_negated_theta(seed):
@@ -440,16 +511,23 @@ def test_unified_fit_never_imports_scipy_optimize():
     assert result.returncode == 0, result.stderr or "scipy.optimize was imported"
 
 
-def oracle_split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol,
+def oracle_split_descend(rows, labels, lambda1, theta, *, max_iter, pg_tol, pairs=None,
                          quasi_newton=True):
     """Projected L-BFGS with an inverted triangle and a concatenated history:
-    the oracle of logistic._split_descend, kept with its own loss. Without
-    quasi_newton it steps along the negative projected gradient only."""
+    the oracle of logistic._split_descend, kept with its own loss, starting
+    from the nonzero pairs of ``pairs`` and returning theta and its pairs in
+    the library's layout. Without quasi_newton it steps along the negative
+    projected gradient only."""
     w = np.concatenate((np.maximum(theta, 0.0), np.maximum(-theta, 0.0)))
-    w, _, _ = oracle_split_steps(rows, labels, lambda1, w, np.empty((0, len(w))),
-                                 np.empty((0, len(w))), max_iter=max_iter, pg_tol=pg_tol,
-                                 quasi_newton=quasi_newton)
-    return w[:len(theta)] - w[len(theta):]
+    if pairs is None:
+        pairs = np.zeros((2, logistic._MEMORY, len(w)))
+    s_all, y_all = pairs[:, pairs.any(axis=(0, 2))]
+    w, s_all, y_all = oracle_split_steps(rows, labels, lambda1, w, s_all, y_all,
+                                         max_iter=max_iter, pg_tol=pg_tol,
+                                         quasi_newton=quasi_newton)
+    last = np.zeros((2, logistic._MEMORY, len(w)))
+    last[:, :len(s_all)] = s_all, y_all
+    return w[:len(theta)] - w[len(theta):], last
 
 
 def oracle_split_steps(rows, labels, lambda1, w, s_all, y_all, *, max_iter, pg_tol,
@@ -507,10 +585,10 @@ def oracle_split_steps(rows, labels, lambda1, w, s_all, y_all, *, max_iter, pg_t
     return w, s_all, y_all
 
 
-def oracle_fit_logistic(rows, labels, lambda1):
+def oracle_fit_logistic(rows, labels, lambda1, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(logistic, "_split_descend", oracle_split_descend)
-        return fit_logistic(rows, labels, lambda1)
+        return fit_logistic(rows, labels, lambda1, **kwargs)
 
 
 def household_design(seed, n, bins, rank, sides, lam):
@@ -549,7 +627,7 @@ def household_designs(draw):
 @example(household_design(28, 28, 1, 0, "noisy", 0.01))
 def test_split_descend_matches_oracle(design):
     rows, labels, lam = design
-    theta = fit_logistic(rows, labels, lam)
+    theta, pairs = fit_with_pairs(rows, labels, lam)
     assert kkt_residual(theta, rows, labels, lam) <= 1e-8
     ours = logistic_objective(theta, rows, labels, lam)
     # theta may move along near-flat directions of the rank-deficient blocks,
@@ -557,6 +635,10 @@ def test_split_descend_matches_oracle(design):
     # mirror is compared by objective as in test_rank_deficient_household_design
     want = oracle_fit_logistic(rows, labels, lam)
     assert abs(ours - logistic_objective(want, rows, labels, lam)) <= 1e-10
+    # both paths start alike from the pairs the fit ends with
+    for solve in (fit_logistic, oracle_fit_logistic):
+        warm = solve(rows, labels, lam, pairs=pairs)
+        assert abs(logistic_objective(warm, rows, labels, lam) - ours) <= 1e-10
     mirrored = fit_logistic(rows, 1.0 - labels, lam)
     assert abs(logistic_objective(mirrored, rows, 1.0 - labels, lam) - ours) <= 1e-10
     # From each of the oracle's first 25 states, past the first shift of the
@@ -570,10 +652,11 @@ def test_split_descend_matches_oracle(design):
     for _ in range(25):
         history = np.empty((2, logistic._MEMORY, len(w)))
         history[:, :len(s_all)] = s_all, y_all
-        got = logistic._split_steps(rows, labels, lam, w, history, len(s_all),
-                                    max_iter=1, pg_tol=0.0)
+        got, count = logistic._split_steps(rows, labels, lam, w, history, len(s_all),
+                                           max_iter=1, pg_tol=0.0)
         if not np.array_equal(got, w):   # a step: the oldest pair leaves a full history
             kept = min(len(s_all), logistic._MEMORY - 1)
+            assert count == kept + 1
             assert np.array_equal(history[:, :kept],
                                   np.array((s_all, y_all))[:, len(s_all) - kept:])
             assert np.array_equal(history[0, kept], got - w)
@@ -591,13 +674,16 @@ def test_unified_split_matches_oracle_solver():
     pipeline = PipelineConfig(
         "unified", factor_params=FactorParams(rank=4, bin_count=1, iterations=12, seed=7),
         features=FeatureConfig(rating=False, lambda1=0.1), sigma_scope="per_user")
-    predictions, posteriors = fit_and_classify(split, pipeline)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(logistic, "_split_descend", oracle_split_descend)
-        want_predictions, want_posteriors = fit_and_classify(split, pipeline)
-    assert np.array_equal(predictions, want_predictions)
-    assert max(abs(got[m] - want[m]) for got, want in zip(posteriors, want_posteriors)
-               for m in want) <= 1e-8
+    # cold, and warm from the full-train fit's thetas and pairs as run_cv starts
+    parent = fit_pipeline(dataset, pipeline).logit_models
+    for pipeline in (pipeline, replace(pipeline, logit_start=parent)):
+        predictions, posteriors = fit_and_classify(split, pipeline)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logistic, "_split_descend", oracle_split_descend)
+            want_predictions, want_posteriors = fit_and_classify(split, pipeline)
+        assert np.array_equal(predictions, want_predictions)
+        assert max(abs(got[m] - want[m]) for got, want in zip(posteriors, want_posteriors)
+                   for m in want) <= 1e-8
 
 
 def test_singular_triangle_keeps_gradient_direction(monkeypatch):
@@ -613,10 +699,10 @@ def test_singular_triangle_keeps_gradient_direction(monkeypatch):
 
     monkeypatch.setattr(logistic, "dtrtrs", singular)
     start = np.zeros(5)
-    steps = logistic._split_descend(rows, labels, 0.1, start, max_iter=30, pg_tol=0.0)
+    steps, _ = logistic._split_descend(rows, labels, 0.1, start, max_iter=30, pg_tol=0.0)
     assert calls
-    gradient_steps = oracle_split_descend(rows, labels, 0.1, start, max_iter=30,
-                                          pg_tol=0.0, quasi_newton=False)
+    gradient_steps, _ = oracle_split_descend(rows, labels, 0.1, start, max_iter=30,
+                                             pg_tol=0.0, quasi_newton=False)
     np.testing.assert_allclose(steps, gradient_steps, rtol=0, atol=1e-12)
     theta = fit_logistic(rows, labels, 0.1)
     assert kkt_residual(theta, rows, labels, 0.1) <= 1e-8
@@ -756,6 +842,25 @@ def test_member_probabilities_equal_one_event_scoring(planted_dataset):
     padded = households.table[rows] < 0
     assert {len(households[ev.household].members) for ev in events} == {2, 3, 4}
     assert got[padded].tolist() == [0.5] * int(padded.sum())
+
+
+def test_cold_fit_keeps_pairs_per_solved_member_and_bad_starts_fail(planted_dataset):
+    """A cold fit keeps one pairs row per solved member (the first alone in a
+    two-member household), a refit started from it keeps none, and a start
+    whose shapes do not fit the dataset is a ValueError naming both."""
+    config, binning = only("abde", 0.1), derive_binning(planted_dataset.train, 5)
+    cold = fit_households(planted_dataset, config, binning=binning)
+    solved = sum(1 if hh.size == 2 else hh.size for hh in planted_dataset.households.values())
+    assert cold.pairs.shape == (solved, 2, logistic._MEMORY, 2 * cold.theta.shape[2])
+    assert cold.pairs.any(axis=(1, 2, 3)).all()
+    warm = fit_households(planted_dataset, config, binning=binning, start=cold)
+    assert warm.pairs is None
+    for bad in (replace(cold, theta=cold.theta[:-1]), replace(cold, theta=cold.theta[..., 1:]),
+                replace(cold, pairs=cold.pairs[:-1]), warm):
+        message = (f"start theta {bad.theta.shape} and pairs {np.shape(bad.pairs)} do not fit "
+                   f"theta {cold.theta.shape} and pairs {cold.pairs.shape}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_households(planted_dataset, config, binning=binning, start=bad)
 
 
 def test_classifier_depends_only_on_probability_order():
