@@ -15,9 +15,9 @@ import numpy as np
 
 from . import evaluate, factorize, generative, logistic, temporal
 from .corpus import (
-    ConfigError, Field, ParseError, check_households, load_dataset, parse_households,
-    parse_ratings, parse_test_events, read_synth_config, read_table, synth_generate,
-    write_dataset,
+    ConfigError, Field, ParseError, check_households, check_members, load_dataset,
+    parse_households, parse_ratings, parse_test_events, read_synth_config, read_table,
+    synth_generate, write_dataset,
 )
 
 USAGE_ERRORS = (ConfigError, ParseError, FileNotFoundError, ValueError)
@@ -169,12 +169,14 @@ def _test_keys(test):
     return np.column_stack([test.household, test.movie, test.stamp])
 
 
-def _read_predictions(path, test):
+def _read_predictions(path, test, households):
     *keys, predicted = read_table(path, _PREDICTION_FIELDS, header=True)
     if len(predicted) != len(test):
         raise ConfigError(f"{path}: {len(predicted)} predictions for {len(test)} test events")
     if not np.array_equal(np.column_stack(keys), _test_keys(test)):
         raise ConfigError(f"{path}: prediction row does not match test file order")
+    check_members(path, predicted, test.household, households, "predicted member",
+                  header=True)
     return predicted
 
 
@@ -282,7 +284,7 @@ def cmd_evaluate(args) -> int:
                           "(or one of --cv / --export-histograms)")
     test = parse_test_events(args.test, households)
     check_households(test, households, args.households)
-    predictions = _read_predictions(args.predictions, test)
+    predictions = _read_predictions(args.predictions, test, households)
     posteriors = None
     if args.posteriors:
         posteriors = _read_posteriors(args.posteriors, test, households)

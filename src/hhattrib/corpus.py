@@ -199,9 +199,9 @@ class Households(Mapping):
             raise DuplicateError(f"user {members[repeat.argmax()]} in two households")
         self.ids = np.fromiter(self._map, np.intp, len(self._map))
         self._order = np.argsort(self.ids)
-        # each user's row; the last entry, -1, serves user -1 and users beyond
-        self._user_row = np.full(members.max(initial=-1) + 2, -1)
-        self._user_row[members] = np.nonzero(self.table >= 0)[0]
+        # each user's slot; the last entry, -1, serves user -1 and users beyond
+        self._slot = np.full(members.max(initial=-1) + 2, -1)
+        self._slot[members] = np.flatnonzero(self.table >= 0)
         self.table.flags.writeable = self.ids.flags.writeable = False
 
     def __getitem__(self, hid) -> Household:
@@ -225,10 +225,15 @@ class Households(Mapping):
                                       len(self.ids) - 1)]
         return np.where(self.ids[rows] == ids, rows, -1)
 
+    def slots(self, users) -> np.ndarray:
+        """Each user's row-major slot in ``table`` (row * width + position);
+        -1 for a user in no household and for user -1."""
+        return self._slot[np.minimum(users, len(self._slot) - 1)]
+
     def user_rows(self, users) -> np.ndarray:
         """Each user's household row in map order; -1 for a user in no
         household and for user -1."""
-        return self._user_row[np.minimum(users, len(self._user_row) - 1)]
+        return self.slots(users) // max(self.table.shape[1], 1)   # -1 stays -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,18 +508,22 @@ def parse_households(path) -> Households:
 
 def parse_test_events(path, households) -> TestColumns:
     """Read a 4- or 5-column test file (5th column = true user, optional) by
-    `read_table`; a true user outside its line's household, checked on the
-    columns, is an error at that line."""
+    `read_table`; a true user outside its line's household is an error at
+    that line."""
     test = TestColumns(*read_table(path, TEST_FIELDS))
-    rows, truths = households.rows(test.household), test.true_user
-    # an unknown household (-1) is check_households's error
-    outside = (rows >= 0) & (truths >= 0) & (households.user_rows(truths) != rows)
+    check_members(path, test.true_user, test.household, households, "true_user")
+    return test
+
+
+def check_members(path, users, household_ids, households, what, header=False) -> None:
+    """An error at the line of the first record of ``path`` (as `read_table`
+    reads them) whose user, -1 for none, is outside its known household."""
+    rows = households.rows(household_ids)
+    outside = (rows >= 0) & (users >= 0) & (households.user_rows(users) != rows)
     if outside.any():
         first = int(outside.argmax())
-        line_no = next(islice(_lines(path), first, None))[0]
-        raise _LocatedError(f"true_user {test.true_user[first]} not in household "
-                            f"{test.household[first]}", path, line_no)
-    return test
+        raise _LocatedError(f"{what} {users[first]} not in household {household_ids[first]}",
+                            path, next(islice(_lines(path, header), first, None))[0])
 
 
 def check_households(test: TestColumns, households, path) -> None:
@@ -626,12 +635,12 @@ def cv_split(dataset: Dataset, fraction: float = 0.04, seed: int = 0) -> Dataset
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction {fraction} outside (0, 1)")
     rng = np.random.default_rng(seed)
-    rows = dataset.households.user_rows(dataset.train.user)
-    hide = rows >= 0   # member events, then the hidden ones among them
+    households = dataset.households
+    hide = households.slots(dataset.train.user) >= 0   # member events, then the hidden ones
     hide[hide] = rng.random(int(hide.sum())) < fraction
     moved = dataset.train[hide]
-    hidden = TestColumns(dataset.households.ids[rows[hide]], moved.movie, moved.rating,
-                         moved.stamp, moved.user)
+    hidden = TestColumns(households.ids[households.user_rows(moved.user)], moved.movie,
+                         moved.rating, moved.stamp, moved.user)
     split = copy.copy(dataset)   # no __post_init__: not validated again
     vars(split).update(train=dataset.train[~hide], test=hidden)
     return split

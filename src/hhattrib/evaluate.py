@@ -420,11 +420,13 @@ def run_cv(dataset: Dataset, pipeline: PipelineConfig, seeds,
     L-BFGS (s, y) pairs. They reach the cold optimum in about a third of
     the work. The extra fit costs about one cold split: one split runs
     slower, two or more run faster. A split's result depends only on the
-    dataset and its own seed.
+    dataset and its own seed, so a repeated seed is a ValueError.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("need at least one split seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"split seed {max(seeds, key=seeds.count)} repeated")
     if pipeline.classifier == "unified":
         parent = fit_pipeline(dataset, pipeline).logit_models
         pipeline = replace(pipeline, logit_start=parent)

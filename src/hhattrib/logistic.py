@@ -87,14 +87,6 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Standardization:
-    """Per-coordinate centering and scaling learned from training rows."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class StackedLogits:
     """Every household's member models in the layout of ``Households.table``.
 
@@ -150,8 +142,9 @@ def feature_matrix(stamps: np.ndarray, movies: np.ndarray, ratings: np.ndarray,
     return np.concatenate(blocks, axis=1)
 
 
-def standardize_fit(rows: np.ndarray) -> Standardization:
-    """Mean/std per coordinate; exactly-constant coordinates get scale 1."""
+def standardize_fit(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, scale) per coordinate, the population std; exactly-constant
+    coordinates get scale 1. Rows standardize as ``(rows - mean) / scale``."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("standardization needs at least 2 rows")
@@ -159,11 +152,7 @@ def standardize_fit(rows: np.ndarray) -> Standardization:
     mean = np.where(constant, rows[0], rows.mean(axis=0))
     scale = np.where(constant, 1.0, rows.std(axis=0))
     scale = np.where(scale == 0.0, 1.0, scale)
-    return Standardization(mean=mean, scale=scale)
-
-
-def standardize_apply(stats: Standardization, rows: np.ndarray) -> np.ndarray:
-    return (np.asarray(rows, dtype=float) - stats.mean) / stats.scale
+    return mean, scale
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +393,13 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
                   model: TemporalFactorModel | None = None,
                   binning: Binning | None = None,
                   start: np.ndarray | None = None, pairs=None,
-                  last_pairs=None) -> tuple[np.ndarray, Standardization]:
+                  last_pairs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One logistic model per member, sharing rows and standardization.
 
     Returns the members' thetas, one row per member in file order, and the
-    standardization of the household's rows. Labels are complementary
-    across members: each training event counts as a positive example for
-    exactly its rater. Members whose labels are all zero or all one are
+    `standardize_fit` mean and scale of the household's rows. Labels are
+    complementary across members: each training event counts as a positive
+    example for exactly its rater. Members whose labels are all zero or all one are
     still fit (the L1 term keeps theta bounded). In a two-member household
     the second member's theta is the first's negated. ``start`` (a row per
     member), ``pairs`` and ``last_pairs`` (a row per solved member: only the
@@ -420,8 +409,8 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
     if len(events.user) < 2:
         raise ValueError(f"household {household.id} needs >= 2 training events")
     rows = feature_matrix(events.stamp, events.movie, events.rating, config, model, binning)
-    stats = standardize_fit(rows)
-    scaled = standardize_apply(stats, rows)
+    mean, scale = standardize_fit(rows)
+    scaled = (rows - mean) / scale
     thetas = []
     for k, member in enumerate(household.members):
         labels = (events.user == member).astype(float)
@@ -435,7 +424,7 @@ def fit_household(train: EventColumns, household: Household, config: FeatureConf
                 scaled, labels, config.lambda1, start=None if start is None else start[k],
                 pairs=None if pairs is None else pairs[k],
                 last_pairs=None if last_pairs is None else last_pairs[k]))
-    return np.array(thetas), stats
+    return np.array(thetas), mean, scale
 
 
 def fit_households(dataset: Dataset, config: FeatureConfig,
@@ -459,7 +448,7 @@ def fit_households(dataset: Dataset, config: FeatureConfig,
     pairs = None if warm else np.zeros(pairs_shape)
     order = np.argsort(rows, kind="stable")
     bounds = np.searchsorted(rows[order], np.arange(len(households) + 1))
-    thetas, stats = zip(*[
+    thetas, means, scales = zip(*[
         fit_household(dataset.train[order[lo:hi]], hh, config, model, binning,
                       start=start.theta[h, :hh.size] if warm else None,
                       pairs=start.pairs[first:last] if warm else None,
@@ -468,8 +457,7 @@ def fit_households(dataset: Dataset, config: FeatureConfig,
             households.values(), bounds, bounds[1:], edges, edges[1:]))])
     theta = np.zeros(shape)
     theta[households.table >= 0] = np.concatenate(thetas)   # row-major: file order per row
-    return StackedLogits(theta, pairs, np.array([s.mean for s in stats]),
-                         np.array([s.scale for s in stats]), config)
+    return StackedLogits(theta, pairs, np.array(means), np.array(scales), config)
 
 
 def member_probabilities(models: StackedLogits, rows: np.ndarray, stamps: np.ndarray,

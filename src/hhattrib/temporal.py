@@ -45,14 +45,6 @@ class TemporalPriors:
     epsilon: float
 
 
-def _weights(user: int, counts: np.ndarray) -> np.ndarray:
-    """Weekday counts as fractions of their total."""
-    total = counts.sum()
-    if total == 0:
-        raise UndefinedProfileError(f"user {user} has no training events")
-    return counts / total
-
-
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Total variation distance between two categorical distributions.
 
@@ -77,6 +69,20 @@ def _average_tv(profiles) -> float:
     return total / (size * (size - 1))
 
 
+def _member_counts(train: EventColumns, households: Households,
+                   binning: Binning | None = None) -> np.ndarray:
+    """Each member slot's train events per (time bin, weekday) cell: an
+    (H, width, T, 7) table in the layout of ``households.table``, T = 1
+    without a binning. Events of users outside every household are ignored."""
+    slots = households.slots(train.user)
+    stamps, slots = train.stamp[slots >= 0], slots[slots >= 0]
+    T = 1 if binning is None else binning.bin_count
+    bins = 0 if binning is None else bin_column(stamps, binning)
+    counts = np.bincount((slots * T + bins) * 7 + weekday_column(stamps),
+                         minlength=households.table.size * T * 7)
+    return counts.reshape(*households.table.shape, T, 7)
+
+
 def fit_priors(train: EventColumns, households: Households, binning: Binning,
                epsilon: float = 0.5) -> TemporalPriors:
     """Every household's member probabilities, smoothed by epsilon.
@@ -91,19 +97,8 @@ def fit_priors(train: EventColumns, households: Households, binning: Binning,
     """
     if epsilon < 0:
         raise ValueError(f"epsilon {epsilon} must be >= 0")
-    T = binning.bin_count
-    table = households.table
-    real = table >= 0
-    members = table[real]
-    place_of = np.full(max(int(members.max(initial=-1)),
-                           int(train.user.max(initial=-1))) + 1, -1)
-    place_of[members] = np.flatnonzero(real)   # row-major slot of each member
-    place = place_of[train.user]
-    stamps = train.stamp[place >= 0]
-    cells = ((place[place >= 0] * T + bin_column(stamps, binning)) * 7
-             + weekday_column(stamps))
-    counts = np.bincount(cells, minlength=table.size * T * 7)
-    counts = counts.reshape(*table.shape, T, 7).transpose(0, 2, 3, 1)
+    real = households.table >= 0
+    counts = _member_counts(train, households, binning).transpose(0, 2, 3, 1)
     # rows: 0 is the unconditional count, 1..T the bins, T+1..T+7 the weekdays
     counts = np.concatenate([counts.sum(axis=(1, 2))[:, None], counts.sum(axis=2),
                              counts.sum(axis=1)], axis=1)
@@ -151,21 +146,24 @@ def prior_matrix(priors: TemporalPriors, mode: str, rows: np.ndarray,
 
 def weekday_histogram(train: EventColumns, households: Households):
     """Rows (household, member, count_sun, ..., count_sat) for every member."""
-    size = max(int(households.table.max(initial=-1)), int(train.user.max(initial=-1))) + 1
-    counts = np.bincount(train.user * 7 + weekday_column(train.stamp),
-                         minlength=7 * size).reshape(size, 7)
-    return [(hid, member, *counts[member].tolist())
-            for hid, hh in households.items() for member in hh.members]
+    real = households.table >= 0   # row-major: map order, then file order
+    counts = _member_counts(train, households)[real, 0].tolist()
+    return [(hid, member, *row) for hid, member, row in zip(
+        households.ids[np.nonzero(real)[0]].tolist(), households.table[real].tolist(), counts)]
 
 
-def tv_histogram(train, households: Households):
+def tv_histogram(train: EventColumns, households: Households):
     """Rows (household, average total variation) across all households.
 
-    Every member's weekday profile, the fraction of the member's events on
-    each weekday, comes from weekday_histogram's one counting pass. A member
-    with no training events raises UndefinedProfileError.
+    Every member's weekday profile is the fraction of the member's events
+    on each weekday, from the one member-count table. A member with no
+    training events raises UndefinedProfileError.
     """
-    counts = {member: np.array(row, dtype=float)
-              for _, member, *row in weekday_histogram(train, households)}
-    return [(hid, _average_tv([_weights(m, counts[m]) for m in hh.members]))
-            for hid, hh in households.items()]
+    counts = _member_counts(train, households)[:, :, 0]
+    totals = counts.sum(axis=2)
+    silent = (households.table >= 0) & (totals == 0)
+    if silent.any():
+        raise UndefinedProfileError(f"user {households.table[silent][0]} has no training events")
+    profiles = counts / np.maximum(totals, 1)[:, :, None]   # padded slots: 0 / 1
+    return [(hid, _average_tv(profiles[row, :hh.size]))
+            for row, (hid, hh) in enumerate(households.items())]

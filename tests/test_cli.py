@@ -270,6 +270,15 @@ def test_evaluate_cv_mode(workspace, capsys):
         or (workspace / "cv.tsv").read_text() in text
 
 
+def test_evaluate_cv_repeated_seed_is_usage_error(workspace, capsys):
+    data = workspace / "data"
+    code = main(["evaluate", "--cv", "--train", str(data / "train.tsv"),
+                 "--households", str(data / "households.tsv"),
+                 "--classifier", "prior-day", "--bins", "4", "--seeds", "1,3,3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: split seed 3 repeated\n"
+
+
 def test_evaluate_export_histograms(workspace):
     model = fit_model(workspace)
     out_dir = workspace / "hist"
@@ -518,6 +527,26 @@ def test_evaluate_rejects_posteriors_of_wrong_members(workspace, capsys, damage)
     assert code == 2
     assert (f"{post}: test event (household {hid}, movie {movie}, timestamp {stamp})"
             in capsys.readouterr().err)
+
+
+# another household's member, and a user in no household
+@pytest.mark.parametrize("member", ["7", "99999"])
+def test_evaluate_rejects_predicted_member_outside_household(workspace, capsys, member):
+    preds = workspace / "preds.tsv"
+    assert main(["classify", *data_args(workspace), "--classifier", "prior-day",
+                 "--bins", "4", "--out", str(preds)]) == 0
+    lines = preds.read_text().splitlines()
+    hid, movie, stamp, _ = lines[2].split("\t")
+    assert hid == "0"   # members 0 and 1
+    lines[2] = "\t".join([hid, movie, stamp, member])
+    # a blank line after the header: the error counts file lines, not records
+    preds.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")
+    code = main(["evaluate", "--households", str(workspace / "data" / "households.tsv"),
+                 "--test", str(workspace / "data" / "test.tsv"),
+                 "--predictions", str(preds), "--out", str(workspace / "report.tsv")])
+    assert code == 2
+    assert (capsys.readouterr().err
+            == f"error: {preds}:4: predicted member {member} not in household 0\n")
 
 
 def test_classify_truncated_model_is_usage_error(workspace, capsys):

@@ -596,12 +596,14 @@ def test_cv_split_keeps_the_parent_households(small_dataset):
 @given(st.data(), household_maps(min_size=0))
 @settings(max_examples=60, deadline=None)
 def test_households_layout_matches_dict_lookups(data, members):
-    """ids, table, rows and user_rows against dict lookups, with unknown
-    ids, user -1 and users beyond every member among the queries."""
+    """ids, table, rows, slots and user_rows against dict lookups, with
+    unknown ids, user -1 and users beyond every member among the queries."""
     households = Households({hid: Household(hid, tuple(ids)) for hid, ids in members.items()})
     row_of = {hid: row for row, hid in enumerate(members)}
     owner = {user: row_of[hid] for hid, ids in members.items() for user in ids}
     width = max(map(len, members.values()), default=0)
+    slot_of = {user: row_of[hid] * width + k
+               for hid, ids in members.items() for k, user in enumerate(ids)}
     assert households.ids.tolist() == list(members)
     assert households.table.tolist() == [ids + [-1] * (width - len(ids))
                                          for ids in members.values()]
@@ -612,6 +614,8 @@ def test_households_layout_matches_dict_lookups(data, members):
     users = data.draw(st.lists(known | st.integers(0, 2 * 10 ** 6), max_size=20))
     assert households.user_rows(np.array(users, dtype=np.intp)).tolist() == [
         owner.get(user, -1) for user in users]
+    assert households.slots(np.array(users, dtype=np.intp)).tolist() == [
+        slot_of.get(user, -1) for user in users]
 
 
 # ---------------------------------------------------------------------------

@@ -520,11 +520,12 @@ def test_run_cv_shape_and_determinism(cv_dataset):
     assert "+/-" in format_cv(result)
 
 
-def test_run_cv_identical_seeds_zero_std(cv_dataset):
+def test_run_cv_rejects_repeated_seed(cv_dataset):
+    """A repeated seed repeats its split, which would shrink the reported std."""
     pipeline = PipelineConfig(classifier="prior-uniform",
                               factor_params=FactorParams(bin_count=4))
-    result = run_cv(cv_dataset, pipeline, seeds=(9, 9, 9), fraction=0.05)
-    assert result.metrics["P"].std == 0.0
+    with pytest.raises(ValueError, match="split seed 9 repeated"):
+        run_cv(cv_dataset, pipeline, seeds=(4, 9, 9), fraction=0.05)
 
 
 UNIFIED_CV = PipelineConfig(

@@ -2,8 +2,9 @@
 
 Only outputs whose bytes do not depend on BLAS rounding are pinned this
 way: predictions and a cross-validated P depend only on which member wins
-each event, a report's AUC only on the ranks of the posteriors, and the
-baseline only on the household counts.
+each event, a report's AUC only on the ranks of the posteriors, the
+baseline only on the household counts, and the weekday and total-variation
+histograms only on integer counts and their min/sum ratios.
 """
 
 import hashlib
@@ -77,6 +78,14 @@ CV_SHA256 = {
         "66ec2296b44fe988bf3818e4571d5200c84e8c9d1150c6a7a18a1b6b2338acf2",
 }
 
+# `evaluate --export-histograms` files that no fitted model enters
+HISTOGRAM_SHA256 = {
+    "weekday_histogram.tsv":
+        "d5b1338ba1896dc59a3eab578fc6a9be3962c51202dcab6c401530937978b5d8",
+    "tv_histogram.tsv":
+        "124a430b2933103790b738c5acf411bd5dcf038e17bc84b616596776ecbda30e",
+}
+
 # stdout of `baseline --size2 5 --size3 1 --size4 1`
 BASELINE_SHA256 = "8e64d89b3eb99926042eb1f98dd6e3ba36f33643ed30ecd43d4f6a8568b9202c"
 
@@ -146,6 +155,13 @@ def test_cv_stdout_is_pinned(corpus, family, capsys):
     assert main(["evaluate", "--cv", *files(corpus), "--classifier", family, *FACTOR,
                  "--seeds", "1,2,3", "--fraction", "0.08"]) == 0
     assert sha256(capsys.readouterr().out) == CV_SHA256[family]
+
+
+@pytest.mark.parametrize("name", sorted(HISTOGRAM_SHA256))
+def test_histograms_are_pinned(corpus, tmp_path, name):
+    assert main(["evaluate", "--export-histograms", *files(corpus),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert sha256((tmp_path / name).read_text()) == HISTOGRAM_SHA256[name]
 
 
 def test_baseline_stdout_is_pinned(capsys):

@@ -28,7 +28,7 @@ from hhattrib.factorize import FactorParams, TemporalFactorModel
 from hhattrib.logistic import (
     FEATURE_ORDER, FeatureConfig, _sigmoid, feature_matrix, fit_household, fit_households,
     fit_logistic, kkt_residual, member_probabilities,
-    save_logit_models, standardize_apply, standardize_fit,
+    save_logit_models, standardize_fit,
 )
 
 from conftest import (
@@ -51,6 +51,12 @@ def arrays(events):
 def build_features(ev, config, model=None, binning=None):
     """feature_matrix's row for one event."""
     return feature_matrix(*arrays([ev]), config, model, binning)[0]
+
+
+def standardized(rows):
+    """``rows`` standardized by their own mean and scale, as fit_household does."""
+    mean, scale = standardize_fit(rows)
+    return (rows - mean) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +193,22 @@ def test_feature_config_letters_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_standardize_two_points():
-    stats = standardize_fit(np.array([[0.0], [2.0]]))
-    assert stats.mean[0] == 1.0 and stats.scale[0] == 1.0  # population std
-    np.testing.assert_allclose(
-        standardize_apply(stats, np.array([[0.0], [2.0]])), [[-1.0], [1.0]])
+    mean, scale = standardize_fit(np.array([[0.0], [2.0]]))
+    assert mean[0] == 1.0 and scale[0] == 1.0  # population std
+    np.testing.assert_allclose(standardized(np.array([[0.0], [2.0]])), [[-1.0], [1.0]])
 
 
 def test_standardize_constant_coordinate():
     rows = np.array([[7.0, 1.0], [7.0, 3.0], [7.0, 5.0]])
-    stats = standardize_fit(rows)
-    out = standardize_apply(stats, rows)
-    np.testing.assert_array_equal(out[:, 0], [0.0, 0.0, 0.0])
+    mean, scale = standardize_fit(rows)
+    assert mean[0] == 7.0 and scale[0] == 1.0
+    np.testing.assert_array_equal(standardized(rows)[:, 0], [0.0, 0.0, 0.0])
 
 
 def test_standardize_centers_fit_rows():
     rng = np.random.default_rng(0)
     rows = rng.normal(2.0, 3.0, size=(40, 5))
-    out = standardize_apply(standardize_fit(rows), rows)
+    out = standardized(rows)
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
 
@@ -468,7 +473,7 @@ def test_rank_deficient_household_design(planted_dataset, lam):
     events = planted_dataset.train[np.isin(planted_dataset.train.user, household.members)]
     raw = feature_matrix(events.stamp, events.movie, events.rating, only("abd"),
                          binning=derive_binning(events, 4))
-    rows = standardize_apply(standardize_fit(raw), raw)
+    rows = standardized(raw)
     labels = (events.user == household.members[0]).astype(float)
     assert np.linalg.matrix_rank(rows) < rows.shape[1]
 
@@ -603,7 +608,7 @@ def household_design(seed, n, bins, rank, sides, lam):
                           rng.normal(size=(n, rank)) + member[:, None],
                           np.eye(bins)[rng.integers(0, bins, n)],
                           rng.uniform(1.0, 5.0, (n, 1))), axis=1)
-    rows = standardize_apply(standardize_fit(raw), raw)
+    rows = standardized(raw)
     labels = {"members": member, "noisy": member ^ (rng.random(n) < 0.2),
               "zeros": np.zeros(n), "ones": np.ones(n)}[sides].astype(float)
     return rows, labels, lam
@@ -798,9 +803,9 @@ def _separable_household(n_each=30):
 
 def test_fit_household_one_model_per_member():
     household, train = _separable_household()
-    thetas, stats = fit_household(as_columns(train), household, only("a", 0.1))
+    thetas, mean, scale = fit_household(as_columns(train), household, only("a", 0.1))
     assert thetas.shape == (2, 7)   # one shared standardization of 7 columns
-    assert stats.mean.shape == stats.scale.shape == (7,)
+    assert mean.shape == scale.shape == (7,)
 
 
 def test_labels_are_complementary():
@@ -903,11 +908,11 @@ def test_two_member_household_is_one_solve(monkeypatch):
     household, train = _separable_household()
     train.append(event(1, 500, day=0, hour=9))  # not separable by weekday alone
     calls = _counting_fits(monkeypatch)
-    thetas, stats = fit_household(as_columns(train), household, only("ab", 0.05))
+    thetas, mean, scale = fit_household(as_columns(train), household, only("ab", 0.05))
     assert len(calls) == 1
     assert np.array_equal(thetas[1], -thetas[0])
     assert np.any(thetas[0] != 0.0)
-    direct = fit_logistic(standardize_apply(stats, feature_matrix(*arrays(train), only("ab"))),
+    direct = fit_logistic((feature_matrix(*arrays(train), only("ab")) - mean) / scale,
                           1.0 - calls[0], 0.05)
     np.testing.assert_allclose(thetas[1], direct, rtol=0, atol=1e-7)
 
@@ -917,7 +922,7 @@ def test_three_member_household_fits_every_member(monkeypatch):
     train = [event(user, 10 * user + k, day=(user + k) % 7, hour=k)
              for user in household.members for k in range(8)]
     calls = _counting_fits(monkeypatch)
-    thetas, _ = fit_household(as_columns(train), household, only("ab", 0.05))
+    thetas, *_ = fit_household(as_columns(train), household, only("ab", 0.05))
     assert len(calls) == len(thetas) == 3
     users = np.array([ev.user for ev in train])
     for member, labels in zip(household.members, calls):   # file order
@@ -943,7 +948,7 @@ def test_fit_household_needs_events():
 def test_one_sided_labels_still_fit():
     household = Household(0, (0, 1))
     train = [event(0, m, day=m % 7) for m in range(10)]  # member 1 never rates
-    thetas, _ = fit_household(as_columns(train), household, only("a", 0.1))
+    thetas, *_ = fit_household(as_columns(train), household, only("a", 0.1))
     assert np.all(np.isfinite(thetas[1]))
 
 
@@ -970,8 +975,8 @@ def test_logit_model_dump_round_trip(tmp_path):
         assert np.array_equal(mean, models.mean[row])
         assert np.array_equal(scale, models.scale[row])
     for row, household in enumerate(households.values()):   # the stack is each fit
-        thetas, stats = fit_household(as_columns(train), household, only("ae", 0.2))
+        thetas, mean, scale = fit_household(as_columns(train), household, only("ae", 0.2))
         assert np.array_equal(models.theta[row, :household.size], thetas)
-        assert np.array_equal(models.mean[row], stats.mean)
-        assert np.array_equal(models.scale[row], stats.scale)
+        assert np.array_equal(models.mean[row], mean)
+        assert np.array_equal(models.scale[row], scale)
     assert not models.theta[1, 2].any()

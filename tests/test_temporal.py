@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhattrib.corpus import (
-    SECONDS_PER_WEEK, Binning, Household, Households, SynthConfig, derive_binning,
-    synth_generate,
+    SECONDS_PER_WEEK, Binning, EventColumns, Household, Households, SynthConfig,
+    derive_binning, synth_generate,
 )
 from hhattrib.evaluate import FittedPipeline, PipelineConfig, classify_events
 from hhattrib.temporal import (
@@ -374,6 +374,20 @@ def test_tv_histogram_matches_household_tv_on_many_households():
     assert [hid for hid, _ in rows] == list(dataset.households)
     for hid, value in rows:
         assert value == reference_tv(rating_events(dataset.train), dataset.households[hid])
+
+
+def test_non_member_with_huge_id_changes_no_count(planted_dataset):
+    """Counts are sized by member slots: the priors and both histograms
+    ignore a train user in no household with id 10^15."""
+    train, households = planted_dataset.train, planted_dataset.households
+    stray = EventColumns(*(np.append(column, value) for column, value in zip(
+        (train.user, train.movie, train.rating, train.stamp),
+        (10 ** 15, 3, 50.0, train.stamp[0]))))
+    binning = derive_binning(train, 4)
+    assert np.array_equal(fit_priors(stray, households, binning).shares,
+                          fit_priors(train, households, binning).shares)
+    assert weekday_histogram(stray, households) == weekday_histogram(train, households)
+    assert tv_histogram(stray, households) == tv_histogram(train, households)
 
 
 def test_tv_histogram_member_without_events(small_dataset):
