@@ -7,7 +7,8 @@ Every block update is an exact minimizer of the full objective over that
 block, so the training cost is non-increasing after each one. The rows of
 a block do not depend on each other, so each block is solved as one stack
 of small ridge systems, whose Gram matrices and right-hand sides are products
-of each bin's sparse event-count and rating-sum matrices with the factors.
+of each bin's event-count and rating-sum matrices with the factors: dense
+where a bin is at least half rated, sparse otherwise.
 
 `predict` scores any array of (user, movie, stamp) triples at once; the
 residual classifier and the Gaussian scores read their rating gaps from it.
@@ -227,7 +228,8 @@ def _init_factors(m, n, rank, bins, seed):
 
 
 def _grams(counts, factors):
-    """Per-row Gram matrices sum_j counts[i, j] f_j f_j^T, as a (rows, r, r) stack."""
+    """Per-row Gram matrices sum_j counts[i, j] f_j f_j^T, as a (rows, r, r) stack;
+    counts is a dense array or a scipy.sparse one, or a transpose of either."""
     rank = factors.shape[1]
     outer = (factors[:, :, None] * factors[:, None, :]).reshape(-1, rank * rank)
     return (counts @ outer).reshape(-1, rank, rank)
@@ -260,8 +262,13 @@ def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=N
     factors, then all movie factors, then all user biases are refreshed.
     A row's update depends on no other row of its block, so each block is
     one stacked solve and the sweep is still row-by-row Gauss-Seidel.
-    Each bin's events are summed once into sparse user x movie matrices of
-    event counts and rating sums, which the blocks multiply by the factors.
+    Each bin's events are summed once into user x movie matrices of event
+    counts and rating sums (repeated pairs add up), which the blocks multiply
+    by the factors. A bin at least half rated (m * n <= 2 * events) holds
+    dense arrays, whose products run in BLAS and whose cells cost no more
+    memory than sparse entries with their indices; a sparser bin holds
+    scipy.sparse CSR arrays, so a fit whose bins are all dense never
+    imports scipy.sparse.
     Each update solves its ridge subproblem with the diagonal shift raised
     by xi per existing neighbor bin and the right-hand side pulled toward
     the sum of the neighboring bins' current vectors (the bin below has
@@ -274,7 +281,6 @@ def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=N
     After each iteration, progress (if given) receives the iteration
     number, the model and its training cost.
     """
-    import scipy.sparse   # here, not at import: about 22 MB resident, needed by fits only
     if not train.user.size:
         raise ValueError("empty training set")
     T = params.bin_count
@@ -286,6 +292,10 @@ def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=N
     bins = bin_column(train.stamp, binning)
     m = user_count if user_count is not None else int(users.max()) + 1
     n = movie_count if movie_count is not None else int(movies.max()) + 1
+    for name, ids, size in (("user", users, m), ("movie", movies, n)):
+        outside = ids[(ids < 0) | (ids >= size)]   # a dense bin would fold it into another row
+        if len(outside):
+            raise ValueError(f"{name} {outside[0]} outside [0, {size})")
     U, V, Z = _init_factors(m, n, params.rank, T, params.seed)
     model = TemporalFactorModel(U, V, Z, binning, params)
     lam, hook = params.reg_lambda, block_hook or (lambda *_: None)
@@ -293,7 +303,12 @@ def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=N
     for b in range(T):
         in_bin = bins == b
         u, v, x = users[in_bin], movies[in_bin], ratings[in_bin]
-        C, X = (scipy.sparse.csr_array((w, (u, v)), (m, n)) for w in (np.ones(len(u)), x))
+        weights = np.ones(len(u)), x
+        if m * n <= 2 * len(u):   # at least half rated: dense
+            C, X = (np.bincount(u * n + v, w, m * n).reshape(m, n) for w in weights)
+        else:
+            import scipy.sparse   # here, not at import: about 22 MB resident
+            C, X = (scipy.sparse.csr_array((w, (u, v)), (m, n)) for w in weights)
         count = np.bincount(u, minlength=m)  # events, not distinct pairs
         per_bin.append((C, X, C.T, X.T, count, np.bincount(u, x, m),
                         count > 0, np.bincount(v, minlength=n) > 0))

@@ -132,6 +132,9 @@ SCIPY_PROBE = textwrap.dedent("""
                "--out", f"{d}/p.tsv", "--dump-posteriors", f"{d}/post.tsv") == []
     assert run("evaluate", *data, "--predictions", f"{d}/p.tsv",
                "--posteriors", f"{d}/post.tsv", "--out", f"{d}/r.tsv") == []
+    # one bin holds 510 events in 17 x 43 = 731 cells: at least half full, dense
+    assert run("fit", *train, "--out", f"{d}/m1.txt", "--rank", "2", "--bins", "1",
+               "--iterations", "3") == []
     assert run("fit", *train, "--out", f"{d}/m.txt", "--rank", "2", "--bins", "4",
                "--iterations", "3") == ["sparse"]
     assert run("classify", *train, *data, "--classifier", "unified", "--model",
@@ -140,9 +143,10 @@ SCIPY_PROBE = textwrap.dedent("""
 
 
 def test_scipy_is_imported_only_by_fits_and_unified_solves(tmp_path):
-    # scipy.sparse (the ALS fit) and scipy.linalg (the unified family's
-    # triangular solves) hold about 29 MB of resident memory between them;
-    # commands that fit no factor model and no logistic model load neither
+    # scipy.sparse (an ALS fit with a bin less than half rated) and
+    # scipy.linalg (the unified family's triangular solves) hold about 28 MB
+    # of resident memory between them; commands that fit no factor model and
+    # no logistic model load neither, nor does a fit whose bins are all dense
     (tmp_path / "synth.cfg").write_text(
         "households_size2 = 3\nhouseholds_size3 = 1\nevents_per_user = 30\nseed = 4\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -277,6 +281,33 @@ def test_evaluate_cv_repeated_seed_is_usage_error(workspace, capsys):
                  "--classifier", "prior-day", "--bins", "4", "--seeds", "1,3,3"])
     assert code == 2
     assert capsys.readouterr().err == "error: split seed 3 repeated\n"
+
+
+def test_evaluate_cv_pair_keys_do_not_wrap(workspace, capsys):
+    # user 2^62 rates a movie user 0 rated; with a movie span that is a
+    # multiple of 4, 2^62 * span + movie wraps in int64 to user 0's key of
+    # that movie. The non-member changes no CV figure, and only a real
+    # repeat of its pair is a duplicate, named as such
+    data = workspace / "data"
+    lines = (data / "train.tsv").read_text().splitlines()
+    rows = [line.split("\t") for line in lines]
+    movie = next(m for u, m, _, _ in rows if u == "0")
+    span = max(int(m) for _, m, _, _ in rows) + 1
+    stamp = rows[0][3]
+    extra = [f"{2 ** 62}\t{movie}\t50\t{stamp}",
+             f"{2 ** 62}\t{-(-span // 4) * 4 - 1}\t50\t{stamp}"]   # span to a multiple of 4
+    argv = ["evaluate", "--cv", "--households", str(data / "households.tsv"),
+            "--classifier", "prior-day", "--bins", "4", "--train"]
+    assert main([*argv, str(data / "train.tsv")]) == 0
+    want = capsys.readouterr().out
+    for name, added, code in (("stray.tsv", extra, 0), ("repeat.tsv", extra + extra[:1], 2)):
+        (workspace / name).write_text("\n".join(lines + added) + "\n")
+        assert main([*argv, str(workspace / name)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out == want
+        else:
+            assert err == f"error: duplicate train pair ({2 ** 62}, {movie})\n"
 
 
 def test_evaluate_export_histograms(workspace):

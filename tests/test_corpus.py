@@ -552,6 +552,31 @@ def test_dataset_names_first_offending_event(train, error, message):
     assert isinstance(raised.value, DuplicateError) == (error is DuplicateError)
 
 
+BIG = 2 ** 62   # BIG * 4 wraps to 0 in int64: (BIG, 1) and (0, 1) would share a pair key
+
+
+@pytest.mark.parametrize("train, error, message", [
+    ([event(0, 1), event(1, 2), event(BIG, 1)], None, None),
+    ([event(0, 1), event(BIG, 1), event(1, 2), event(BIG, 1, day=1)], DuplicateError,
+     rf"^duplicate train pair \({BIG}, 1\)$"),
+    # the first offending event in file order is named
+    ([event(BIG, 1), event(1, 2), event(1, 2, day=1), event(BIG, 1, day=2)], DuplicateError,
+     r"^duplicate train pair \(1, 2\)$"),
+    ([event(BIG, 1), event(BIG + 1, 0), event(BIG, 1, day=1)], ValueError,
+     rf"^event \({BIG + 1}, 0, 50.0, \d+\) exceeds declared dimensions$"),
+])
+def test_dataset_pair_keys_do_not_wrap(train, error, message):
+    def build():
+        return Dataset(as_columns(train), Households({0: Household(0, (0, 1))}),
+                       as_test_columns([]), user_count=BIG + 1, movie_count=4)
+    if error is None:
+        build()
+        return
+    with pytest.raises(error, match=message) as raised:
+        build()
+    assert isinstance(raised.value, DuplicateError) == (error is DuplicateError)
+
+
 # ---------------------------------------------------------------------------
 # Households
 # ---------------------------------------------------------------------------

@@ -433,6 +433,18 @@ REPEATED_RATINGS = [
     (0, 0, 65.0, 20),
 ]
 
+# (user, movie, rating, t): users 0..4 rate movies 0..3 in days 0..12, three
+# pairs twice, and six more events fall in days 14..40. In the 7 x 6 grid of
+# the fits below, one bin (29 events) and the first of three bins (23) are
+# at least half full and take dense matrices; the later two bins (3 events
+# each) stay sparse
+DENSE_RATINGS = [(u, v, float(5 + (37 * u + 11 * v) % 95), (u + 3 * v) % 13)
+                 for u in range(5) for v in range(4)] + [
+    (0, 0, 90.0, 7), (2, 3, 15.0, 1), (4, 1, 65.0, 12),
+    (5, 4, 30.0, 14), (1, 4, 70.0, 20), (5, 0, 50.0, 26),
+    (3, 2, 85.0, 27), (5, 4, 20.0, 33), (0, 4, 40.0, 40),
+]
+
 
 @given(
     ratings=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
@@ -453,6 +465,9 @@ REPEATED_RATINGS = [
 @example(ratings=PINV_RATINGS, bins=1, rank=3, reg_lambda=0.0, xi=3.0, seed=2)
 @example(ratings=REPEATED_RATINGS, bins=1, rank=2, reg_lambda=1.0, xi=2.0, seed=4)
 @example(ratings=REPEATED_RATINGS, bins=3, rank=2, reg_lambda=1.0, xi=2.0, seed=4)
+@example(ratings=DENSE_RATINGS, bins=1, rank=2, reg_lambda=1.0, xi=2.0, seed=4)
+@example(ratings=DENSE_RATINGS, bins=1, rank=3, reg_lambda=0.0, xi=0.0, seed=1)
+@example(ratings=DENSE_RATINGS, bins=3, rank=2, reg_lambda=1.0, xi=2.0, seed=4)
 def test_stacked_fit_matches_row_by_row_reference(ratings, bins, rank, reg_lambda,
                                                   xi, seed):
     # users 0..6 and movies 0..5: some never rate, others skip some bins;
@@ -586,6 +601,18 @@ def test_fit_rejects_bad_input():
         fit_lowrank_temporal(as_columns([]), FactorParams(bin_count=1))
     with pytest.raises(ValueError):
         FactorParams(iterations=0)
+
+
+@pytest.mark.parametrize("ratings, message", [
+    # 2 events in a 2 x 2 grid take dense matrices, where movie 3 of user 0
+    # would land in the cell of movie 1 of user 1
+    ([(0, 0), (0, 3)], r"^movie 3 outside \[0, 2\)$"),
+    ([(0, 0), (2, 1)], r"^user 2 outside \[0, 2\)$"),
+])
+def test_fit_rejects_ids_outside_the_grid(ratings, message):
+    with pytest.raises(ValueError, match=message):
+        fit_lowrank_temporal(as_columns(event(u, v) for u, v in ratings),
+                             FactorParams(rank=1, bin_count=1, iterations=1), 2, 2)
 
 
 # ---------------------------------------------------------------------------
