@@ -252,17 +252,10 @@ class Dataset:
 
     def __post_init__(self):
         users, movies = self.train.user, self.train.movie
-        # keys span the largest movie: one beyond movie_count is not a repeat
-        span = max(self.movie_count, int(movies.max(initial=-1)) + 1)
-        repeat = np.ones(len(users), dtype=bool)
-        if users.min(initial=0) >= 0 and (int(users.max(initial=0)) + 1) * span <= 2 ** 63 - 1:
-            key = users * span + movies
-            repeat[np.unique(key, return_index=True)[1]] = False   # first occurrences
-        else:   # the key would wrap: a stable sort puts each pair's first occurrence first
-            order = np.lexsort((movies, users))
-            pairs = np.stack((users[order], movies[order]), axis=1)
-            repeat[order[:1]] = False
-            repeat[order[1:]] = (pairs[1:] == pairs[:-1]).all(axis=1)
+        order = np.lexsort((movies, users))   # stable: a pair's first occurrence comes first
+        u, v = users[order], movies[order]
+        repeat = np.zeros(len(users), dtype=bool)
+        repeat[order[1:]] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
         bad = repeat | (users >= self.user_count) | (movies >= self.movie_count)
         if bad.any():
             first = bad.argmax()

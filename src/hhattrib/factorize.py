@@ -265,10 +265,10 @@ def fit_lowrank_temporal(train: EventColumns, params: FactorParams, user_count=N
     Each bin's events are summed once into user x movie matrices of event
     counts and rating sums (repeated pairs add up), which the blocks multiply
     by the factors. A bin at least half rated (m * n <= 2 * events) holds
-    dense arrays, whose products run in BLAS and whose cells cost no more
-    memory than sparse entries with their indices; a sparser bin holds
-    scipy.sparse CSR arrays, so a fit whose bins are all dense never
-    imports scipy.sparse.
+    dense arrays, whose products run in BLAS, at most 16 B per event for
+    each matrix (CSR takes 12 B per entry plus its row pointers); a
+    sparser bin holds scipy.sparse CSR arrays, so a fit whose bins are all
+    dense never imports scipy.sparse.
     Each update solves its ridge subproblem with the diagonal shift raised
     by xi per existing neighbor bin and the right-hand side pulled toward
     the sum of the neighboring bins' current vectors (the bin below has
